@@ -10,12 +10,9 @@ reference map's accuracy.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
-from typing import Callable
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from .embeddings import EmbeddingSpace, cosine_similarity, cosines_to_all
 from .lexicon import (
@@ -25,7 +22,7 @@ from .lexicon import (
     split_dataset,
     union_train_datasets,
 )
-from .mapper import LinearMap, TrainConfig, train_least_squares, train_max_margin
+from .mapper import LinearMap, TrainConfig, get_trainer
 from .neighborhoods import build_neighborhood
 from .seeds import spawn_seed
 
@@ -119,7 +116,9 @@ def pearson_correlation(xs: list[float], ys: list[float]) -> float:
 
 def spearman_correlation(xs: list[float], ys: list[float]) -> float:
     """Spearman rank correlation (rank-based robustness companion)."""
-    rho = float(_scipy_stats.spearmanr(xs, ys).statistic)
+    from scipy import stats  # deferred: most commands never correlate
+
+    rho = float(stats.spearmanr(xs, ys).statistic)
     if np.isnan(rho):
         raise ValueError("correlation undefined under zero variance")
     return rho
@@ -156,20 +155,6 @@ class ExperimentReport:
     pairwise_map_cosines: list[tuple[str, str, float, float]] | None = None
 
 
-def _make_trainer(
-    trainer: str, config: TrainConfig, lam: float
-) -> Callable[[TranslationDataset, EmbeddingSpace, int, str], LinearMap]:
-    if trainer in ("max_margin", "maxmargin"):
-        def fit(train, tgt_space, seed, anchor):
-            return train_max_margin(train, tgt_space, config.with_seed(seed), anchor=anchor)
-    elif trainer in ("least_squares", "lsq"):
-        def fit(train, tgt_space, seed, anchor):
-            return train_least_squares(train, tgt_space, lam=lam, anchor=anchor)
-    else:
-        raise ValueError(f"unknown trainer: {trainer!r}")
-    return fit
-
-
 def run_experiment(
     anchors: list[str],
     s: float,
@@ -184,7 +169,6 @@ def run_experiment(
     eval_k: int = 10,
     min_train: int = 50,
     split_method: str = "random",
-    jobs: int = 1,
     single_reference: bool = False,
 ) -> ExperimentReport:
     """Train per-anchor local maps plus a global map and report diagnostics.
@@ -197,6 +181,7 @@ def run_experiment(
     test word excluded. With fewer than two usable rows, or degenerate
     columns, the correlations are omitted with a warning.
     """
+    trainer, fit = get_trainer(trainer)
     if not anchors:
         raise ValueError("anchors list is empty")
     if len(set(anchors)) != len(anchors):
@@ -234,21 +219,12 @@ def run_experiment(
         reason = dict(skipped).get(reference, "not prepared")
         raise ValueError(f"reference anchor {reference!r} unusable: {reason}")
 
-    fit = _make_trainer(trainer, train_config, lam)
-    usable = [a for a in anchors if a in prepared]
-
-    def train_one(item: tuple[int, str]) -> tuple[str, LinearMap]:
-        index, anchor = item
-        train, _ = prepared[anchor]
-        return anchor, fit(train, tgt_space, spawn_seed(seed, "train", index), anchor)
-
-    jobs = max(1, jobs)
-    indexed = [(anchors.index(a), a) for a in usable]
-    if jobs == 1:
-        trained = dict(train_one(item) for item in indexed)
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trained = dict(pool.map(train_one, indexed))
+    trained: dict[str, LinearMap] = {}
+    for index, anchor in enumerate(anchors):
+        if anchor in prepared:
+            seeded = train_config.with_seed(spawn_seed(seed, "train", index))
+            trained[anchor] = fit(prepared[anchor][0], tgt_space, seeded, lam, anchor)
+    usable = list(trained)
 
     all_test_words: set[str] = set()
     for anchor in usable:
@@ -256,7 +232,8 @@ def run_experiment(
     global_train = union_train_datasets(
         [prepared[a][0] for a in usable], exclude_words=all_test_words
     )
-    global_map = fit(global_train, tgt_space, spawn_seed(seed, "train", "global"), "global")
+    global_seed = spawn_seed(seed, "train", "global")
+    global_map = fit(global_train, tgt_space, train_config.with_seed(global_seed), lam, "global")
 
     ref_map = trained[reference]
     ref_vector = src_space.vector(reference)

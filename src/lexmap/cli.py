@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, synth
 from .embeddings import load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
-from .mapper import TrainConfig, load_map, save_map, train_least_squares, train_max_margin
+from .mapper import TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
 from .translate import load_atlas, piecewise_translate, translate_topk
 
@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-size", type=int, default=500)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--min-train", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--no-normalize", action="store_true")
     p.add_argument("--split-method", choices=["random", "frequency"], default="random")
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src-emb")
     p.add_argument("--tgt-emb")
     p.add_argument("--map", dest="map_path", default=None)
-    p.add_argument("--atlas", default=None, help="directory written by experiment/save_atlas")
+    p.add_argument("--atlas", default=None, help="directory written by save_atlas")
     p.add_argument("--words", default=None, help="comma-separated source words")
     p.add_argument("--input", default=None, help="file with one source word per line")
     p.add_argument("--k", type=int, default=10)
@@ -117,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-size", type=int, default=100)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--min-train", type=int, default=50)
-    p.add_argument("--jobs", type=int, default=1)
     _add_train_flags(p)
 
     for sp in sub.choices.values():
@@ -149,7 +147,7 @@ def _apply_snapshot(args: argparse.Namespace, argv: list[str]) -> argparse.Names
     explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
     for key, value in snapshot.get("args", {}).items():
         flag = "--" + key.replace("_", "-")
-        if flag not in explicit:
+        if flag not in explicit and hasattr(args, key):
             setattr(args, key, value)
     return args
 
@@ -197,10 +195,8 @@ def _cmd_train(args) -> int:
     else:
         train = build_full_dataset(lexicon, src_space, tgt_space)
         anchor = "global"
-    if args.trainer == "maxmargin":
-        fitted = train_max_margin(train, tgt_space, _train_config(args), anchor=anchor)
-    else:
-        fitted = train_least_squares(train, tgt_space, lam=args.lam, anchor=anchor)
+    _, fit = get_trainer(args.trainer)
+    fitted = fit(train, tgt_space, _train_config(args), args.lam, anchor)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_map(fitted, out / "map.txt")
@@ -235,12 +231,11 @@ def _cmd_experiment(args) -> int:
         _train_config(args),
         test_sizes=args.test_size,
         seed=args.seed,
-        trainer="max_margin" if args.trainer == "maxmargin" else "least_squares",
+        trainer=args.trainer,
         lam=args.lam,
         eval_k=args.k,
         min_train=args.min_train,
         split_method=args.split_method,
-        jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -253,6 +248,9 @@ def _cmd_experiment(args) -> int:
 def _cmd_translate(args) -> int:
     if (args.map_path is None) == (args.atlas is None):
         raise ValueError("pass exactly one of --map or --atlas")
+    # maps load first: a bad path fails before the slow .vec loads
+    fitted = load_map(args.map_path) if args.map_path else None
+    atlas = load_atlas(args.atlas) if args.atlas else None
     normalize = not args.no_normalize
     src_space = load_embeddings(args.src_emb, limit=args.limit, normalize=normalize)
     tgt_space = load_embeddings(args.tgt_emb, limit=args.limit, normalize=normalize)
@@ -264,20 +262,16 @@ def _cmd_translate(args) -> int:
         raise ValueError("pass --words or --input")
 
     lines = ["source\tmap\trank\ttarget\tscore"]
-    if args.map_path:
-        fitted = load_map(args.map_path)
-        for word in words:
+    for word in words:
+        if fitted is not None:
             ranking = translate_topk(fitted, src_space.vector(word), tgt_space, args.k)
-            for rank, (target, score) in enumerate(ranking, 1):
-                lines.append(f"{word}\t{fitted.anchor}\t{rank}\t{target}\t{score:.6f}")
-    else:
-        atlas = load_atlas(args.atlas)
-        for word in words:
+            label = fitted.anchor
+        else:
             ranking, label = piecewise_translate(
                 atlas, word, src_space, tgt_space, args.k, floor=args.floor
             )
-            for rank, (target, score) in enumerate(ranking, 1):
-                lines.append(f"{word}\t{label}\t{rank}\t{target}\t{score:.6f}")
+        for rank, (target, score) in enumerate(ranking, 1):
+            lines.append(f"{word}\t{label}\t{rank}\t{target}\t{score:.6f}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "translations.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -312,14 +306,13 @@ def _cmd_diagnose(args) -> int:
         world,
         anchors,
         args.s,
-        "max_margin" if args.trainer == "maxmargin" else "least_squares",
+        args.trainer,
         _train_config(args),
         test_size=args.test_size,
         seed=args.seed,
         eval_k=args.k,
         min_train=args.min_train,
         lam=args.lam,
-        jobs=args.jobs,
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -27,7 +27,8 @@ class EmbeddingSpace:
 
     Immutable after construction: the vector matrix is marked read-only and
     the word list is a tuple, so instances are safe to share across
-    concurrent read-only queries.
+    concurrent read-only queries. Row norms are kept read-only too, with
+    zero rows as inf, so cosine retrieval never recomputes them.
     """
 
     def __init__(
@@ -47,10 +48,11 @@ class EmbeddingSpace:
             )
         if len(set(words)) != len(words):
             raise ValueError("words must be unique")
-        if normalized:
-            norms = np.linalg.norm(vectors, axis=1)
-            if norms.size and not np.allclose(norms, 1.0, atol=1e-6):
-                raise ValueError("normalized=True but some rows are not unit norm")
+        norms = np.linalg.norm(vectors, axis=1)
+        if normalized and norms.size and not np.allclose(norms, 1.0, atol=1e-6):
+            raise ValueError("normalized=True but some rows are not unit norm")
+        norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
+        norms.flags.writeable = False
 
         self.language_tag = language_tag
         self.words: tuple[str, ...] = tuple(words)
@@ -58,6 +60,7 @@ class EmbeddingSpace:
         self.vectors.flags.writeable = False
         self.dim = int(vectors.shape[1])
         self.normalized = normalized
+        self.row_norms = norms
         self.stats = stats
         self._index = {w: i for i, w in enumerate(self.words)}
 
@@ -86,11 +89,12 @@ def load_embeddings(
     """Load a ``.vec`` file into an EmbeddingSpace.
 
     Keeps at most ``min(header count, limit)`` entries in file order.
+    Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
-    count are skipped; zero vectors are dropped when normalizing. All three
-    conditions are counted in the returned space's ``stats`` rather than
-    aborting the load (published .vec files contain occasional tokens with
-    embedded spaces).
+    count or a non-finite entry are skipped as malformed; zero vectors are
+    dropped when normalizing. All three conditions are counted in the
+    returned space's ``stats`` rather than aborting the load (published .vec
+    files contain occasional tokens with embedded spaces).
 
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
@@ -100,7 +104,8 @@ def load_embeddings(
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: unparsable header or non-positive dimensions.
+        ValueError: unparsable header, non-positive dimensions, or a body
+            of which no line loads.
     """
     path = Path(path)
     if not path.is_file():
@@ -128,7 +133,7 @@ def load_embeddings(
         for line in fh:
             if len(words) >= target:
                 break
-            parts = line.rstrip("\n").split(" ")
+            parts = line.rstrip().split(" ")
             if len(parts) != dim + 1 or not parts[0]:
                 stats.malformed += 1
                 continue
@@ -141,6 +146,9 @@ def load_embeddings(
             except ValueError:
                 stats.malformed += 1
                 continue
+            if not np.isfinite(vec).all():
+                stats.malformed += 1
+                continue
             if normalize:
                 norm = np.linalg.norm(vec)
                 if norm == 0.0:
@@ -151,6 +159,11 @@ def load_embeddings(
             words.append(token)
             rows.append(vec)
 
+    if not rows and (stats.malformed or stats.zero_dropped):
+        raise ValueError(
+            f"no words loaded from {path}: {stats.malformed} malformed lines, "
+            f"{stats.zero_dropped} zero vectors"
+        )
     vectors = np.vstack(rows) if rows else np.empty((0, dim))
     return EmbeddingSpace(language_tag, words, vectors, normalized=normalize, stats=stats)
 
@@ -178,9 +191,7 @@ def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
         raise ValueError("cosine similarity undefined for zero query")
     scores = space.vectors @ (query / qnorm)
     if not space.normalized:
-        norms = np.linalg.norm(space.vectors, axis=1)
-        norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
-        scores = scores / norms
+        scores = scores / space.row_norms
     return np.clip(scores, -1.0, 1.0)
 
 

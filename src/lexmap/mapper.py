@@ -10,7 +10,7 @@ experiment reports can be audited.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -227,21 +227,11 @@ def train_max_margin(
             loss_history.append(avg_loss)
             lr *= config.lr_decay
 
-    hyper = {
-        "gamma": config.gamma,
-        "negatives": config.negatives,
-        "epochs": config.epochs,
-        "learning_rate": config.learning_rate,
-        "lr_decay": config.lr_decay,
-        "seed": config.seed,
-        "init": config.init,
-        "ortho_weight": config.ortho_weight,
-    }
     return LinearMap(
         W,
         trainer="max_margin",
         anchor=anchor,
-        hyperparams=hyper,
+        hyperparams=asdict(config),
         train_size=m,
         final_loss=loss_history[-1],
         loss_history=tuple(loss_history),
@@ -287,6 +277,32 @@ def train_least_squares(
         train_size=len(train),
         final_loss=loss,
     )
+
+
+# The fit functions look the trainers up by module-global name on every call,
+# so a wrapper installed on train_max_margin or train_least_squares sees them.
+def _fit_max_margin(train, tgt_space, config, lam, anchor):
+    return train_max_margin(train, tgt_space, config, anchor=anchor)
+
+
+def _fit_least_squares(train, tgt_space, config, lam, anchor):
+    return train_least_squares(train, tgt_space, lam=lam, anchor=anchor)
+
+
+# accepted trainer name -> (canonical name recorded in maps, fit function)
+TRAINERS = {
+    "max_margin": ("max_margin", _fit_max_margin),
+    "maxmargin": ("max_margin", _fit_max_margin),
+    "least_squares": ("least_squares", _fit_least_squares),
+    "lsq": ("least_squares", _fit_least_squares),
+}
+
+
+def get_trainer(name: str):
+    """Canonical name and fit(train, tgt_space, config, lam, anchor) for a trainer name."""
+    if name not in TRAINERS:
+        raise ValueError(f"unknown trainer {name!r}; expected one of {', '.join(TRAINERS)}")
+    return TRAINERS[name]
 
 
 def orthogonality_penalty(m: LinearMap | np.ndarray) -> float:

@@ -19,8 +19,8 @@ def spawn_rng(seed: int, *stream: int | str) -> np.random.Generator:
     """Create a generator for one named stream under a base seed.
 
     Two calls with the same (seed, stream) yield identical generators;
-    distinct streams are statistically independent, so concurrent jobs can
-    each derive their own randomness without sharing state.
+    distinct streams are statistically independent, so each consumer can
+    derive its own randomness without sharing state.
     """
     return np.random.default_rng([_as_entropy(seed)] + [_as_entropy(p) for p in stream])
 

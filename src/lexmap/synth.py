@@ -266,7 +266,6 @@ def locality_diagnostic(
     eval_k: int = 10,
     min_train: int = 50,
     lam: float = 0.0,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Full experiment on a synthetic world plus pairwise map similarities.
 
@@ -287,7 +286,6 @@ def locality_diagnostic(
         lam=lam,
         eval_k=eval_k,
         min_train=min_train,
-        jobs=jobs,
     )
     usable = [row.anchor_word for row in report.rows]
     pairwise = []

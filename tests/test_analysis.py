@@ -273,24 +273,6 @@ class TestRunExperiment:
         assert spearman_correlation(sims, mcos) >= 0.8
         assert report.spearman_simvacc is not None
 
-    def test_jobs_do_not_change_results(self, linear_report):
-        world, report = linear_report
-        parallel = run_experiment(
-            [row.anchor_word for row in report.rows],
-            0.5,
-            world.src_space,
-            world.tgt_space,
-            world.lexicon,
-            TrainConfig(seed=5),
-            test_sizes=80,
-            seed=5,
-            trainer="least_squares",
-            lam=1e-6,
-            jobs=4,
-        )
-        for a, b in zip(report.rows, parallel.rows):
-            assert a == b
-
     def test_undersized_anchor_skipped_with_diagnostic(self, linear_report):
         world, _ = linear_report
         anchors = default_anchor_words(world)[:2]

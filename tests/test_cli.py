@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lexmap
 from lexmap.cli import run
 from lexmap.mapper import LinearMap, load_map
 from lexmap.synth import default_anchor_words, export_world, generate_linear_world, load_world
@@ -56,6 +60,20 @@ class TestUsage:
     def test_missing_required_flags_is_usage_error(self, capsys):
         assert run(["experiment"]) == 2
         assert "missing required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["experiment", "diagnose"])
+    def test_jobs_flag_is_gone(self, subcommand, tmp_path, capsys):
+        assert run([subcommand, "--jobs", "2", "--out", str(tmp_path)]) == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(lexmap.__file__).resolve().parents[1])
+        code = "import sys, lexmap.cli; print('scipy.stats' in sys.modules)"
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src}, cwd=src,
+        )
+        assert result.stdout.strip() == "False"
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = run(
@@ -152,6 +170,19 @@ class TestExperimentCommand:
         assert local_maps
         for name in local_maps:
             assert (out1 / "maps" / name).read_bytes() == (out2 / "maps" / name).read_bytes()
+
+    def test_snapshot_with_retired_jobs_key_reruns(self, world_dir, world_anchors, tmp_path):
+        """A snapshot that still records the removed --jobs flag reruns unchanged."""
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert run(_experiment_args(world_dir, world_anchors, out1)) == 0
+        snapshot = json.loads((out1 / "config.json").read_text())
+        snapshot["args"]["jobs"] = 1
+        old = tmp_path / "old_config.json"
+        old.write_text(json.dumps(snapshot))
+        assert run(["experiment", "--config", str(old), "--out", str(out2)]) == 0
+        for rel in ["report.tsv", "report.jsonl", "maps/global.txt"]:
+            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
+        assert "jobs" not in json.loads((out2 / "config.json").read_text())["args"]
 
     def test_snapshot_subcommand_mismatch_rejected(self, world_dir, world_anchors, tmp_path):
         out = tmp_path / "exp2"
@@ -252,6 +283,21 @@ class TestTrainAndTranslate:
         assert code == 0
         row = (out / "translations.tsv").read_text().splitlines()[1].split("\t")
         assert row[1] == anchors[0]  # dispatched to its own anchor map
+
+    def test_atlas_without_manifest_fails_before_loading_vectors(self, tmp_path, capsys):
+        (tmp_path / "maps").mkdir()
+        code = run(
+            [
+                "translate",
+                "--src-emb", str(tmp_path / "absent_src.vec"),
+                "--tgt-emb", str(tmp_path / "absent_tgt.vec"),
+                "--atlas", str(tmp_path / "maps"),
+                "--words", "w00001",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: data: atlas manifest not found")
 
     def test_translate_requires_exactly_one_source_of_maps(self, world_dir, tmp_path, capsys):
         code = run(

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from lexmap.embeddings import (
     EmbeddingSpace,
     cosine_similarity,
+    cosines_to_all,
     load_embeddings,
     top_k_by_cosine,
     write_embeddings,
@@ -54,6 +55,46 @@ class TestLoadEmbeddings:
         assert space.stats.zero_dropped == 1
         unnorm = load_embeddings(path, normalize=False)
         assert "z" in unnorm  # kept when not normalizing
+
+    @pytest.mark.parametrize(
+        "body",
+        ["a 1 0 \nb 0 2 \nc 3 4 \n", "a 1 0\r\nb 0 2\r\nc 3 4\r\n"],
+        ids=["fasttext-trailing-space", "crlf"],
+    )
+    def test_trailing_whitespace_loads_every_word(self, tmp_path, body):
+        path = tmp_path / "t.vec"
+        path.write_bytes(("3 2\n" + body).encode("utf-8"))
+        space = load_embeddings(path, normalize=False)
+        assert space.words == ("a", "b", "c")
+        assert_allclose(space.vectors, [[1, 0], [0, 2], [3, 4]])
+        assert space.stats.malformed == 0
+
+    def test_inner_space_still_malformed(self, tmp_path):
+        path = tmp_path / "t.vec"
+        path.write_text("2 2\na 1 0 \nnew york 0 1 \n", encoding="utf-8")
+        space = load_embeddings(path)
+        assert space.words == ("a",)
+        assert space.stats.malformed == 1
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_non_finite_rows_count_as_malformed(self, tmp_path, normalize):
+        path = tmp_path / "t.vec"
+        path.write_text("4 2\na 1 0\nb nan 1\nc inf 0\nd 0 -inf\n", encoding="utf-8")
+        space = load_embeddings(path, normalize=normalize)
+        assert space.words == ("a",)
+        assert np.all(np.isfinite(space.vectors))
+        assert space.stats.malformed == 3
+
+    def test_body_without_any_loadable_word_rejected(self, tmp_path):
+        path = tmp_path / "t.vec"
+        path.write_text("3 2\nbad line 1 2\nb nan 1\nz 0 0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="no words loaded.*2 malformed.*1 zero"):
+            load_embeddings(path)
+
+    def test_empty_body_loads_empty_space(self, tmp_path):
+        path = tmp_path / "t.vec"
+        path.write_text("0 2\n", encoding="utf-8")
+        assert len(load_embeddings(path)) == 0
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -116,6 +157,29 @@ class TestCosineSimilarity:
             c = cosine_similarity(u, v)
             assert abs(c - cosine_similarity(v, u)) < 1e-9
             assert abs(c - cosine_similarity(a * u, b * v)) < 1e-9
+
+
+class TestCosinesToAll:
+    def test_raw_space_scores_match_per_query_norms(self):
+        """Norms cached at construction give the same bits as recomputing them."""
+        rng = np.random.default_rng(12)
+        vectors = rng.standard_normal((40, 7)) * rng.uniform(0.1, 10, size=(40, 1))
+        vectors[5] = 0.0
+        space = EmbeddingSpace("raw", [f"w{i}" for i in range(40)], vectors)
+        for _ in range(20):
+            query = rng.standard_normal(7)
+            norms = np.linalg.norm(space.vectors, axis=1)
+            norms[norms == 0.0] = np.inf
+            expected = np.clip(space.vectors @ (query / np.linalg.norm(query)) / norms, -1.0, 1.0)
+            got = cosines_to_all(space, query)
+            assert np.array_equal(got, expected)
+            assert got[5] == 0.0
+
+    def test_row_norms_are_read_only(self):
+        raw = EmbeddingSpace("raw", ["a", "b"], np.array([[3.0, 4.0], [0.0, 0.0]]))
+        assert_allclose(raw.row_norms, [5.0, np.inf])
+        with pytest.raises(ValueError):
+            raw.row_norms[0] = 1.0
 
 
 class TestTopK:

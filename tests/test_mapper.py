@@ -9,6 +9,7 @@ from lexmap.mapper import (
     LinearMap,
     TrainConfig,
     hinge_gradient,
+    get_trainer,
     hinge_loss,
     load_map,
     orthogonality_penalty,
@@ -192,7 +193,39 @@ class TestTrainMaxMargin:
         assert fitted.anchor == "w00007"
         assert fitted.train_size == len(full)
         assert fitted.hyperparams["gamma"] == GAMMA
+        assert sorted(fitted.hyperparams) == [
+            "epochs", "gamma", "init", "learning_rate", "lr_decay", "negatives",
+            "ortho_weight", "seed",
+        ]
         assert len(fitted.loss_history) == 5
+
+
+class TestTrainerRegistry:
+    def test_aliases_share_canonical_name_and_fit(self):
+        assert get_trainer("maxmargin") == get_trainer("max_margin")
+        assert get_trainer("lsq") == get_trainer("least_squares")
+        assert get_trainer("maxmargin")[0] == "max_margin"
+        assert get_trainer("lsq")[0] == "least_squares"
+
+    def test_fit_matches_direct_trainer_calls(self, small_world):
+        world, full = small_world
+        config = TrainConfig(seed=3, epochs=3)
+        _, fit = get_trainer("maxmargin")
+        via_registry = fit(full, world.tgt_space, config, 0.5, "a")
+        direct = train_max_margin(full, world.tgt_space, config, anchor="a")
+        assert np.array_equal(via_registry.matrix, direct.matrix)
+        assert via_registry.hyperparams == direct.hyperparams
+        _, fit = get_trainer("lsq")
+        via_registry = fit(full, world.tgt_space, config, 1e-3, "a")
+        direct = train_least_squares(full, world.tgt_space, lam=1e-3, anchor="a")
+        assert np.array_equal(via_registry.matrix, direct.matrix)
+        assert via_registry.hyperparams == {"lam": 1e-3}
+
+    def test_unknown_name_lists_accepted_names(self):
+        with pytest.raises(ValueError, match="unknown trainer 'sgd'") as info:
+            get_trainer("sgd")
+        for name in ("max_margin", "maxmargin", "least_squares", "lsq"):
+            assert name in str(info.value)
 
 
 class TestTrainLeastSquares:
