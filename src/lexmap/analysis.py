@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosine_similarity, cosines_to_all
+from .embeddings import EmbeddingSpace, cosine_similarity, cosines_to_all, top_k_indices
 from .lexicon import (
     BilingualLexicon,
     TranslationDataset,
@@ -78,22 +78,13 @@ def precision_at_k(
     gold target in the top-k; single_reference restricts the gold set to
     its first entry.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     if len(test) == 0:
         raise ValueError("test set is empty")
     hits = 0
     for inst in test.instances:
-        scores = cosines_to_all(tgt_space, m.apply(inst.source_vector))
+        top = top_k_indices(cosines_to_all(tgt_space, m.apply(inst.source_vector)), k)
         golds = inst.gold_targets[:1] if single_reference else inst.gold_targets
-        for gold in golds:
-            gi = tgt_space.index(gold)
-            gs = scores[gi]
-            rank = int(np.count_nonzero(scores > gs))
-            rank += int(np.count_nonzero(scores[:gi] == gs))
-            if rank < k:
-                hits += 1
-                break
+        hits += any(tgt_space.index(gold) in top for gold in golds)
     return 100.0 * hits / len(test)
 
 
@@ -142,12 +133,11 @@ class ExperimentRow:
 
 @dataclass
 class ExperimentReport:
-    """All rows plus correlation summaries and the run configuration."""
+    """All rows plus correlation summaries, skip reasons and the fitted maps."""
 
     rows: list[ExperimentRow]
     pearson_simvacc: float | None
     spearman_simvacc: float | None
-    config: dict
     skipped: list[tuple[str, str]] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     local_maps: dict[str, LinearMap] = field(default_factory=dict)
@@ -181,7 +171,7 @@ def run_experiment(
     test word excluded. With fewer than two usable rows, or degenerate
     columns, the correlations are omitted with a warning.
     """
-    trainer, fit = get_trainer(trainer)
+    _, fit = get_trainer(trainer)
     if not anchors:
         raise ValueError("anchors list is empty")
     if len(set(anchors)) != len(anchors):
@@ -274,24 +264,10 @@ def run_experiment(
         except ValueError as exc:
             warnings.append(f"correlation omitted: {exc}")
 
-    config = {
-        "anchors": list(anchors),
-        "s": s,
-        "trainer": trainer,
-        "lam": lam,
-        "test_sizes": list(test_sizes),
-        "seed": seed,
-        "eval_k": eval_k,
-        "min_train": min_train,
-        "split_method": split_method,
-        "single_reference": single_reference,
-        "train_config": asdict(train_config),
-    }
     return ExperimentReport(
         rows=rows,
         pearson_simvacc=pearson,
         spearman_simvacc=spearman,
-        config=config,
         skipped=skipped,
         warnings=warnings,
         local_maps=trained,

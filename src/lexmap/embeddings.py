@@ -195,6 +195,24 @@ def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     return np.clip(scores, -1.0, 1.0)
 
 
+def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k highest scores, ties by ascending index.
+
+    The one ranking rule of lexmap, exactly ``np.argsort(-scores,
+    kind="stable")[:k]``: a partition finds the k-th best score and only
+    the candidates tied with or above it are sorted. Fewer than k scores
+    give all of them.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    neg = -np.asarray(scores, dtype=np.float64)
+    if k >= neg.size:
+        return np.argsort(neg, kind="stable")
+    kth = np.partition(neg, k - 1)[k - 1]
+    candidates = np.flatnonzero(~(neg > kth))  # NaN stays a candidate and sorts last
+    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+
+
 def top_k_by_cosine(
     space: EmbeddingSpace,
     query: np.ndarray,
@@ -208,18 +226,13 @@ def top_k_by_cosine(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    exclude = exclude or set()
     scores = cosines_to_all(space, query)
-    # stable sort on -scores keeps the lower vocabulary index first on ties
-    order = np.argsort(-scores, kind="stable")
-    out: list[tuple[str, float]] = []
-    for idx in order:
-        word = space.words[idx]
-        if exclude and word in exclude:
-            continue
-        out.append((word, float(scores[idx])))
-        if len(out) == k:
-            break
-    return out
+    # k + len(exclude) ranked words hold at least k that are not excluded
+    ranked = top_k_indices(scores, k + len(exclude))
+    return [
+        (space.words[i], float(scores[i])) for i in ranked if space.words[i] not in exclude
+    ][:k]
 
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosines_to_all
+from .embeddings import EmbeddingSpace, cosines_to_all, top_k_indices
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,14 @@ class Neighborhood:
         return [w for w, _ in self.members]
 
 
+def _anchor_scan(space: EmbeddingSpace, anchor: str) -> tuple[int, np.ndarray]:
+    """The anchor's vocabulary index and its cosine to every word."""
+    if anchor not in space:
+        raise KeyError(f"anchor word not in vocabulary: {anchor!r}")
+    anchor_idx = space.index(anchor)
+    return anchor_idx, cosines_to_all(space, space.vectors[anchor_idx])
+
+
 def build_neighborhood(space: EmbeddingSpace, anchor: str, s: float) -> Neighborhood:
     """All words with cosine-to-anchor >= s, anchor always included.
 
@@ -41,19 +49,13 @@ def build_neighborhood(space: EmbeddingSpace, anchor: str, s: float) -> Neighbor
     """
     if not -1.0 <= s <= 1.0:
         raise ValueError(f"threshold s must be in [-1, 1], got {s}")
-    if anchor not in space:
-        raise KeyError(f"anchor word not in vocabulary: {anchor!r}")
-
-    anchor_idx = space.index(anchor)
-    anchor_vec = space.vectors[anchor_idx]
-    cos = cosines_to_all(space, anchor_vec)
+    anchor_idx, cos = _anchor_scan(space, anchor)
     keep = cos >= s
     keep[anchor_idx] = True
-
     idx = np.flatnonzero(keep)
-    order = np.argsort(-cos[idx], kind="stable")  # ties keep ascending vocab index
-    members = tuple((space.words[i], float(cos[i])) for i in idx[order])
-    return Neighborhood(anchor, anchor_vec, float(s), members)
+    idx = idx[top_k_indices(cos[idx], len(idx))]
+    members = tuple((space.words[i], float(cos[i])) for i in idx)
+    return Neighborhood(anchor, space.vectors[anchor_idx], float(s), members)
 
 
 def growth_profile(
@@ -65,11 +67,7 @@ def growth_profile(
             raise ValueError(f"thresholds must be strictly descending, got {thresholds}")
     if not thresholds:
         return []
-    if anchor not in space:
-        raise KeyError(f"anchor word not in vocabulary: {anchor!r}")
-
-    anchor_idx = space.index(anchor)
-    cos = cosines_to_all(space, space.vectors[anchor_idx])
+    anchor_idx, cos = _anchor_scan(space, anchor)
     profile = []
     for s in thresholds:
         if not -1.0 <= s <= 1.0:

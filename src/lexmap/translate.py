@@ -9,12 +9,12 @@ global fallback map handles queries far from every anchor.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosine_similarity, top_k_by_cosine
+from .embeddings import EmbeddingSpace, cosines_to_all, top_k_by_cosine, top_k_indices
 from .mapper import LinearMap, load_map, save_map
 
 
@@ -27,20 +27,36 @@ class AtlasEntry:
 
 @dataclass(frozen=True)
 class MapAtlas:
-    """Anchored local maps plus an optional global fallback."""
+    """Anchored local maps plus an optional global fallback.
+
+    Construction stacks the anchor vectors once into ``anchors``, a
+    read-only space of the anchor words, and rejects duplicate words and
+    zero or non-finite vectors. ``first_copy`` maps each entry to the
+    earliest entry with an equal vector: BLAS may score equal rows one ulp
+    apart, and dispatch scores every copy as its first so the earliest wins.
+    """
 
     entries: tuple[AtlasEntry, ...]
     fallback: LinearMap | None = None
+    anchors: EmbeddingSpace = field(init=False, repr=False, compare=False)
+    first_copy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        words = [e.anchor_word for e in self.entries]
-        if len(set(words)) != len(words):
-            raise ValueError("atlas anchor words must be unique")
         shapes = {e.linear_map.matrix.shape for e in self.entries}
         if self.fallback is not None:
             shapes.add(self.fallback.matrix.shape)
         if len(shapes) > 1:
             raise ValueError(f"atlas maps disagree on dimensions: {sorted(shapes)}")
+        words = [e.anchor_word for e in self.entries]
+        vectors = np.vstack([e.anchor_vector for e in self.entries]) if words else np.empty((0, 0))
+        anchors = EmbeddingSpace("atlas", words, vectors)
+        # a zero row has an inf norm, a non-finite row an inf or NaN one
+        for word, norm in zip(words, anchors.row_norms):
+            if not np.isfinite(norm):
+                raise ValueError(f"atlas anchor {word!r} has a zero or non-finite vector")
+        _, first, inverse = np.unique(vectors, axis=0, return_index=True, return_inverse=True)
+        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "first_copy", first[inverse.reshape(-1)])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -66,19 +82,15 @@ def select_entry(
     fallback the best anchor is used regardless, so dispatch always
     succeeds on a non-empty atlas.
     """
-    if not atlas.entries and atlas.fallback is None:
+    if atlas.entries:
+        scores = cosines_to_all(atlas.anchors, src_vector)[atlas.first_copy]
+        best = top_k_indices(scores, 1)[0]
+        if atlas.fallback is None or not scores[best] < floor:
+            entry = atlas.entries[best]
+            return entry.linear_map, entry.anchor_word
+    elif atlas.fallback is None:
         raise ValueError("empty atlas with no fallback map")
-    best: tuple[float, int] | None = None
-    for i, entry in enumerate(atlas.entries):
-        score = cosine_similarity(entry.anchor_vector, src_vector)
-        if best is None or score > best[0]:
-            best = (score, i)
-    if best is None or (best[0] < floor and atlas.fallback is not None):
-        if atlas.fallback is None:
-            raise ValueError("empty atlas with no fallback map")
-        return atlas.fallback, "global"
-    entry = atlas.entries[best[1]]
-    return entry.linear_map, entry.anchor_word
+    return atlas.fallback, "global"
 
 
 def piecewise_translate(

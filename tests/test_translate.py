@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,42 @@ class TestMapAtlasType:
         with pytest.raises(ValueError, match="unique"):
             MapAtlas((e, e))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0])
+    def test_zero_or_non_finite_anchor_vector_rejected(self, bad):
+        vector = np.array([bad, 0.0, 0.0])
+        entries = (
+            AtlasEntry("bad", vector, LinearMap(np.eye(3))),
+            AtlasEntry("good", np.array([1.0, 0.0, 0.0]), LinearMap(np.eye(3))),
+        )
+        with pytest.raises(ValueError, match="'bad' has a zero or non-finite vector"):
+            MapAtlas(entries)
+
+    def test_anchor_vectors_stacked_read_only(self):
+        entries = tuple(
+            AtlasEntry(w, np.array(v), LinearMap(np.eye(2)))
+            for w, v in (("a", [1.0, 0.0]), ("b", [0.0, 2.0]))
+        )
+        atlas = MapAtlas(entries)
+        assert atlas.anchors.words == ("a", "b")
+        assert np.array_equal(atlas.anchors.vectors, [[1.0, 0.0], [0.0, 2.0]])
+        assert not atlas.anchors.vectors.flags.writeable
+
+    def test_duplicated_anchor_vectors_dispatch_to_earliest_copy(self):
+        """BLAS can score equal rows an ulp apart; the earliest copy still wins."""
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            d = int(rng.integers(2, 10))
+            distinct = rng.standard_normal((2, d))
+            picks = rng.integers(0, 2, size=int(rng.integers(2, 13)))
+            atlas = MapAtlas(tuple(
+                AtlasEntry(f"a{i}", distinct[p].copy(), LinearMap(np.eye(d)))
+                for i, p in enumerate(picks)
+            ))
+            for query in rng.standard_normal((8, d)):
+                score = {p: distinct[p] @ query / np.linalg.norm(distinct[p]) for p in set(picks)}
+                earliest = list(picks).index(max(score, key=score.get))
+                assert select_entry(atlas, query)[1] == f"a{earliest}"
+
     def test_dimension_disagreement_rejected(self):
         rng = np.random.default_rng(0)
         a = AtlasEntry("a", rng.standard_normal(3), LinearMap(np.eye(3)))
@@ -182,6 +220,20 @@ class TestAtlasPersistence:
             assert np.array_equal(orig.linear_map.matrix, loaded.linear_map.matrix)
         assert back.fallback is not None
         assert np.array_equal(back.fallback.matrix, np.eye(12))
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0])
+    def test_bad_anchor_vector_in_manifest_rejected_at_load(self, tmp_path, bad):
+        """A NaN first entry used to capture every query; a zero one failed at dispatch."""
+        entries = tuple(
+            AtlasEntry(w, np.array([1.0, 0.0, 0.0]), LinearMap(np.eye(3)))
+            for w in ("bad", "good")
+        )
+        save_atlas(MapAtlas(entries), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["entries"][0]["vector"] = [bad, 0.0, 0.0]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="'bad'"):
+            load_atlas(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
