@@ -5,8 +5,6 @@ unified behind one top-k kernel. A change to what lexmap computes must show
 up here and be re-recorded on purpose, with the reason in CHANGES.md.
 """
 
-import contextlib
-import io
 import json
 
 import pytest
@@ -124,8 +122,7 @@ def _assert_close(got, want, path="record"):
 
 @pytest.fixture(scope="module")
 def golden(tmp_path_factory):
-    with contextlib.redirect_stdout(io.StringIO()):
-        return run_golden(tmp_path_factory.mktemp("golden"))
+    return run_golden(tmp_path_factory.mktemp("golden"))
 
 
 def test_report_tsv_bytes(golden):
