@@ -105,14 +105,33 @@ def pearson_correlation(xs: list[float], ys: list[float]) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
-def spearman_correlation(xs: list[float], ys: list[float]) -> float:
-    """Spearman rank correlation (rank-based robustness companion)."""
-    from scipy import stats  # deferred: most commands never correlate
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties given the mean of their positions (rankdata "average")."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    last = np.cumsum(counts)  # 1-based position of each distinct value's last copy
+    return (last - (counts - 1) / 2.0)[inverse.reshape(-1)]
 
-    rho = float(stats.spearmanr(xs, ys).statistic)
-    if np.isnan(rho):
+
+def spearman_correlation(xs: list[float], ys: list[float]) -> float:
+    """Spearman rank correlation (rank-based robustness companion).
+
+    Pearson's r of the average ranks, taken by ``np.corrcoef`` over the two
+    rank columns; constant or NaN input has no correlation and raises.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("inputs must be equal-length 1-D sequences")
+    if (
+        len(xs) < 2
+        or np.isnan(xs).any()
+        or np.isnan(ys).any()
+        or (xs == xs[0]).all()
+        or (ys == ys[0]).all()
+    ):
         raise ValueError("correlation undefined under zero variance")
-    return rho
+    ranks = np.column_stack([_average_ranks(xs), _average_ranks(ys)])
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 @dataclass(frozen=True)

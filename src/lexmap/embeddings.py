@@ -7,10 +7,17 @@ space-separated, UTF-8.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
+
+# .vec lines parsed per np.loadtxt call: bounds the text and floats held at once
+_CHUNK_LINES = 256
+# np.loadtxt strips these from a field as whitespace, float() rejects them
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 @dataclass
@@ -115,7 +122,7 @@ def load_embeddings(
 
     stats = LoadStats()
     words: list[str] = []
-    rows: list[np.ndarray] = []
+    blocks: list[np.ndarray] = []
     seen: set[str] = set()
 
     with path.open("r", encoding="utf-8") as fh:
@@ -130,42 +137,85 @@ def load_embeddings(
             raise ValueError(f"bad header in {path}: count={count} dim={dim}")
 
         target = count if limit is None else min(count, limit)
-        for line in fh:
-            if len(words) >= target:
+        while len(words) < target:
+            lines = [line.rstrip() for line in islice(fh, _CHUNK_LINES)]
+            if not lines:
                 break
-            parts = line.rstrip().split(" ")
-            if len(parts) != dim + 1 or not parts[0]:
-                stats.malformed += 1
-                continue
-            token = parts[0]
-            if token in seen:
-                stats.duplicates += 1
-                continue
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
-            except ValueError:
-                stats.malformed += 1
-                continue
-            if not np.isfinite(vec).all():
-                stats.malformed += 1
-                continue
-            if normalize:
-                norm = np.linalg.norm(vec)
-                if norm == 0.0:
-                    stats.zero_dropped += 1
+            # well-formed: splits on " " into a non-empty token and dim fields
+            formed = [line.count(" ") == dim and not line.startswith(" ") for line in lines]
+            split = [line.partition(" ") for line, ok in zip(lines, formed) if ok]
+            bodies = [body for _, _, body in split]
+            block = _parse_float_rows(bodies, dim, " ")
+            if block is None:
+                block = np.array([_float_fields(body, dim) for body in bodies]).reshape(-1, dim)
+            finite = np.isfinite(block).all(axis=1)
+            keep: list[int] = []
+            norms: list[float] = []
+            j = -1
+            for ok in formed:
+                if len(words) >= target:
+                    break
+                if not ok:
+                    stats.malformed += 1
                     continue
-                vec = vec / norm
-            seen.add(token)
-            words.append(token)
-            rows.append(vec)
+                j += 1
+                token = split[j][0]
+                if token in seen:
+                    stats.duplicates += 1
+                    continue
+                if not finite[j]:
+                    stats.malformed += 1
+                    continue
+                if normalize:
+                    norm = np.linalg.norm(block[j])  # per row: a ddot, as every load before
+                    if norm == 0.0:
+                        stats.zero_dropped += 1
+                        continue
+                    norms.append(norm)
+                seen.add(token)
+                words.append(token)
+                keep.append(j)
+            kept = block[keep]
+            if normalize:
+                kept /= np.array(norms)[:, None]
+            blocks.append(kept)
 
-    if not rows and (stats.malformed or stats.zero_dropped):
+    if not words and (stats.malformed or stats.zero_dropped):
         raise ValueError(
             f"no words loaded from {path}: {stats.malformed} malformed lines, "
             f"{stats.zero_dropped} zero vectors"
         )
-    vectors = np.vstack(rows) if rows else np.empty((0, dim))
+    vectors = np.concatenate(blocks) if blocks else np.empty((0, dim))
     return EmbeddingSpace(language_tag, words, vectors, normalized=normalize, stats=stats)
+
+
+def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.ndarray | None:
+    """Parse rows of ``width`` floats in one go, or None where float() might differ.
+
+    ``np.loadtxt`` rounds exactly as ``float()`` does, but it rejects ``1_0``
+    and non-ASCII digits, which ``float()`` reads, and strips the separators
+    ``\\x1c``-``\\x1f`` from a field, which ``float()`` rejects. A block
+    holding such a separator, failing to parse or parsing to another shape
+    gives None, and the caller reads it one ``float()`` at a time instead.
+    """
+    if not rows:
+        return None
+    text = "\n".join(rows)
+    if any(sep in text for sep in _LOADTXT_ONLY_SPACE):  # a memchr each, unlike a regex
+        return None
+    try:
+        block = np.loadtxt(rows, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    return block if block.shape == (len(rows), width) else None
+
+
+def _float_fields(body: str, dim: int) -> list[float]:
+    """The " "-separated floats of a .vec line body; all NaN (malformed) if float() fails."""
+    try:
+        return [float(x) for x in body.split(" ")]
+    except ValueError:
+        return [math.nan] * dim
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -241,4 +291,4 @@ def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.words, space.vectors):
-            fh.write(word + " " + " ".join(repr(float(x)) for x in row) + "\n")
+            fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")

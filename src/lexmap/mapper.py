@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _parse_float_rows
 from .lexicon import TranslationDataset
 from .seeds import spawn_rng
 
@@ -175,6 +175,10 @@ def train_max_margin(
 
     W = _init_matrix(config, d_tgt, d_src)
     eye = np.eye(d_tgt)
+    # per-step buffers; each element sees the same operations in the same order
+    wx = np.empty(d_tgt)
+    diff = np.empty(d_tgt)
+    step = np.empty((d_tgt, d_src))
 
     vocab_fallback: np.ndarray | None = None
     if m == 1:
@@ -195,8 +199,9 @@ def train_max_margin(
             for i in order:
                 x = X[i]
                 y_pos = Y[i]
-                wx = W @ x
-                d_pos = squared_distance(y_pos, wx)
+                np.matmul(W, x, out=wx)
+                np.subtract(y_pos, wx, out=diff)
+                d_pos = float(diff @ diff)
                 push = None
                 for _ in range(config.negatives):
                     if vocab_fallback is not None:
@@ -206,12 +211,15 @@ def train_max_margin(
                         if j >= i:
                             j += 1
                         y_neg = Y[j]
-                    violation = config.gamma + d_pos - squared_distance(y_neg, wx)
+                    np.subtract(y_neg, wx, out=diff)
+                    violation = config.gamma + d_pos - float(diff @ diff)
                     if violation > 0.0:
                         epoch_loss += violation
                         push = (y_neg - y_pos) if push is None else push + (y_neg - y_pos)
                 if push is not None:
-                    W -= lr * 2.0 * np.outer(push, x)
+                    np.multiply.outer(push, x, out=step)
+                    step *= lr * 2.0
+                    W -= step
             avg_loss = epoch_loss / m
             if config.ortho_weight > 0.0:
                 # full-batch penalty step once per epoch; per-instance application
@@ -331,7 +339,7 @@ def save_map(m: LinearMap, path: str | Path) -> None:
         for key, value in sorted(m.hyperparams.items()):
             fh.write(f"# {key}={value!r}\n")
         for row in m.matrix:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def load_map(path: str | Path) -> LinearMap:
@@ -345,7 +353,7 @@ def load_map(path: str | Path) -> LinearMap:
             raise ValueError(f"bad map header in {path}")
         d_tgt, d_src = int(header[0]), int(header[1])
         meta: dict[str, str] = {}
-        rows: list[list[float]] = []
+        rows: list[str] = []
         for line in fh:
             line = line.strip()
             if not line:
@@ -354,8 +362,10 @@ def load_map(path: str | Path) -> LinearMap:
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value
                 continue
-            rows.append([float(v) for v in line.split()])
-    matrix = np.array(rows, dtype=np.float64)
+            rows.append(line)
+    matrix = _parse_float_rows(rows, d_src, None)
+    if matrix is None:
+        matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
     if matrix.shape != (d_tgt, d_src):
         raise ValueError(f"map body shape {matrix.shape} != header ({d_tgt}, {d_src})")
 

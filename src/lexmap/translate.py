@@ -30,10 +30,11 @@ class MapAtlas:
     """Anchored local maps plus an optional global fallback.
 
     Construction stacks the anchor vectors once into ``anchors``, a
-    read-only space of the anchor words, and rejects duplicate words and
-    zero or non-finite vectors. ``first_copy`` maps each entry to the
-    earliest entry with an equal vector: BLAS may score equal rows one ulp
-    apart, and dispatch scores every copy as its first so the earliest wins.
+    read-only space of the anchor words, and rejects duplicate words, zero
+    or non-finite vectors, and vectors whose dimension is not the maps'
+    ``d_src``. ``first_copy`` maps each entry to the earliest entry with an
+    equal vector: BLAS may score equal rows one ulp apart, and dispatch
+    scores every copy as its first so the earliest wins.
     """
 
     entries: tuple[AtlasEntry, ...]
@@ -49,6 +50,13 @@ class MapAtlas:
             raise ValueError(f"atlas maps disagree on dimensions: {sorted(shapes)}")
         words = [e.anchor_word for e in self.entries]
         vectors = np.vstack([e.anchor_vector for e in self.entries]) if words else np.empty((0, 0))
+        # the maps, fallback included, share one shape, so one d_src
+        d_src = self.entries[0].linear_map.d_src if words else None
+        if words and vectors.shape[1] != d_src:
+            raise ValueError(
+                f"atlas anchor vectors have dimension {vectors.shape[1]}, "
+                f"but the maps' d_src is {d_src}"
+            )
         anchors = EmbeddingSpace("atlas", words, vectors)
         # a zero row has an inf norm, a non-finite row an inf or NaN one
         for word, norm in zip(words, anchors.row_norms):

@@ -66,14 +66,32 @@ class TestUsage:
         assert run([subcommand, "--jobs", "2", "--out", str(tmp_path)]) == 2
         assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
-    def test_import_leaves_scipy_stats_unloaded(self):
+    def test_import_leaves_scipy_stats_unloaded(self, tmp_path):
+        """Neither the import nor an experiment that reaches Spearman loads scipy."""
         src = str(Path(lexmap.__file__).resolve().parents[1])
-        code = "import sys, lexmap.cli; print('scipy.stats' in sys.modules)"
+        code = "\n".join([
+            "import sys, lexmap.cli",
+            "print('scipy.stats' in sys.modules)",
+            "w, e = sys.argv[1] + '/w', sys.argv[1] + '/e'",
+            "assert lexmap.cli.run(['synth', '--kind', 'nonlinear', '--n', '400', '--d', '8',",
+            "    '--clusters', '4', '--cluster-std', '0.25', '--variation-strength', '1.0',",
+            "    '--noise-sigma', '0.2', '--seed', '5', '--out', w]) == 0",
+            "assert lexmap.cli.run(['experiment', '--src-emb', w + '/src.vec',",
+            "    '--tgt-emb', w + '/tgt.vec', '--lexicon', w + '/lexicon.txt',",
+            "    '--anchors', 'w00207,w00084,w00037,w00113', '--epochs', '3',",
+            "    '--test-size', '10', '--k', '2', '--min-train', '20', '--seed', '5',",
+            "    '--out', e]) == 0",
+            "print('scipy' in sys.modules)",
+        ])
         result = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-            env={**os.environ, "PYTHONPATH": src}, cwd=src,
+            [sys.executable, "-c", code, str(tmp_path)], capture_output=True, text=True,
+            check=True, env={**os.environ, "PYTHONPATH": src}, cwd=src,
         )
-        assert result.stdout.strip() == "False"
+        lines = result.stdout.splitlines()
+        assert lines[0] == "False"  # after the import
+        assert lines[-1] == "False"  # after the experiment
+        spearman = (tmp_path / "e" / "report.tsv").read_text().splitlines()[-1]
+        assert float(spearman.split("\t")[1]) == pytest.approx(0.316227766016838)
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = run(

@@ -1,10 +1,16 @@
-"""Golden outputs of a small seeded synth -> diagnose -> translate --atlas run.
+"""Golden outputs of two small seeded runs.
 
-The expected bytes and values were recorded before the ranking paths were
-unified behind one top-k kernel. A change to what lexmap computes must show
-up here and be re-recorded on purpose, with the reason in CHANGES.md.
+The first is synth -> diagnose --trainer lsq -> translate --atlas; its
+expected bytes and values were recorded before the ranking paths were
+unified behind one top-k kernel. The second is synth -> experiment
+--trainer maxmargin; its expected bytes, values and map digests were
+recorded at commit 7c64b36, before Spearman moved from scipy to numpy and
+before the bulk float parser and writers. A change to what lexmap computes
+must show up here and be re-recorded on purpose, with the reason in
+CHANGES.md.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -136,3 +142,70 @@ def test_report_jsonl_values(golden):
 
 def test_translations_tsv_bytes(golden):
     assert golden[2] == EXPECTED_TRANSLATIONS_TSV
+
+
+MM_ANCHORS = ("w00207", "w00084", "w00037", "w00113")
+
+# acc_reference holds a tie (30.0 twice), so Spearman averages ranks
+EXPECTED_MM_REPORT_TSV = (
+    'anchor_word\ttrain_size\ttest_size\tanchor_cosine\tacc_global\tacc_reference\tacc_local\tdelta\tmap_cosine\tmap_norm\n'
+    'w00207\t93\t10\t1.00\t30.0\t30.0\t30.0\t0.0\t1.00\t3.60\n'
+    'w00084\t84\t10\t0.29\t40.0\t50.0\t20.0\t-30.0\t0.90\t3.61\n'
+    'w00037\t98\t10\t-0.41\t50.0\t0.0\t50.0\t50.0\t0.87\t3.54\n'
+    'w00113\t96\t10\t-0.53\t40.0\t30.0\t30.0\t0.0\t0.84\t3.61\n'
+    '# pearson(map_cosine, acc_reference)\t0.2385451343292039\n'
+    '# spearman(map_cosine, acc_reference)\t0.316227766016838\n'
+)
+
+EXPECTED_MM_RECORDS = [
+    {"acc_global": 30.0, "acc_local": 30.0, "acc_reference": 30.0, "anchor_cosine": 1.0, "anchor_word": "w00207", "delta": 0.0, "map_cosine": 1.0, "map_norm": 3.5966131300129014, "test_size": 10, "train_size": 93},
+    {"acc_global": 40.0, "acc_local": 20.0, "acc_reference": 50.0, "anchor_cosine": 0.28813440629594655, "anchor_word": "w00084", "delta": -30.0, "map_cosine": 0.9009956316404493, "map_norm": 3.6062662496179505, "test_size": 10, "train_size": 84},
+    {"acc_global": 50.0, "acc_local": 50.0, "acc_reference": 0.0, "anchor_cosine": -0.41388510218122676, "anchor_word": "w00037", "delta": 50.0, "map_cosine": 0.8658717929294666, "map_norm": 3.5444043071762565, "test_size": 10, "train_size": 98},
+    {"acc_global": 40.0, "acc_local": 30.0, "acc_reference": 30.0, "anchor_cosine": -0.5309140420534398, "anchor_word": "w00113", "delta": 0.0, "map_cosine": 0.83618283554448, "map_norm": 3.611657986973933, "test_size": 10, "train_size": 96},
+    {"summary": {"pearson_simvacc": 0.2385451343292039, "skipped": [], "spearman_simvacc": 0.316227766016838, "warnings": []}},
+]
+
+# sha256 of each saved map file (8 x 8 matrices plus provenance lines)
+EXPECTED_MM_MAP_SHA256 = {
+    "global.txt": "c5bc4bc09456d94d04bdb93957eb73d25bb62abb37806a5e8f71c1bc3220e568",
+    "local_w00037.txt": "9d45b9b82b7f2131a0111de42cc959ca6c1647ea0245fb53ebbf9cd2e94d9cd1",
+    "local_w00084.txt": "f30b0a6d586bf4acffb9accc80142c89ece5fdda9791ef9148dee5a29505636b",
+    "local_w00113.txt": "8a453954d28a5f0296958b63a1826efd0197f15c6f38c0091790ffadddcd4f99",
+    "local_w00207.txt": "84eef95dfe549611ad9dc614fbdbac5950b0afc2c605a9e03fe1d0695e2d68d0",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_maxmargin(tmp_path_factory):
+    """Seeded synth -> experiment --trainer maxmargin (3 epochs); returns its output dir."""
+    base = tmp_path_factory.mktemp("golden_mm")
+    world, exp = base / "world", base / "exp"
+    assert run([
+        "synth", "--kind", "nonlinear", "--n", "400", "--d", "8", "--clusters", "4",
+        "--cluster-std", "0.25", "--variation-strength", "1.0", "--noise-sigma", "0.2",
+        "--seed", "5", "--out", str(world),
+    ]) == 0
+    assert run([
+        "experiment", "--src-emb", str(world / "src.vec"), "--tgt-emb", str(world / "tgt.vec"),
+        "--lexicon", str(world / "lexicon.txt"), "--anchors", ",".join(MM_ANCHORS),
+        "--trainer", "maxmargin", "--epochs", "3", "--test-size", "10", "--k", "2",
+        "--min-train", "20", "--seed", "5", "--out", str(exp),
+    ]) == 0
+    return exp
+
+
+def test_maxmargin_report_tsv_bytes(golden_maxmargin):
+    assert (golden_maxmargin / "report.tsv").read_text(encoding="utf-8") == EXPECTED_MM_REPORT_TSV
+
+
+def test_maxmargin_report_jsonl_values(golden_maxmargin):
+    text = (golden_maxmargin / "report.jsonl").read_text(encoding="utf-8")
+    _assert_close([json.loads(line) for line in text.splitlines()], EXPECTED_MM_RECORDS)
+
+
+def test_maxmargin_map_bytes(golden_maxmargin):
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in (golden_maxmargin / "maps").iterdir()
+    }
+    assert digests == EXPECTED_MM_MAP_SHA256

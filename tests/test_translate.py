@@ -198,6 +198,19 @@ class TestMapAtlasType:
         with pytest.raises(ValueError, match="dimensions"):
             MapAtlas((a, b))
 
+    @pytest.mark.parametrize("matrix", [np.eye(4), np.ones((3, 4))])
+    def test_anchor_dimension_must_be_maps_d_src(self, matrix):
+        """A 3-d anchor used to be accepted and to fail only at the first dispatch."""
+        entry = AtlasEntry("a", np.ones(3), LinearMap(matrix))
+        with pytest.raises(ValueError, match="dimension 3, but the maps' d_src is 4"):
+            MapAtlas((entry,))
+        with pytest.raises(ValueError, match="dimension 3, but the maps' d_src is 4"):
+            MapAtlas((entry,), fallback=LinearMap(matrix))
+
+    def test_rectangular_maps_take_anchors_of_d_src(self):
+        atlas = MapAtlas((AtlasEntry("a", np.ones(3), LinearMap(np.ones((4, 3)))),))
+        assert atlas.anchors.dim == 3
+
 
 class TestAtlasPersistence:
     def test_save_load_round_trip(self, tmp_path, linear_world):
@@ -233,6 +246,15 @@ class TestAtlasPersistence:
         manifest["entries"][0]["vector"] = [bad, 0.0, 0.0]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="'bad'"):
+            load_atlas(tmp_path)
+
+    def test_anchor_dimension_in_manifest_rejected_at_load(self, tmp_path):
+        entries = (AtlasEntry("a", np.array([1.0, 0.0, 0.0]), LinearMap(np.eye(3))),)
+        save_atlas(MapAtlas(entries), tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["entries"][0]["vector"] = [1.0, 0.0, 0.0, 0.0]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="dimension 4, but the maps' d_src is 3"):
             load_atlas(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
