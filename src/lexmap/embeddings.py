@@ -35,7 +35,9 @@ class EmbeddingSpace:
     Immutable after construction: the vector matrix is marked read-only and
     the word list is a tuple, so instances are safe to share across
     concurrent read-only queries. Row norms are kept read-only too, with
-    zero rows as inf, so cosine retrieval never recomputes them.
+    zero rows as inf, so cosine retrieval never recomputes them. Norms and
+    cosine scores are ``np.vecdot`` products, which sum each row alone:
+    equal rows score bit-equal wherever they sit.
     """
 
     def __init__(
@@ -55,7 +57,7 @@ class EmbeddingSpace:
             )
         if len(set(words)) != len(words):
             raise ValueError("words must be unique")
-        norms = np.linalg.norm(vectors, axis=1)
+        norms = np.sqrt(np.vecdot(vectors, vectors))
         if normalized and norms.size and not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("normalized=True but some rows are not unit norm")
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
@@ -98,10 +100,10 @@ def load_embeddings(
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
-    count or a non-finite entry are skipped as malformed; zero vectors are
-    dropped when normalizing. All three conditions are counted in the
-    returned space's ``stats`` rather than aborting the load (published .vec
-    files contain occasional tokens with embedded spaces).
+    count, a non-finite entry or, when normalizing, an overflowing norm are
+    skipped as malformed; zero vectors are dropped when normalizing. All are
+    counted in the space's ``stats`` rather than aborting the load (published
+    .vec files contain occasional tokens with embedded spaces).
 
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
@@ -148,9 +150,11 @@ def load_embeddings(
             block = _parse_float_rows(bodies, dim, " ")
             if block is None:
                 block = np.array([_float_fields(body, dim) for body in bodies]).reshape(-1, dim)
-            finite = np.isfinite(block).all(axis=1)
+            with np.errstate(over="ignore"):
+                norms = np.sqrt(np.vecdot(block, block))
+            # a NaN or inf entry, or a squared norm that overflows, gives a non-finite norm
+            finite = np.isfinite(norms) if normalize else np.isfinite(block).all(axis=1)
             keep: list[int] = []
-            norms: list[float] = []
             j = -1
             for ok in formed:
                 if len(words) >= target:
@@ -166,18 +170,15 @@ def load_embeddings(
                 if not finite[j]:
                     stats.malformed += 1
                     continue
-                if normalize:
-                    norm = np.linalg.norm(block[j])  # per row: a ddot, as every load before
-                    if norm == 0.0:
-                        stats.zero_dropped += 1
-                        continue
-                    norms.append(norm)
+                if normalize and norms[j] == 0.0:
+                    stats.zero_dropped += 1
+                    continue
                 seen.add(token)
                 words.append(token)
                 keep.append(j)
             kept = block[keep]
             if normalize:
-                kept /= np.array(norms)[:, None]
+                kept /= norms[keep][:, None]
             blocks.append(kept)
 
     if not words and (stats.malformed or stats.zero_dropped):
@@ -239,7 +240,7 @@ def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("cosine similarity undefined for zero query")
-    scores = space.vectors @ (query / qnorm)
+    scores = np.vecdot(space.vectors, query / qnorm)
     if not space.normalized:
         scores = scores / space.row_norms
     return np.clip(scores, -1.0, 1.0)

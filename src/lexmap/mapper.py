@@ -349,8 +349,8 @@ def load_map(path: str | Path) -> LinearMap:
         raise FileNotFoundError(f"map file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 2:
-            raise ValueError(f"bad map header in {path}")
+        if len(header) != 2 or not all(x.isdecimal() and int(x) > 0 for x in header):
+            raise ValueError(f"bad map header in {path}: expected two positive integers")
         d_tgt, d_src = int(header[0]), int(header[1])
         meta: dict[str, str] = {}
         rows: list[str] = []

@@ -32,15 +32,13 @@ class MapAtlas:
     Construction stacks the anchor vectors once into ``anchors``, a
     read-only space of the anchor words, and rejects duplicate words, zero
     or non-finite vectors, and vectors whose dimension is not the maps'
-    ``d_src``. ``first_copy`` maps each entry to the earliest entry with an
-    equal vector: BLAS may score equal rows one ulp apart, and dispatch
-    scores every copy as its first so the earliest wins.
+    ``d_src``. Equal anchor vectors score bit-equal, so dispatch picks the
+    earliest of them.
     """
 
     entries: tuple[AtlasEntry, ...]
     fallback: LinearMap | None = None
     anchors: EmbeddingSpace = field(init=False, repr=False, compare=False)
-    first_copy: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shapes = {e.linear_map.matrix.shape for e in self.entries}
@@ -62,9 +60,7 @@ class MapAtlas:
         for word, norm in zip(words, anchors.row_norms):
             if not np.isfinite(norm):
                 raise ValueError(f"atlas anchor {word!r} has a zero or non-finite vector")
-        _, first, inverse = np.unique(vectors, axis=0, return_index=True, return_inverse=True)
         object.__setattr__(self, "anchors", anchors)
-        object.__setattr__(self, "first_copy", first[inverse.reshape(-1)])
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -91,7 +87,7 @@ def select_entry(
     succeeds on a non-empty atlas.
     """
     if atlas.entries:
-        scores = cosines_to_all(atlas.anchors, src_vector)[atlas.first_copy]
+        scores = cosines_to_all(atlas.anchors, src_vector)
         best = top_k_indices(scores, 1)[0]
         if atlas.fallback is None or not scores[best] < floor:
             entry = atlas.entries[best]

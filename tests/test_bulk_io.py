@@ -56,6 +56,9 @@ def reference_load_embeddings(path, limit=None, normalize=True):
                 continue
             if normalize:
                 norm = np.linalg.norm(vec)
+                if not np.isfinite(norm):  # the squared norm overflows
+                    stats.malformed += 1
+                    continue
                 if norm == 0.0:
                     stats.zero_dropped += 1
                     continue
@@ -144,6 +147,7 @@ def vec_files(draw):
 @example(("2 2\na 1_0 2\nb 3 4\n", None, False))  # a spelling only float() reads
 @example(("2 2\na 1 2\nb 1\x1c 2\n", None, False))  # a spelling only numpy reads
 @example(("3 1\n" + "".join(f"w{i} {i}\n" for i in range(300)), 2, True))  # limit inside a chunk
+@example(("2 2\na 1e200 1e200\nb 1 0\n", None, True))  # a norm that overflows
 def test_load_embeddings_matches_per_line_reference(tmp_path_factory, case):
     text, limit, normalize = case
     path = tmp_path_factory.mktemp("vec") / "e.vec"

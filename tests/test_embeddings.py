@@ -85,6 +85,18 @@ class TestLoadEmbeddings:
         assert np.all(np.isfinite(space.vectors))
         assert space.stats.malformed == 3
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_row_whose_norm_overflows(self, tmp_path):
+        """Normalizing made such a row zero and aborted the load with "not unit norm"."""
+        path = tmp_path / "t.vec"
+        path.write_text("2 2\na 1e200 1e200\nb 1 0\n", encoding="utf-8")
+        space = load_embeddings(path)
+        assert space.words == ("b",)
+        assert space.stats.malformed == 1
+        raw = load_embeddings(path, normalize=False)  # raw loads keep every finite row
+        assert raw.words == ("a", "b")
+        assert np.array_equal(raw.vectors, [[1e200, 1e200], [1.0, 0.0]])
+
     def test_body_without_any_loadable_word_rejected(self, tmp_path):
         path = tmp_path / "t.vec"
         path.write_text("3 2\nbad line 1 2\nb nan 1\nz 0 0\n", encoding="utf-8")
@@ -168,9 +180,10 @@ class TestCosinesToAll:
         space = EmbeddingSpace("raw", [f"w{i}" for i in range(40)], vectors)
         for _ in range(20):
             query = rng.standard_normal(7)
-            norms = np.linalg.norm(space.vectors, axis=1)
+            norms = np.sqrt(np.vecdot(space.vectors, space.vectors))
             norms[norms == 0.0] = np.inf
-            expected = np.clip(space.vectors @ (query / np.linalg.norm(query)) / norms, -1.0, 1.0)
+            scores = np.vecdot(space.vectors, query / np.linalg.norm(query))
+            expected = np.clip(scores / norms, -1.0, 1.0)
             got = cosines_to_all(space, query)
             assert np.array_equal(got, expected)
             assert got[5] == 0.0

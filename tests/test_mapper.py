@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -335,6 +337,14 @@ class TestMapSerialization:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_map(tmp_path / "none.txt")
+
+    @pytest.mark.parametrize("header", ["x y", "2", "2 2 2", "0 2", "2 -2", "2 2.0", ""])
+    def test_bad_header_named(self, tmp_path, header):
+        """A non-integer header used to fail with a bare int() error naming no file."""
+        path = tmp_path / "m.txt"
+        path.write_text(f"{header}\n1.0 0.0\n0.0 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad map header in {re.escape(str(path))}"):
+            load_map(path)
 
 
 class TestLinearMapType:

@@ -2,7 +2,8 @@
 
 Every ranking in lexmap goes through ``top_k_indices``. These tests build
 exact ties on purpose (repeated scores, duplicated vectors) and compare each
-ranking path with the per-query reference it replaced.
+ranking path with the per-query reference it replaced. Equal rows of a
+random float space must tie exactly too, wherever they sit in the matrix.
 """
 
 import numpy as np
@@ -144,3 +145,49 @@ def test_select_entry_matches_first_argmax_with_duplicated_anchors(
     queries = list(rng.standard_normal((32, d))) + [distinct[p] for p in set(picks)]
     for query in queries:
         assert select_entry(atlas, query, floor=floor)[1] == _first_argmax_label(atlas, query, floor)
+
+
+@st.composite
+def copied_row_cases(draw):
+    """(n, d, seed, normalized, copies): one row of a random space and its copies.
+
+    Copies often land among the last ``n % 4`` rows, which BLAS gemv sums in
+    another order than the rows before them.
+    """
+    n = draw(st.integers(2, 48))
+    positions = st.one_of(st.integers(0, n - 1), st.integers(min(n - n % 4, n - 1), n - 1))
+    copies = sorted(set(draw(st.lists(positions, min_size=2, max_size=4))))
+    assume(len(copies) >= 2)
+    return n, draw(st.integers(1, 80)), draw(st.integers(0, 2**32 - 1)), draw(st.booleans()), copies
+
+
+def space_with_copied_row(n, d, seed, normalized, copies):
+    """A random float space, raw or unit, whose rows at ``copies`` are equal."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n, d)) * rng.uniform(0.1, 10, size=(n, 1))
+    if normalized:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[copies[1:]] = vectors[copies[0]]
+    return EmbeddingSpace("t", [f"t{i}" for i in range(n)], vectors, normalized), rng
+
+
+@settings(max_examples=150, deadline=None)
+@given(copied_row_cases())
+@example((7, 30, 1, False, [0, 6]))  # the copy is the last of n % 4 = 3 tail rows
+@example((9, 64, 2, True, [3, 8]))  # a unit space; the copy is its one tail row
+def test_equal_rows_score_bit_equal_and_rank_by_index(case):
+    space, rng = space_with_copied_row(*case)
+    copies = case[-1]
+    identity = LinearMap(np.eye(space.dim))
+    for query in [*rng.standard_normal((4, space.dim)), space.vectors[copies[0]]]:
+        scores = cosines_to_all(space, query)
+        assert len({scores[i].hex() for i in copies}) == 1
+        for row, score in zip(space.vectors, scores):
+            alone = EmbeddingSpace("one", ["w"], row[None, :], space.normalized)
+            assert cosines_to_all(alone, query)[0].hex() == score.hex()
+        ranked = [space.index(w) for w, _ in top_k_by_cosine(space, query, len(space))]
+        assert [i for i in ranked if i in copies] == copies
+        k = ranked.index(copies[0]) + 1
+        for gold, expected in ((copies[0], 100.0), (copies[1], 0.0)):
+            test = TranslationDataset((Instance("q", query, (space.words[gold],)),))
+            assert precision_at_k(identity, test, space, k) == expected

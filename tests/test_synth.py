@@ -1,9 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lexmap.analysis import precision_at_k, spearman_correlation
-from lexmap.lexicon import build_dataset, build_full_dataset, split_dataset
+from lexmap.lexicon import (
+    BilingualLexicon,
+    build_dataset,
+    build_full_dataset,
+    load_lexicon,
+    split_dataset,
+)
 from lexmap.mapper import LinearMap, TrainConfig, train_least_squares
 from lexmap.neighborhoods import build_neighborhood
 from lexmap.synth import (
@@ -160,6 +170,11 @@ class TestLocalityDiagnostic:
         assert tsv.startswith("anchor_a\tanchor_b\tanchor_cosine\tmap_cosine\n")
 
 
+# lexicon tokens hold no whitespace, which separates the two fields of a line
+LEX_TOKENS = st.text(st.characters(exclude_categories=("Cs",)).filter(lambda c: not c.isspace()),
+                     min_size=1, max_size=6)
+
+
 class TestWorldExport:
     def test_round_trip_bit_exact(self, tmp_path):
         world = generate_nonlinear_world(120, 10, seed=6, variation_strength=1.0, n_clusters=4)
@@ -176,3 +191,16 @@ class TestWorldExport:
     def test_missing_descriptor(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_world(tmp_path / "absent")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(LEX_TOKENS, st.lists(LEX_TOKENS, min_size=1, max_size=4, unique=True),
+                           max_size=8))
+    def test_lexicon_file_round_trips_pairs_in_order(self, tmp_path_factory, pairs):
+        """export_world's lexicon.txt reads back with every source's targets in order."""
+        world = generate_linear_world(40, 5, seed=0, n_clusters=2)
+        directory = tmp_path_factory.mktemp("w")
+        export_world(dataclasses.replace(world, lexicon=BilingualLexicon(pairs)), directory)
+        back = load_lexicon(directory / "lexicon.txt")
+        assert list(back.pairs.items()) == list(pairs.items())
+        assert back.line_count == sum(map(len, pairs.values()))
+        assert (back.dedup_count, back.skipped_count) == (0, 0)

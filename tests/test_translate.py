@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -176,7 +177,7 @@ class TestMapAtlasType:
         assert not atlas.anchors.vectors.flags.writeable
 
     def test_duplicated_anchor_vectors_dispatch_to_earliest_copy(self):
-        """BLAS can score equal rows an ulp apart; the earliest copy still wins."""
+        """Equal anchor vectors score bit-equal, so the earliest copy wins."""
         rng = np.random.default_rng(21)
         for _ in range(200):
             d = int(rng.integers(2, 10))
@@ -255,6 +256,17 @@ class TestAtlasPersistence:
         manifest["entries"][0]["vector"] = [1.0, 0.0, 0.0, 0.0]
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="dimension 4, but the maps' d_src is 3"):
+            load_atlas(tmp_path)
+
+    def test_bad_map_header_names_the_map_file(self, tmp_path):
+        entries = tuple(
+            AtlasEntry(w, np.array(v), LinearMap(np.eye(2)))
+            for w, v in (("a", [1.0, 0.0]), ("b", [0.0, 1.0]))
+        )
+        save_atlas(MapAtlas(entries), tmp_path)
+        path = tmp_path / "map_0001.txt"
+        path.write_text("x y\n" + path.read_text().split("\n", 1)[1])
+        with pytest.raises(ValueError, match=f"bad map header in {re.escape(str(path))}"):
             load_atlas(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
