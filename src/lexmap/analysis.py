@@ -178,7 +178,6 @@ def run_experiment(
     eval_k: int = 10,
     min_train: int = 50,
     split_method: str = "random",
-    single_reference: bool = False,
 ) -> ExperimentReport:
     """Train per-anchor local maps plus a global map and report diagnostics.
 
@@ -250,12 +249,12 @@ def run_experiment(
     for anchor in usable:
         train, test = prepared[anchor]
         local = trained[anchor]
-        acc_global = precision_at_k(global_map, test, tgt_space, eval_k, single_reference)
-        acc_reference = precision_at_k(ref_map, test, tgt_space, eval_k, single_reference)
+        acc_global = precision_at_k(global_map, test, tgt_space, eval_k)
+        acc_reference = precision_at_k(ref_map, test, tgt_space, eval_k)
         if anchor == reference:
             acc_local = acc_reference
         else:
-            acc_local = precision_at_k(local, test, tgt_space, eval_k, single_reference)
+            acc_local = precision_at_k(local, test, tgt_space, eval_k)
         rows.append(
             ExperimentRow(
                 anchor_word=anchor,

@@ -17,11 +17,26 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, synth
-from .embeddings import load_embeddings
+from .embeddings import EmbeddingSpace, load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
 from .mapper import TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
 from .translate import load_atlas, piecewise_translate, translate_topk
+
+
+def _add_space_flags(parser: argparse.ArgumentParser, tgt: bool = True) -> None:
+    parser.add_argument("--src-emb")
+    if tgt:
+        parser.add_argument("--tgt-emb")
+    parser.add_argument("--limit", type=int, default=None)
+    parser.add_argument("--no-normalize", action="store_true")
+
+
+def _add_eval_flags(parser: argparse.ArgumentParser, test_size: int) -> None:
+    parser.add_argument("--s", type=float, default=0.5)
+    parser.add_argument("--test-size", type=int, default=test_size)
+    parser.add_argument("--k", type=int, default=10)
+    parser.add_argument("--min-train", type=int, default=50)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +64,8 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
+    """The lexmap parser; ``defaults`` replaces declared defaults, per subcommand."""
     parser = argparse.ArgumentParser(
         prog="lexmap",
         description="Locally linear word-translation maps: training, diagnostics, serving.",
@@ -57,48 +73,34 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("neighborhood", help="emit neighborhood growth profiles")
-    p.add_argument("--src-emb")
+    _add_space_flags(p, tgt=False)
     p.add_argument("--anchors", help="comma-separated anchor words")
     p.add_argument("--thresholds", default="0.9,0.8,0.7,0.6,0.5,0.4,0.3",
                    help="comma-separated descending thresholds")
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--no-normalize", action="store_true")
 
     p = sub.add_parser("train", help="train one map (whole lexicon or one neighborhood)")
-    p.add_argument("--src-emb")
-    p.add_argument("--tgt-emb")
+    _add_space_flags(p)
     p.add_argument("--lexicon")
     p.add_argument("--anchor", default=None, help="train on this word's neighborhood only")
     p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--no-normalize", action="store_true")
     _add_train_flags(p)
 
     p = sub.add_parser("experiment", help="full multi-anchor report")
-    p.add_argument("--src-emb")
-    p.add_argument("--tgt-emb")
+    _add_space_flags(p)
     p.add_argument("--lexicon")
     p.add_argument("--anchors", help="comma list; first anchor is the reference")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--test-size", type=int, default=500)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--min-train", type=int, default=50)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--no-normalize", action="store_true")
+    _add_eval_flags(p, test_size=500)
     p.add_argument("--split-method", choices=["random", "frequency"], default="random")
     _add_train_flags(p)
 
     p = sub.add_parser("translate", help="batch translation via a map or an atlas")
-    p.add_argument("--src-emb")
-    p.add_argument("--tgt-emb")
+    _add_space_flags(p)
     p.add_argument("--map", dest="map_path", default=None)
     p.add_argument("--atlas", default=None, help="directory written by save_atlas")
     p.add_argument("--words", default=None, help="comma-separated source words")
     p.add_argument("--input", default=None, help="file with one source word per line")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--floor", type=float, default=0.0)
-    p.add_argument("--limit", type=int, default=None)
-    p.add_argument("--no-normalize", action="store_true")
 
     p = sub.add_parser("synth", help="generate a synthetic world on disk")
     p.add_argument("--kind", choices=["linear", "nonlinear"], default="linear")
@@ -112,16 +114,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="locality diagnostic on an exported world")
     p.add_argument("--world", help="directory written by the synth subcommand")
     p.add_argument("--anchors", default=None, help="comma list; default: one per cluster")
-    p.add_argument("--s", type=float, default=0.5)
-    p.add_argument("--test-size", type=int, default=100)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--min-train", type=int, default=50)
+    _add_eval_flags(p, test_size=100)
     _add_train_flags(p)
 
-    for sp in sub.choices.values():
+    for name, sp in sub.choices.items():
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--config", default=None, help="rerun from a config.json snapshot")
+        sp.set_defaults(**(defaults or {}).get(name, {}))
     return parser
 
 
@@ -135,25 +135,32 @@ _REQUIRED = {
     "diagnose": ("world", "out"),
 }
 
+# namespace entries that config.json does not record
+_UNRECORDED = ("subcommand", "config")
 
-def _apply_snapshot(args: argparse.Namespace, argv: list[str]) -> argparse.Namespace:
-    """Fill args from a snapshot; flags given explicitly on argv still win."""
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; a --config snapshot's values become the subcommand's defaults.
+
+    Flags on argv then win over the snapshot by argparse's own rules, and
+    snapshot keys that name no flag of the subcommand (say ``jobs``) are dropped.
+    """
+    args = build_parser().parse_args(argv)
+    if args.config is None:
+        return args
     with open(args.config, "r", encoding="utf-8") as fh:
         snapshot = json.load(fh)
     if snapshot.get("subcommand") != args.subcommand:
         raise ValueError(
             f"snapshot is for subcommand {snapshot.get('subcommand')!r}, not {args.subcommand!r}"
         )
-    explicit = {tok.split("=", 1)[0] for tok in argv if tok.startswith("--")}
-    for key, value in snapshot.get("args", {}).items():
-        flag = "--" + key.replace("_", "-")
-        if flag not in explicit and hasattr(args, key):
-            setattr(args, key, value)
-    return args
+    recorded = {k: v for k, v in snapshot.get("args", {}).items()
+                if k in vars(args) and k not in _UNRECORDED}
+    return build_parser({args.subcommand: recorded}).parse_args(argv)
 
 
 def _write_snapshot(args: argparse.Namespace, out: Path) -> None:
-    payload = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
+    payload = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
     with (out / "config.json").open("w", encoding="utf-8") as fh:
         json.dump({"subcommand": args.subcommand, "args": payload}, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -170,23 +177,32 @@ def _safe_name(token: str) -> str:
     return "".join(c if c.isalnum() or c in "-_." else "_" for c in token)
 
 
-def _cmd_neighborhood(args) -> int:
-    space = load_embeddings(args.src_emb, limit=args.limit, normalize=not args.no_normalize)
+def _distinct_file_names(anchors: list[str]) -> list[str]:
+    """anchors, checked that no two of them write to the same output file."""
+    owners: dict[str, str] = {}
+    for anchor in anchors:
+        name = _safe_name(anchor)
+        if owners.setdefault(name, anchor) != anchor:
+            raise ValueError(f"anchors {owners[name]!r} and {anchor!r} share the file name {name!r}")
+    return anchors
+
+
+def _load_spaces(args) -> tuple[EmbeddingSpace, EmbeddingSpace]:
+    return tuple(load_embeddings(path, limit=args.limit, normalize=not args.no_normalize)
+                 for path in (args.src_emb, args.tgt_emb))
+
+
+def _cmd_neighborhood(args, out: Path) -> None:
+    anchors = _distinct_file_names(_comma_list(args.anchors))
     thresholds = [float(t) for t in _comma_list(args.thresholds)]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for anchor in _comma_list(args.anchors):
+    space = load_embeddings(args.src_emb, limit=args.limit, normalize=not args.no_normalize)
+    for anchor in anchors:
         profile = growth_profile(space, anchor, thresholds)
-        name = f"profile_{_safe_name(anchor)}.tsv"
-        (out / name).write_text(profile_to_tsv(profile), encoding="utf-8")
-    _write_snapshot(args, out)
-    return 0
+        (out / f"profile_{_safe_name(anchor)}.tsv").write_text(profile_to_tsv(profile), encoding="utf-8")
 
 
-def _cmd_train(args) -> int:
-    normalize = not args.no_normalize
-    src_space = load_embeddings(args.src_emb, limit=args.limit, normalize=normalize)
-    tgt_space = load_embeddings(args.tgt_emb, limit=args.limit, normalize=normalize)
+def _cmd_train(args, out: Path) -> None:
+    src_space, tgt_space = _load_spaces(args)
     lexicon = load_lexicon(args.lexicon)
     if args.anchor is not None:
         nb = build_neighborhood(src_space, args.anchor, args.s)
@@ -197,12 +213,8 @@ def _cmd_train(args) -> int:
         anchor = "global"
     _, fit = get_trainer(args.trainer)
     fitted = fit(train, tgt_space, _train_config(args), args.lam, anchor)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_map(fitted, out / "map.txt")
-    _write_snapshot(args, out)
     print(f"trained {fitted.trainer} map on {fitted.train_size} pairs -> {out / 'map.txt'}")
-    return 0
 
 
 def _write_report(report, out: Path) -> None:
@@ -217,13 +229,12 @@ def _write_report(report, out: Path) -> None:
         save_map(report.global_map, maps_dir / "global.txt")
 
 
-def _cmd_experiment(args) -> int:
-    normalize = not args.no_normalize
-    src_space = load_embeddings(args.src_emb, limit=args.limit, normalize=normalize)
-    tgt_space = load_embeddings(args.tgt_emb, limit=args.limit, normalize=normalize)
+def _cmd_experiment(args, out: Path) -> None:
+    anchors = _distinct_file_names(_comma_list(args.anchors))
+    src_space, tgt_space = _load_spaces(args)
     lexicon = load_lexicon(args.lexicon)
     report = analysis.run_experiment(
-        _comma_list(args.anchors),
+        anchors,
         args.s,
         src_space,
         tgt_space,
@@ -237,23 +248,17 @@ def _cmd_experiment(args) -> int:
         min_train=args.min_train,
         split_method=args.split_method,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(report, out)
-    _write_snapshot(args, out)
     print(analysis.report_to_tsv(report), end="")
-    return 0
 
 
-def _cmd_translate(args) -> int:
+def _cmd_translate(args, out: Path) -> None:
     if (args.map_path is None) == (args.atlas is None):
         raise ValueError("pass exactly one of --map or --atlas")
     # maps load first: a bad path fails before the slow .vec loads
     fitted = load_map(args.map_path) if args.map_path else None
     atlas = load_atlas(args.atlas) if args.atlas else None
-    normalize = not args.no_normalize
-    src_space = load_embeddings(args.src_emb, limit=args.limit, normalize=normalize)
-    tgt_space = load_embeddings(args.tgt_emb, limit=args.limit, normalize=normalize)
+    src_space, tgt_space = _load_spaces(args)
     if args.words:
         words = _comma_list(args.words)
     elif args.input:
@@ -272,39 +277,27 @@ def _cmd_translate(args) -> int:
             )
         for rank, (target, score) in enumerate(ranking, 1):
             lines.append(f"{word}\t{label}\t{rank}\t{target}\t{score:.6f}")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     (out / "translations.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_snapshot(args, out)
     print("\n".join(lines))
-    return 0
 
 
-def _cmd_synth(args) -> int:
-    if args.kind == "linear":
-        world = synth.generate_linear_world(
-            args.n, args.d, noise_sigma=args.noise_sigma, seed=args.seed,
-            n_clusters=args.clusters, cluster_std=args.cluster_std,
-        )
-    else:
-        world = synth.generate_nonlinear_world(
-            args.n, args.d, noise_sigma=args.noise_sigma, seed=args.seed,
-            variation_strength=args.variation_strength,
-            n_clusters=args.clusters, cluster_std=args.cluster_std,
-        )
-    out = Path(args.out)
+def _cmd_synth(args, out: Path) -> None:
+    # a linear world is the rotating generator at strength 0, bit for bit
+    world = synth.generate_nonlinear_world(
+        args.n, args.d, noise_sigma=args.noise_sigma, seed=args.seed,
+        variation_strength=args.variation_strength if args.kind == "nonlinear" else 0.0,
+        n_clusters=args.clusters, cluster_std=args.cluster_std,
+    )
     synth.export_world(world, out)
-    _write_snapshot(args, out)
     print(f"wrote {args.kind} world (n={args.n}, d={args.d}) to {out}")
-    return 0
 
 
-def _cmd_diagnose(args) -> int:
+def _cmd_diagnose(args, out: Path) -> None:
+    anchors = _distinct_file_names(_comma_list(args.anchors)) if args.anchors else None
     world = synth.load_world(args.world)
-    anchors = _comma_list(args.anchors) if args.anchors else synth.default_anchor_words(world)
     report = synth.locality_diagnostic(
         world,
-        anchors,
+        anchors or synth.default_anchor_words(world),
         args.s,
         args.trainer,
         _train_config(args),
@@ -314,13 +307,9 @@ def _cmd_diagnose(args) -> int:
         min_train=args.min_train,
         lam=args.lam,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_report(report, out)
     (out / "pairwise.tsv").write_text(synth.pairwise_to_tsv(report), encoding="utf-8")
-    _write_snapshot(args, out)
     print(analysis.report_to_tsv(report), end="")
-    return 0
 
 
 _COMMANDS = {
@@ -335,21 +324,21 @@ _COMMANDS = {
 
 def run(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse handles usage errors (exit code 2)
-        return int(exc.code or 0)
-    try:
-        if args.config:
-            args = _apply_snapshot(args, argv)
+        args = _parse(argv)
         missing = [f for f in _REQUIRED[args.subcommand] if getattr(args, f) is None]
         if missing:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
             print(f"error: usage: missing required arguments: {flags}", file=sys.stderr)
             return 2
-        return _COMMANDS[args.subcommand](args)
-    except FileNotFoundError as exc:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        _COMMANDS[args.subcommand](args, out)
+        _write_snapshot(args, out)
+        return 0
+    except SystemExit as exc:  # argparse handles usage errors (exit code 2)
+        return int(exc.code or 0)
+    except OSError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
     except (ValueError, KeyError) as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)

@@ -364,10 +364,13 @@ def load_map(path: str | Path) -> LinearMap:
                 continue
             rows.append(line)
     matrix = _parse_float_rows(rows, d_src, None)
-    if matrix is None:
-        matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
+    try:
+        if matrix is None:
+            matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
+    except ValueError as exc:  # a non-numeric entry, or rows of unequal length
+        raise ValueError(f"bad map body in {path}: {exc}") from None
     if matrix.shape != (d_tgt, d_src):
-        raise ValueError(f"map body shape {matrix.shape} != header ({d_tgt}, {d_src})")
+        raise ValueError(f"bad map body in {path}: shape {matrix.shape} != header ({d_tgt}, {d_src})")
 
     trainer = meta.pop("trainer", "unspecified")
     anchor = meta.pop("anchor", "global")

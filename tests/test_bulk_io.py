@@ -192,9 +192,12 @@ def test_load_map_matches_per_line_reference(tmp_path_factory, d_src, rows, sep)
                     encoding="utf-8")
 
     def reference():
-        matrix = reference_map_body([line.strip() for line in lines if line.strip()])
+        try:
+            matrix = reference_map_body([line.strip() for line in lines if line.strip()])
+        except ValueError as exc:
+            raise ValueError(f"bad map body in {path}: {exc}") from None
         if matrix.shape != (d_tgt, d_src):
-            raise ValueError(f"map body shape {matrix.shape} != header ({d_tgt}, {d_src})")
+            raise ValueError(f"bad map body in {path}: shape {matrix.shape} != header ({d_tgt}, {d_src})")
         return LinearMap(matrix).matrix.tobytes()
 
     got = result_or_error(lambda: load_map(path).matrix.tobytes())

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import lexmap
-from lexmap.cli import run
-from lexmap.mapper import LinearMap, load_map
+from lexmap.cli import build_parser, run
+from lexmap.mapper import LinearMap, load_map, save_map
 from lexmap.synth import default_anchor_words, export_world, generate_linear_world, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
 
@@ -36,6 +36,17 @@ def world_anchors(world_dir):
     return default_anchor_words(load_world(world_dir))
 
 
+def _train_args(world_dir, out):
+    return [
+        "train",
+        "--src-emb", str(world_dir / "src.vec"),
+        "--tgt-emb", str(world_dir / "tgt.vec"),
+        "--lexicon", str(world_dir / "lexicon.txt"),
+        "--trainer", "lsq", "--lam", "1e-6",
+        "--seed", "3", "--out", str(out),
+    ]
+
+
 def _experiment_args(world_dir, anchors, out):
     return [
         "experiment",
@@ -47,6 +58,22 @@ def _experiment_args(world_dir, anchors, out):
         "--test-size", "50", "--seed", "3",
         "--out", str(out),
     ]
+
+
+@pytest.fixture(scope="module")
+def snapshots(world_dir, world_anchors, tmp_path_factory):
+    """Runs whose config.json the override tests replay: an experiment and a
+    translate through the global map, plus the first anchor's local map."""
+    root = tmp_path_factory.mktemp("snapshots")
+    assert run(_experiment_args(world_dir, world_anchors, root / "experiment")) == 0
+    assert run(_train_args(world_dir, root / "global")) == 0
+    assert run(_train_args(world_dir, root / "local") + ["--anchor", world_anchors[0]]) == 0
+    assert run([
+        "translate", "--src-emb", str(world_dir / "src.vec"),
+        "--tgt-emb", str(world_dir / "tgt.vec"), "--map", str(root / "global" / "map.txt"),
+        "--words", "w00001,w00002", "--k", "2", "--out", str(root / "translate"),
+    ]) == 0
+    return root
 
 
 class TestUsage:
@@ -92,6 +119,70 @@ class TestUsage:
         assert lines[-1] == "False"  # after the experiment
         spearman = (tmp_path / "e" / "report.tsv").read_text().splitlines()[-1]
         assert float(spearman.split("\t")[1]) == pytest.approx(0.316227766016838)
+
+    def test_dests_and_defaults_are_pinned(self):
+        """Each subcommand's namespace for a minimal argv, as config.json records it."""
+        common = {"config": None, "out": None, "seed": 0}
+        spaces = {"limit": None, "no_normalize": False, "src_emb": None}
+        evals = {"k": 10, "min_train": 50, "s": 0.5}
+        training = {
+            "epochs": 50, "gamma": 0.4, "init": "identity", "lam": 0.0, "lr": 0.1,
+            "lr_decay": 0.99, "negatives": 1, "ortho_weight": 0.0, "trainer": "maxmargin",
+        }
+        expected = {
+            "neighborhood": {**spaces, "anchors": None, "thresholds": "0.9,0.8,0.7,0.6,0.5,0.4,0.3"},
+            "train": {**spaces, **training, "anchor": None, "lexicon": None, "s": 0.5,
+                      "tgt_emb": None},
+            "experiment": {**spaces, **evals, **training, "anchors": None, "lexicon": None,
+                           "split_method": "random", "test_size": 500, "tgt_emb": None},
+            "translate": {**spaces, "atlas": None, "floor": 0.0, "input": None, "k": 10,
+                          "map_path": None, "tgt_emb": None, "words": None},
+            "synth": {"cluster_std": 0.3, "clusters": 8, "d": 50, "kind": "linear", "n": 2000,
+                      "noise_sigma": 0.0, "variation_strength": 1.5},
+            "diagnose": {**evals, **training, "anchors": None, "test_size": 100, "world": None},
+        }
+        for subcommand, flags in expected.items():
+            args = vars(build_parser().parse_args([subcommand]))
+            assert args == {"subcommand": subcommand, **common, **flags}, subcommand
+
+    def test_out_naming_a_file_is_data_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run(["synth", "--n", "50", "--d", "4", "--out", str(taken)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and err.count("\n") == 1
+
+    def test_input_naming_a_directory_is_data_error(self, tmp_path, capsys):
+        vec = write_vec(tmp_path / "t.vec", [("a", [1, 0]), ("b", [0, 1])])
+        save_map(LinearMap(np.eye(2)), tmp_path / "m.txt")
+        code = run(
+            [
+                "translate", "--src-emb", str(vec), "--tgt-emb", str(vec),
+                "--map", str(tmp_path / "m.txt"), "--input", str(tmp_path),
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("subcommand, inputs", [
+        ("neighborhood", ["--src-emb", "absent.vec"]),
+        ("experiment", ["--src-emb", "absent.vec", "--tgt-emb", "absent.vec",
+                        "--lexicon", "absent.txt"]),
+        ("diagnose", ["--world", "absent"]),
+    ])
+    @pytest.mark.parametrize("anchors", [("a/b", "a_b"), ("c++", "c__")])
+    def test_anchors_sharing_a_file_name_rejected_before_loading(
+        self, subcommand, inputs, anchors, tmp_path, capsys
+    ):
+        """a/b and a_b would both write local_a_b.txt (or profile_a_b.tsv)."""
+        argv = [subcommand, *inputs, "--anchors", ",".join(("x", *anchors)),
+                "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: constraint: anchors")
+        assert all(repr(anchor) in err for anchor in anchors)
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = run(
@@ -202,6 +293,23 @@ class TestExperimentCommand:
             assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes()
         assert "jobs" not in json.loads((out2 / "config.json").read_text())["args"]
 
+    @pytest.mark.parametrize("subcommand, override, table, column, expected", [
+        ("experiment", ["--test-size", "10"], "report.tsv", "test_size", "10"),
+        ("experiment", ["--test", "10"], "report.tsv", "test_size", "10"),  # an abbreviation
+        ("translate", ["--map", "{local}"], "translations.tsv", "map", "{anchor}"),  # dest map_path
+    ], ids=["full-name", "abbreviation", "dest-differs"])
+    def test_flags_on_the_command_line_beat_the_snapshot(
+        self, snapshots, world_anchors, tmp_path, subcommand, override, table, column, expected
+    ):
+        fill = {"local": str(snapshots / "local" / "map.txt"), "anchor": world_anchors[0]}
+        config = snapshots / subcommand / "config.json"
+        override = [arg.format(**fill) for arg in override]
+        out = tmp_path / "rerun"
+        assert run([subcommand, "--config", str(config), *override, "--out", str(out)]) == 0
+        rows = [line.split("\t") for line in (out / table).read_text().splitlines()
+                if not line.startswith("#")]
+        assert {row[rows[0].index(column)] for row in rows[1:]} == {expected.format(**fill)}
+
     def test_snapshot_subcommand_mismatch_rejected(self, world_dir, world_anchors, tmp_path):
         out = tmp_path / "exp2"
         assert run(_experiment_args(world_dir, world_anchors, out)) == 0
@@ -230,33 +338,14 @@ class TestExperimentCommand:
 class TestTrainAndTranslate:
     def test_train_global_map(self, world_dir, tmp_path):
         out = tmp_path / "train"
-        code = run(
-            [
-                "train",
-                "--src-emb", str(world_dir / "src.vec"),
-                "--tgt-emb", str(world_dir / "tgt.vec"),
-                "--lexicon", str(world_dir / "lexicon.txt"),
-                "--trainer", "lsq", "--lam", "1e-6",
-                "--seed", "3", "--out", str(out),
-            ]
-        )
-        assert code == 0
+        assert run(_train_args(world_dir, out)) == 0
         fitted = load_map(out / "map.txt")
         assert fitted.trainer == "least_squares"
         assert fitted.matrix.shape == (16, 16)
 
     def test_translate_with_map(self, world_dir, tmp_path):
         train_out = tmp_path / "train"
-        run(
-            [
-                "train",
-                "--src-emb", str(world_dir / "src.vec"),
-                "--tgt-emb", str(world_dir / "tgt.vec"),
-                "--lexicon", str(world_dir / "lexicon.txt"),
-                "--trainer", "lsq", "--lam", "1e-6",
-                "--seed", "3", "--out", str(train_out),
-            ]
-        )
+        assert run(_train_args(world_dir, train_out)) == 0
         world = load_world(world_dir)
         words = list(world.src_space.words)[:5]
         out = tmp_path / "tr"

@@ -338,6 +338,14 @@ class TestMapSerialization:
         with pytest.raises(FileNotFoundError):
             load_map(tmp_path / "none.txt")
 
+    @pytest.mark.parametrize("body", ["1.0 x\n0.0 1.0\n", "1.0 0.0\n1.0\n", "1.0 0.0\n"])
+    def test_bad_body_named(self, tmp_path, body):
+        """A non-numeric entry and a short row used to fail naming no file."""
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2\n# trainer=t\n{body}", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad map body in {re.escape(str(path))}: "):
+            load_map(path)
+
     @pytest.mark.parametrize("header", ["x y", "2", "2 2 2", "0 2", "2 -2", "2 2.0", ""])
     def test_bad_header_named(self, tmp_path, header):
         """A non-integer header used to fail with a bare int() error naming no file."""

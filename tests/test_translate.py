@@ -269,6 +269,18 @@ class TestAtlasPersistence:
         with pytest.raises(ValueError, match=f"bad map header in {re.escape(str(path))}"):
             load_atlas(tmp_path)
 
+    @pytest.mark.parametrize("row", ["0.0 x", "0.0"])
+    def test_bad_map_body_names_the_map_file(self, tmp_path, row):
+        entries = tuple(
+            AtlasEntry(w, np.array(v), LinearMap(np.eye(2)))
+            for w, v in (("a", [1.0, 0.0]), ("b", [0.0, 1.0]))
+        )
+        save_atlas(MapAtlas(entries), tmp_path)
+        path = tmp_path / "map_0001.txt"
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + f"\n{row}\n")
+        with pytest.raises(ValueError, match=f"bad map body in {re.escape(str(path))}: "):
+            load_atlas(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_atlas(tmp_path / "nowhere")
