@@ -30,6 +30,8 @@ def _add_space_flags(parser: argparse.ArgumentParser, tgt: bool = True) -> None:
         parser.add_argument("--tgt-emb")
     parser.add_argument("--limit", type=int, default=None)
     parser.add_argument("--no-normalize", action="store_true")
+    parser.add_argument("--normalize", dest="no_normalize", action="store_false", default=False,
+                        help="undo a --no-normalize that a --config snapshot records")
 
 
 def _add_eval_flags(parser: argparse.ArgumentParser, test_size: int) -> None:
@@ -178,10 +180,12 @@ def _safe_name(token: str) -> str:
 
 
 def _distinct_file_names(anchors: list[str]) -> list[str]:
-    """anchors, checked that no two of them write to the same output file."""
+    """anchors, checked that they are distinct and write distinct output files."""
     owners: dict[str, str] = {}
     for anchor in anchors:
         name = _safe_name(anchor)
+        if owners.get(name) == anchor:
+            raise ValueError(f"anchor words must be unique: {anchor!r} repeats")
         if owners.setdefault(name, anchor) != anchor:
             raise ValueError(f"anchors {owners[name]!r} and {anchor!r} share the file name {name!r}")
     return anchors
@@ -223,6 +227,9 @@ def _write_report(report, out: Path) -> None:
     (out / "scatter.tsv").write_text(analysis.report_scatter_tsv(report), encoding="utf-8")
     maps_dir = out / "maps"
     maps_dir.mkdir(exist_ok=True)
+    # an earlier run into the same --out must not leave its maps beside these
+    for stale in [*maps_dir.glob("local_*.txt"), maps_dir / "global.txt"]:
+        stale.unlink(missing_ok=True)
     for anchor, fitted in report.local_maps.items():
         save_map(fitted, maps_dir / f"local_{_safe_name(anchor)}.txt")
     if report.global_map is not None:

@@ -93,9 +93,8 @@ def load_embeddings(
     path: str | Path,
     limit: int | None = None,
     normalize: bool = True,
-    language_tag: str | None = None,
 ) -> EmbeddingSpace:
-    """Load a ``.vec`` file into an EmbeddingSpace.
+    """Load a ``.vec`` file into an EmbeddingSpace tagged with the file stem.
 
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
@@ -109,7 +108,6 @@ def load_embeddings(
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
         limit: optional cap on vocabulary size.
         normalize: scale every vector to unit Euclidean norm.
-        language_tag: label for the space; defaults to the file stem.
 
     Raises:
         FileNotFoundError: missing file.
@@ -119,8 +117,6 @@ def load_embeddings(
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"embedding file not found: {path}")
-    if language_tag is None:
-        language_tag = path.stem
 
     stats = LoadStats()
     words: list[str] = []
@@ -187,7 +183,7 @@ def load_embeddings(
             f"{stats.zero_dropped} zero vectors"
         )
     vectors = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    return EmbeddingSpace(language_tag, words, vectors, normalized=normalize, stats=stats)
+    return EmbeddingSpace(path.stem, words, vectors, normalized=normalize, stats=stats)
 
 
 def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.ndarray | None:

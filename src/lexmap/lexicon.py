@@ -23,8 +23,6 @@ class BilingualLexicon:
     """Multimap from source token to its ordered set of gold targets."""
 
     pairs: dict[str, list[str]]
-    source_language: str = "src"
-    target_language: str = "tgt"
     line_count: int = 0
     dedup_count: int = 0
     skipped_count: int = 0
@@ -81,12 +79,12 @@ class TranslationDataset:
     def source_matrix(self) -> np.ndarray:
         return np.vstack([inst.source_vector for inst in self.instances])
 
+    def target_matrix(self, tgt_space: EmbeddingSpace) -> np.ndarray:
+        """Each instance's first gold target vector: the training target."""
+        return np.vstack([tgt_space.vector(inst.gold_targets[0]) for inst in self.instances])
 
-def load_lexicon(
-    path: str | Path,
-    source_language: str = "src",
-    target_language: str = "tgt",
-) -> BilingualLexicon:
+
+def load_lexicon(path: str | Path) -> BilingualLexicon:
     """Read a whitespace-separated pair file into a multimap.
 
     Repeated identical (source, target) lines are deduplicated; lines
@@ -116,14 +114,7 @@ def load_lexicon(
             seen.add((src, tgt))
             pairs.setdefault(src, []).append(tgt)
 
-    return BilingualLexicon(
-        pairs,
-        source_language=source_language,
-        target_language=target_language,
-        line_count=lines,
-        dedup_count=dedup,
-        skipped_count=skipped,
-    )
+    return BilingualLexicon(pairs, line_count=lines, dedup_count=dedup, skipped_count=skipped)
 
 
 def build_dataset(

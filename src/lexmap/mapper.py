@@ -169,7 +169,7 @@ def train_max_margin(
     if m == 0:
         raise ValueError("training set is empty")
     X = train.source_matrix()
-    Y = np.vstack([tgt_space.vector(inst.gold_targets[0]) for inst in train.instances])
+    Y = train.target_matrix(tgt_space)
     d_src = X.shape[1]
     d_tgt = tgt_space.dim
 
@@ -263,7 +263,7 @@ def train_least_squares(
     if lam < 0:
         raise ValueError(f"lam must be >= 0, got {lam}")
     X = train.source_matrix().T
-    Y = np.vstack([tgt_space.vector(inst.gold_targets[0]) for inst in train.instances]).T
+    Y = train.target_matrix(tgt_space).T
     d_src = X.shape[0]
 
     normal = X @ X.T + lam * np.eye(d_src)

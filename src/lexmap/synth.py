@@ -13,11 +13,12 @@ package. Two regimes share one generator:
   bit-identical output.
 
 Source vectors are drawn from a Gaussian mixture whose cluster centers are
-spread along the axis u, so the rotating regime actually sweeps a wide
-angle range across clusters and cosine neighborhoods are non-trivial.
-Sources are unit-normalized; targets are kept raw by default so that the
-exact relation y = M(x) x survives (normalize_targets covers the other
-regime).
+spread along the axis u, at axis coordinates evenly spaced in
+[-CENTER_SPREAD, CENTER_SPREAD], so the rotating regime actually sweeps a
+wide angle range across clusters and cosine neighborhoods are non-trivial.
+G's singular values are drawn uniformly from SINGULAR_RANGE, which bounds
+its condition number by 2.5. Sources are unit-normalized; targets are kept
+raw so that the exact relation y = M(x) x survives.
 """
 
 from __future__ import annotations
@@ -35,18 +36,24 @@ from .lexicon import BilingualLexicon, load_lexicon
 from .mapper import TrainConfig
 from .seeds import spawn_rng
 
+CENTER_SPREAD = 0.8  # largest |axis coordinate| of a cluster center
+SINGULAR_RANGE = (0.8, 2.0)  # bounds of G's singular values
+
 
 @dataclass(frozen=True)
 class GroundTruth:
     """Parameters of the generating map."""
 
-    kind: str  # "linear" | "rotating"
     matrix: np.ndarray
     variation_strength: float
     axis: np.ndarray
     plane_p: np.ndarray
     plane_q: np.ndarray
     cluster_centers: np.ndarray
+
+    @property
+    def kind(self) -> str:
+        return "linear" if self.variation_strength == 0.0 else "rotating"
 
 
 @dataclass(frozen=True)
@@ -84,27 +91,22 @@ def local_map_at(world: SyntheticWorld, x: np.ndarray) -> np.ndarray:
     return gt.matrix @ rotation_matrix(gt.plane_p, gt.plane_q, theta)
 
 
-def _generate(
+def generate_nonlinear_world(
     n: int,
     d: int,
-    noise_sigma: float,
-    seed: int,
-    variation_strength: float,
-    n_clusters: int,
-    cluster_std: float,
-    center_spread: float,
-    singular_range: tuple[float, float],
-    normalize_targets: bool,
+    noise_sigma: float = 0.0,
+    seed: int = 0,
+    variation_strength: float = 1.5,
+    n_clusters: int = 8,
+    cluster_std: float = 0.3,
 ) -> SyntheticWorld:
+    """World with a smoothly position-dependent map; strength 0 is linear."""
     if n < 2 or d < 3:
         raise ValueError(f"need n >= 2 and d >= 3, got n={n} d={d}")
-    if n_clusters < 1 or not 0 < center_spread < 1:
-        raise ValueError("need n_clusters >= 1 and center_spread in (0, 1)")
+    if n_clusters < 1:
+        raise ValueError("need n_clusters >= 1")
     if noise_sigma < 0 or cluster_std <= 0 or variation_strength < 0:
         raise ValueError("noise_sigma/cluster_std/variation_strength out of range")
-    lo, hi = singular_range
-    if not 0 < lo <= hi or hi / lo > 10:
-        raise ValueError(f"singular_range must keep condition number <= 10, got {singular_range}")
 
     # one stream, fixed draw order, independent of variation_strength: the
     # rotating generator at strength 0 must emit bit-identical vectors
@@ -118,7 +120,7 @@ def _generate(
 
     q1, _ = np.linalg.qr(rng.standard_normal((d, d)))
     q2, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    singulars = rng.uniform(lo, hi, size=d)
+    singulars = rng.uniform(*SINGULAR_RANGE, size=d)
     G = q1 @ np.diag(singulars) @ q2
 
     if n_clusters > 1 and d < n_clusters + 3:
@@ -126,7 +128,7 @@ def _generate(
     if n_clusters == 1:
         alphas = np.array([0.0])
     else:
-        alphas = np.linspace(-center_spread, center_spread, n_clusters)
+        alphas = np.linspace(-CENTER_SPREAD, CENTER_SPREAD, n_clusters)
     centers = np.empty((n_clusters, d))
     residuals: list[np.ndarray] = []
     for j, alpha in enumerate(alphas):
@@ -157,24 +159,15 @@ def _generate(
     noise = rng.standard_normal((n, d))
     if noise_sigma > 0:
         Y = Y + noise_sigma * noise
-    if normalize_targets:
-        Y = Y / np.linalg.norm(Y, axis=1, keepdims=True)
 
     width = max(5, len(str(n - 1)))
     src_words = [f"w{i:0{width}d}" for i in range(n)]
     tgt_words = [f"v{i:0{width}d}" for i in range(n)]
     src_space = EmbeddingSpace("synth-src", src_words, X, normalized=True)
-    tgt_space = EmbeddingSpace("synth-tgt", tgt_words, Y, normalized=normalize_targets)
-    lexicon = BilingualLexicon(
-        {sw: [tw] for sw, tw in zip(src_words, tgt_words)},
-        source_language="synth-src",
-        target_language="synth-tgt",
-        line_count=n,
-    )
+    tgt_space = EmbeddingSpace("synth-tgt", tgt_words, Y)
+    lexicon = BilingualLexicon({sw: [tw] for sw, tw in zip(src_words, tgt_words)}, line_count=n)
 
-    kind = "linear" if variation_strength == 0.0 else "rotating"
     gt = GroundTruth(
-        kind=kind,
         matrix=G,
         variation_strength=float(variation_strength),
         axis=axis,
@@ -187,9 +180,9 @@ def _generate(
         "d": d,
         "n_clusters": n_clusters,
         "cluster_std": cluster_std,
-        "center_spread": center_spread,
-        "singular_range": list(singular_range),
-        "normalize_targets": normalize_targets,
+        "center_spread": CENTER_SPREAD,
+        "singular_range": list(SINGULAR_RANGE),
+        "normalize_targets": False,
     }
     return SyntheticWorld(
         src_space=src_space,
@@ -210,34 +203,9 @@ def generate_linear_world(
     seed: int = 0,
     n_clusters: int = 8,
     cluster_std: float = 0.3,
-    center_spread: float = 0.8,
-    singular_range: tuple[float, float] = (0.8, 2.0),
-    normalize_targets: bool = False,
 ) -> SyntheticWorld:
     """World whose targets are exactly G x (plus optional Gaussian noise)."""
-    return _generate(
-        n, d, noise_sigma, seed, 0.0, n_clusters, cluster_std,
-        center_spread, singular_range, normalize_targets,
-    )
-
-
-def generate_nonlinear_world(
-    n: int,
-    d: int,
-    noise_sigma: float = 0.0,
-    seed: int = 0,
-    variation_strength: float = 1.5,
-    n_clusters: int = 8,
-    cluster_std: float = 0.3,
-    center_spread: float = 0.8,
-    singular_range: tuple[float, float] = (0.8, 2.0),
-    normalize_targets: bool = False,
-) -> SyntheticWorld:
-    """World with a smoothly position-dependent map; strength 0 is linear."""
-    return _generate(
-        n, d, noise_sigma, seed, variation_strength, n_clusters, cluster_std,
-        center_spread, singular_range, normalize_targets,
-    )
+    return generate_nonlinear_world(n, d, noise_sigma, seed, 0.0, n_clusters, cluster_std)
 
 
 def default_anchor_words(world: SyntheticWorld) -> list[str]:
@@ -354,16 +322,12 @@ def load_world(directory: str | Path) -> SyntheticWorld:
     with descriptor_path.open("r", encoding="utf-8") as fh:
         desc = json.load(fh)
 
-    params = desc["params"]
-    src_space = load_embeddings(directory / "src.vec", normalize=False, language_tag="synth-src")
-    src_space = EmbeddingSpace("synth-src", src_space.words, src_space.vectors, normalized=True)
-    tgt_space = load_embeddings(directory / "tgt.vec", normalize=False, language_tag="synth-tgt")
-    if params.get("normalize_targets"):
-        tgt_space = EmbeddingSpace("synth-tgt", tgt_space.words, tgt_space.vectors, normalized=True)
-    lexicon = load_lexicon(directory / "lexicon.txt", "synth-src", "synth-tgt")
+    src = load_embeddings(directory / "src.vec", normalize=False)
+    src_space = EmbeddingSpace(src.language_tag, src.words, src.vectors, normalized=True)
+    tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
+    lexicon = load_lexicon(directory / "lexicon.txt")
 
     gt = GroundTruth(
-        kind=desc["kind"],
         matrix=np.array(desc["matrix"], dtype=np.float64),
         variation_strength=float(desc["variation_strength"]),
         axis=np.array(desc["axis"], dtype=np.float64),
@@ -379,5 +343,5 @@ def load_world(directory: str | Path) -> SyntheticWorld:
         region_labels={w: int(c) for w, c in desc["region_labels"].items()},
         noise_sigma=float(desc["noise_sigma"]),
         seed=int(desc["seed"]),
-        params=params,
+        params=desc["params"],
     )

@@ -76,6 +76,15 @@ def snapshots(world_dir, world_anchors, tmp_path_factory):
     return root
 
 
+# inputs that do not exist: a check that fires before any load names no file
+ABSENT_INPUTS = [
+    ("neighborhood", ["--src-emb", "absent.vec"]),
+    ("experiment", ["--src-emb", "absent.vec", "--tgt-emb", "absent.vec",
+                    "--lexicon", "absent.txt"]),
+    ("diagnose", ["--world", "absent"]),
+]
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
@@ -166,12 +175,7 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: data:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("subcommand, inputs", [
-        ("neighborhood", ["--src-emb", "absent.vec"]),
-        ("experiment", ["--src-emb", "absent.vec", "--tgt-emb", "absent.vec",
-                        "--lexicon", "absent.txt"]),
-        ("diagnose", ["--world", "absent"]),
-    ])
+    @pytest.mark.parametrize("subcommand, inputs", ABSENT_INPUTS)
     @pytest.mark.parametrize("anchors", [("a/b", "a_b"), ("c++", "c__")])
     def test_anchors_sharing_a_file_name_rejected_before_loading(
         self, subcommand, inputs, anchors, tmp_path, capsys
@@ -183,6 +187,13 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: constraint: anchors")
         assert all(repr(anchor) in err for anchor in anchors)
+
+    @pytest.mark.parametrize("subcommand, inputs", ABSENT_INPUTS)
+    def test_repeated_anchor_rejected_before_loading(self, subcommand, inputs, tmp_path, capsys):
+        argv = [subcommand, *inputs, "--anchors", "x,a,a", "--out", str(tmp_path / "o")]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "error: constraint: anchor words must be unique: 'a' repeats\n"
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = run(
@@ -261,6 +272,15 @@ class TestExperimentCommand:
             assert (out / name).is_file()
         assert (out / "maps" / "global.txt").is_file()
 
+    def test_rerun_into_one_out_leaves_only_its_own_maps(self, world_dir, world_anchors, tmp_path):
+        shared, fresh = tmp_path / "shared", tmp_path / "fresh"
+        assert run(_experiment_args(world_dir, world_anchors, shared)) == 0
+        assert run(_experiment_args(world_dir, world_anchors[:2], shared)) == 0
+        assert run(_experiment_args(world_dir, world_anchors[:2], fresh)) == 0
+        maps = {p.name: p.read_bytes() for p in (shared / "maps").iterdir()}
+        assert maps == {p.name: p.read_bytes() for p in (fresh / "maps").iterdir()}
+        assert sorted(maps) == ["global.txt", *sorted(f"local_{a}.txt" for a in world_anchors[:2])]
+
     def test_snapshot_rerun_is_byte_identical(self, world_dir, world_anchors, tmp_path):
         """Primary outputs reproduce exactly from the emitted config."""
         out1 = tmp_path / "run1"
@@ -333,6 +353,20 @@ class TestExperimentCommand:
         assert run(args) == 0
         assert run(["neighborhood", "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
         assert (out1 / "profile_w00001.tsv").read_bytes() == (out2 / "profile_w00001.tsv").read_bytes()
+
+    def test_normalize_overrides_a_snapshots_no_normalize(self, tmp_path):
+        """z is a zero row: a raw load keeps it at cosine 0, a normalizing load drops it."""
+        vec = write_vec(tmp_path / "t.vec", [("a", [1, 0]), ("b", [0, 1]), ("z", [0, 0])])
+        raw, rerun = tmp_path / "raw", tmp_path / "rerun"
+        assert run([
+            "neighborhood", "--src-emb", str(vec), "--anchors", "a", "--thresholds", "0.5,-1.0",
+            "--no-normalize", "--out", str(raw),
+        ]) == 0
+        assert run(["neighborhood", "--config", str(raw / "config.json"), "--normalize",
+                    "--out", str(rerun)]) == 0
+        assert (raw / "profile_a.tsv").read_text() == "s\tcount\n0.5\t1\n-1.0\t3\n"
+        assert (rerun / "profile_a.tsv").read_text() == "s\tcount\n0.5\t1\n-1.0\t2\n"
+        assert json.loads((rerun / "config.json").read_text())["args"]["no_normalize"] is False
 
 
 class TestTrainAndTranslate:

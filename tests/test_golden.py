@@ -5,9 +5,10 @@ expected bytes and values were recorded before the ranking paths were
 unified behind one top-k kernel. The second is synth -> experiment
 --trainer maxmargin; its expected bytes, values and map digests were
 recorded at commit 7c64b36, before Spearman moved from scipy to numpy and
-before the bulk float parser and writers. A change to what lexmap computes
-must show up here and be re-recorded on purpose, with the reason in
-CHANGES.md.
+before the bulk float parser and writers. The synth digests at the end were
+recorded at commit e9f0b98, before the generator's three bodies became one.
+A change to what lexmap computes must show up here and be re-recorded on
+purpose, with the reason in CHANGES.md.
 """
 
 import hashlib
@@ -209,3 +210,36 @@ def test_maxmargin_map_bytes(golden_maxmargin):
         for path in (golden_maxmargin / "maps").iterdir()
     }
     assert digests == EXPECTED_MM_MAP_SHA256
+
+
+# sha256 of each file `lexmap synth` writes, for one world of each kind
+EXPECTED_SYNTH_SHA256 = {
+    "linear": (
+        ["--kind", "linear", "--seed", "3"],
+        {
+            "src.vec": "f99c6a16810e33daf6f5d100b9489c0f986918373c4f7b85f7bafe21be1e5ca1",
+            "tgt.vec": "fbbf464e41ac8e45aab130d2bc871c9d0eb3f4102c655008a548bd94d819b2f7",
+            "lexicon.txt": "c9afe30343a02f1486055ff2b6f465e0bfd96dadfaa1e7620dfe498f34088a4c",
+            "world.json": "5450fb636e07999817acaf32087da671e0950941b3936ce7e50dd8cf15ef7905",
+        },
+    ),
+    "nonlinear-noisy": (
+        ["--kind", "nonlinear", "--noise-sigma", "0.01", "--variation-strength", "1.2",
+         "--seed", "4"],
+        {
+            "src.vec": "5c6d1aaf15d10505c08aa881627366dc2a53bed82d3f39108f40809373cf99a3",
+            "tgt.vec": "a7c04565b6ec740335ea860c395cf1d57be56d0323b766cfaee7e536a7337595",
+            "lexicon.txt": "c9afe30343a02f1486055ff2b6f465e0bfd96dadfaa1e7620dfe498f34088a4c",
+            "world.json": "41b9c6a09032d4c9474bb79a4c8b108b017ec833d3c0c9b81f65f2c69d76affa",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EXPECTED_SYNTH_SHA256))
+def test_synth_file_bytes(kind, tmp_path):
+    flags, expected = EXPECTED_SYNTH_SHA256[kind]
+    argv = ["synth", "--n", "300", "--d", "10", "--clusters", "4", *flags, "--out", str(tmp_path)]
+    assert run(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+    assert digests == expected
