@@ -4,13 +4,15 @@ The experiment driver trains one map per anchor neighborhood plus a global
 map on the union of their training data, evaluates all three on each
 anchor's held-out test set, and assembles a ten-column report row per
 anchor together with the correlation between map similarity and the
-reference map's accuracy.
+reference map's accuracy, and the (anchor cosine, map cosine) of every
+pair of usable anchors.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, asdict
+from itertools import combinations
 
 import numpy as np
 
@@ -150,9 +152,9 @@ class ExperimentRow:
     map_norm: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentReport:
-    """All rows plus correlation summaries, skip reasons and the fitted maps."""
+    """Rows, correlation summaries, skip reasons, fitted maps and map pairs."""
 
     rows: list[ExperimentRow]
     pearson_simvacc: float | None
@@ -161,7 +163,7 @@ class ExperimentReport:
     warnings: list[str] = field(default_factory=list)
     local_maps: dict[str, LinearMap] = field(default_factory=dict)
     global_map: LinearMap | None = None
-    pairwise_map_cosines: list[tuple[str, str, float, float]] | None = None
+    pairwise_map_cosines: list[tuple[str, str, float, float]] = field(default_factory=list)
 
 
 def run_experiment(
@@ -290,6 +292,11 @@ def run_experiment(
         warnings=warnings,
         local_maps=trained,
         global_map=global_map,
+        pairwise_map_cosines=[
+            (a, b, cosine_similarity(src_space.vector(a), src_space.vector(b)),
+             matrix_cosine(trained[a].matrix, trained[b].matrix))
+            for a, b in combinations(usable, 2)
+        ],
     )
 
 
@@ -340,4 +347,12 @@ def report_scatter_tsv(report: ExperimentReport) -> str:
     lines = ["map_cosine\tacc_reference"]
     for row in report.rows:
         lines.append(f"{row.map_cosine!r}\t{row.acc_reference!r}")
+    return "\n".join(lines) + "\n"
+
+
+def pairwise_to_tsv(report: ExperimentReport) -> str:
+    """Pairwise (anchor cosine, map cosine) rows for trend plotting."""
+    lines = ["anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"]
+    for a, b, ac, mc in report.pairwise_map_cosines:
+        lines.append(f"{a}\t{b}\t{ac!r}\t{mc!r}")
     return "\n".join(lines) + "\n"

@@ -21,7 +21,7 @@ from .embeddings import EmbeddingSpace, load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
 from .mapper import TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
-from .translate import load_atlas, piecewise_translate, translate_topk
+from .translate import MapAtlas, load_atlas, piecewise_translate
 
 
 def _add_space_flags(parser: argparse.ArgumentParser, tgt: bool = True) -> None:
@@ -221,25 +221,21 @@ def _cmd_train(args, out: Path) -> None:
     print(f"trained {fitted.trainer} map on {fitted.train_size} pairs -> {out / 'map.txt'}")
 
 
-def _write_report(report, out: Path) -> None:
-    (out / "report.tsv").write_text(analysis.report_to_tsv(report), encoding="utf-8")
-    (out / "report.jsonl").write_text(analysis.report_to_records(report), encoding="utf-8")
-    (out / "scatter.tsv").write_text(analysis.report_scatter_tsv(report), encoding="utf-8")
-    maps_dir = out / "maps"
-    maps_dir.mkdir(exist_ok=True)
-    # an earlier run into the same --out must not leave its maps beside these
-    for stale in [*maps_dir.glob("local_*.txt"), maps_dir / "global.txt"]:
-        stale.unlink(missing_ok=True)
-    for anchor, fitted in report.local_maps.items():
-        save_map(fitted, maps_dir / f"local_{_safe_name(anchor)}.txt")
-    if report.global_map is not None:
-        save_map(report.global_map, maps_dir / "global.txt")
-
-
 def _cmd_experiment(args, out: Path) -> None:
     anchors = _distinct_file_names(_comma_list(args.anchors))
     src_space, tgt_space = _load_spaces(args)
-    lexicon = load_lexicon(args.lexicon)
+    _run_report(args, out, anchors, src_space, tgt_space, load_lexicon(args.lexicon))
+
+
+def _cmd_diagnose(args, out: Path) -> None:
+    anchors = _distinct_file_names(_comma_list(args.anchors)) if args.anchors else None
+    world = synth.load_world(args.world)
+    _run_report(args, out, anchors or synth.default_anchor_words(world),
+                world.src_space, world.tgt_space, world.lexicon)
+
+
+def _run_report(args, out: Path, anchors, src_space, tgt_space, lexicon) -> None:
+    """run_experiment, then write every report file and map into out."""
     report = analysis.run_experiment(
         anchors,
         args.s,
@@ -253,18 +249,31 @@ def _cmd_experiment(args, out: Path) -> None:
         lam=args.lam,
         eval_k=args.k,
         min_train=args.min_train,
-        split_method=args.split_method,
+        split_method=getattr(args, "split_method", "random"),  # diagnose has no --split-method
     )
-    _write_report(report, out)
-    print(analysis.report_to_tsv(report), end="")
+    tsv = analysis.report_to_tsv(report)
+    for name, text in [("report.tsv", tsv),
+                       ("report.jsonl", analysis.report_to_records(report)),
+                       ("scatter.tsv", analysis.report_scatter_tsv(report)),
+                       ("pairwise.tsv", analysis.pairwise_to_tsv(report))]:
+        (out / name).write_text(text, encoding="utf-8")
+    maps_dir = out / "maps"
+    maps_dir.mkdir(exist_ok=True)
+    # an earlier run into the same --out must not leave its maps beside these
+    for stale in [*maps_dir.glob("local_*.txt"), maps_dir / "global.txt"]:
+        stale.unlink(missing_ok=True)
+    for anchor, fitted in report.local_maps.items():
+        save_map(fitted, maps_dir / f"local_{_safe_name(anchor)}.txt")
+    if report.global_map is not None:
+        save_map(report.global_map, maps_dir / "global.txt")
+    print(tsv, end="")
 
 
 def _cmd_translate(args, out: Path) -> None:
     if (args.map_path is None) == (args.atlas is None):
         raise ValueError("pass exactly one of --map or --atlas")
     # maps load first: a bad path fails before the slow .vec loads
-    fitted = load_map(args.map_path) if args.map_path else None
-    atlas = load_atlas(args.atlas) if args.atlas else None
+    atlas = load_atlas(args.atlas) if args.atlas else MapAtlas((), fallback=load_map(args.map_path))
     src_space, tgt_space = _load_spaces(args)
     if args.words:
         words = _comma_list(args.words)
@@ -275,13 +284,9 @@ def _cmd_translate(args, out: Path) -> None:
 
     lines = ["source\tmap\trank\ttarget\tscore"]
     for word in words:
-        if fitted is not None:
-            ranking = translate_topk(fitted, src_space.vector(word), tgt_space, args.k)
-            label = fitted.anchor
-        else:
-            ranking, label = piecewise_translate(
-                atlas, word, src_space, tgt_space, args.k, floor=args.floor
-            )
+        ranking, label = piecewise_translate(
+            atlas, word, src_space, tgt_space, args.k, floor=args.floor
+        )
         for rank, (target, score) in enumerate(ranking, 1):
             lines.append(f"{word}\t{label}\t{rank}\t{target}\t{score:.6f}")
     (out / "translations.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -297,26 +302,6 @@ def _cmd_synth(args, out: Path) -> None:
     )
     synth.export_world(world, out)
     print(f"wrote {args.kind} world (n={args.n}, d={args.d}) to {out}")
-
-
-def _cmd_diagnose(args, out: Path) -> None:
-    anchors = _distinct_file_names(_comma_list(args.anchors)) if args.anchors else None
-    world = synth.load_world(args.world)
-    report = synth.locality_diagnostic(
-        world,
-        anchors or synth.default_anchor_words(world),
-        args.s,
-        args.trainer,
-        _train_config(args),
-        test_size=args.test_size,
-        seed=args.seed,
-        eval_k=args.k,
-        min_train=args.min_train,
-        lam=args.lam,
-    )
-    _write_report(report, out)
-    (out / "pairwise.tsv").write_text(synth.pairwise_to_tsv(report), encoding="utf-8")
-    print(analysis.report_to_tsv(report), end="")
 
 
 _COMMANDS = {

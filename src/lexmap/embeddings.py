@@ -27,6 +27,7 @@ class LoadStats:
     malformed: int = 0
     duplicates: int = 0
     zero_dropped: int = 0
+    norm_overflow: int = 0  # finite rows kept by a raw load whose norm is inf
 
 
 class EmbeddingSpace:
@@ -42,7 +43,6 @@ class EmbeddingSpace:
 
     def __init__(
         self,
-        language_tag: str,
         words: list[str] | tuple[str, ...],
         vectors: np.ndarray,
         normalized: bool = False,
@@ -63,7 +63,6 @@ class EmbeddingSpace:
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
         norms.flags.writeable = False
 
-        self.language_tag = language_tag
         self.words: tuple[str, ...] = tuple(words)
         self.vectors = vectors
         self.vectors.flags.writeable = False
@@ -94,15 +93,16 @@ def load_embeddings(
     limit: int | None = None,
     normalize: bool = True,
 ) -> EmbeddingSpace:
-    """Load a ``.vec`` file into an EmbeddingSpace tagged with the file stem.
+    """Load a ``.vec`` file into an EmbeddingSpace.
 
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
     count, a non-finite entry or, when normalizing, an overflowing norm are
-    skipped as malformed; zero vectors are dropped when normalizing. All are
-    counted in the space's ``stats`` rather than aborting the load (published
-    .vec files contain occasional tokens with embedded spaces).
+    skipped as malformed; zero vectors are dropped when normalizing; a raw
+    load keeps a finite row whose norm overflows. All are counted in the
+    space's ``stats`` rather than aborting the load (published .vec files
+    contain occasional tokens with embedded spaces).
 
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
@@ -173,6 +173,8 @@ def load_embeddings(
                 words.append(token)
                 keep.append(j)
             kept = block[keep]
+            # only a raw load keeps a row whose squared norm overflows
+            stats.norm_overflow += int(np.isinf(norms[keep]).sum())
             if normalize:
                 kept /= norms[keep][:, None]
             blocks.append(kept)
@@ -183,7 +185,7 @@ def load_embeddings(
             f"{stats.zero_dropped} zero vectors"
         )
     vectors = np.concatenate(blocks) if blocks else np.empty((0, dim))
-    return EmbeddingSpace(path.stem, words, vectors, normalized=normalize, stats=stats)
+    return EmbeddingSpace(words, vectors, normalized=normalize, stats=stats)
 
 
 def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.ndarray | None:

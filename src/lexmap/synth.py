@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ExperimentReport, matrix_cosine, run_experiment
+from .analysis import ExperimentReport, run_experiment
 from .embeddings import EmbeddingSpace, cosine_similarity, load_embeddings, write_embeddings
 from .lexicon import BilingualLexicon, load_lexicon
 from .mapper import TrainConfig
@@ -163,8 +163,8 @@ def generate_nonlinear_world(
     width = max(5, len(str(n - 1)))
     src_words = [f"w{i:0{width}d}" for i in range(n)]
     tgt_words = [f"v{i:0{width}d}" for i in range(n)]
-    src_space = EmbeddingSpace("synth-src", src_words, X, normalized=True)
-    tgt_space = EmbeddingSpace("synth-tgt", tgt_words, Y)
+    src_space = EmbeddingSpace(src_words, X, normalized=True)
+    tgt_space = EmbeddingSpace(tgt_words, Y)
     lexicon = BilingualLexicon({sw: [tw] for sw, tw in zip(src_words, tgt_words)}, line_count=n)
 
     gt = GroundTruth(
@@ -235,13 +235,12 @@ def locality_diagnostic(
     min_train: int = 50,
     lam: float = 0.0,
 ) -> ExperimentReport:
-    """Full experiment on a synthetic world plus pairwise map similarities.
+    """run_experiment on the world's spaces and lexicon; seed defaults to config's.
 
-    Beyond the per-anchor report rows, records (anchor cosine, map cosine)
-    for every pair of usable anchors so the similarity-vs-distance trend
-    can be tested directly against the known generating map.
+    The report's pairwise map similarities test the similarity-vs-distance
+    trend directly against the known generating map.
     """
-    report = run_experiment(
+    return run_experiment(
         anchors,
         s,
         world.src_space,
@@ -255,28 +254,6 @@ def locality_diagnostic(
         eval_k=eval_k,
         min_train=min_train,
     )
-    usable = [row.anchor_word for row in report.rows]
-    pairwise = []
-    for i, a in enumerate(usable):
-        for b in usable[i + 1 :]:
-            pairwise.append(
-                (
-                    a,
-                    b,
-                    cosine_similarity(world.src_space.vector(a), world.src_space.vector(b)),
-                    matrix_cosine(report.local_maps[a].matrix, report.local_maps[b].matrix),
-                )
-            )
-    report.pairwise_map_cosines = pairwise
-    return report
-
-
-def pairwise_to_tsv(report: ExperimentReport) -> str:
-    """Pairwise (anchor cosine, map cosine) rows for trend plotting."""
-    lines = ["anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"]
-    for a, b, ac, mc in report.pairwise_map_cosines or []:
-        lines.append(f"{a}\t{b}\t{ac!r}\t{mc!r}")
-    return "\n".join(lines) + "\n"
 
 
 def export_world(world: SyntheticWorld, directory: str | Path) -> None:
@@ -323,7 +300,7 @@ def load_world(directory: str | Path) -> SyntheticWorld:
         desc = json.load(fh)
 
     src = load_embeddings(directory / "src.vec", normalize=False)
-    src_space = EmbeddingSpace(src.language_tag, src.words, src.vectors, normalized=True)
+    src_space = EmbeddingSpace(src.words, src.vectors, normalized=True)
     tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
     lexicon = load_lexicon(directory / "lexicon.txt")
 

@@ -55,7 +55,7 @@ class MapAtlas:
                 f"atlas anchor vectors have dimension {vectors.shape[1]}, "
                 f"but the maps' d_src is {d_src}"
             )
-        anchors = EmbeddingSpace("atlas", words, vectors)
+        anchors = EmbeddingSpace(words, vectors)
         # a zero row has an inf norm, a non-finite row an inf or NaN one
         for word, norm in zip(words, anchors.row_norms):
             if not np.isfinite(norm):
@@ -81,10 +81,10 @@ def select_entry(
 ) -> tuple[LinearMap, str]:
     """Pick the map whose anchor is nearest the query by cosine.
 
-    Ties keep the earliest atlas entry. The fallback map is used when the
-    atlas is empty or the best anchor cosine is below the floor; without a
-    fallback the best anchor is used regardless, so dispatch always
-    succeeds on a non-empty atlas.
+    Ties keep the earliest atlas entry. The fallback map, labelled with its
+    anchor, is used when the atlas is empty or the best anchor cosine is
+    below the floor; without a fallback the best anchor is used regardless,
+    so dispatch always succeeds on a non-empty atlas.
     """
     if atlas.entries:
         scores = cosines_to_all(atlas.anchors, src_vector)
@@ -94,7 +94,7 @@ def select_entry(
             return entry.linear_map, entry.anchor_word
     elif atlas.fallback is None:
         raise ValueError("empty atlas with no fallback map")
-    return atlas.fallback, "global"
+    return atlas.fallback, atlas.fallback.anchor
 
 
 def piecewise_translate(

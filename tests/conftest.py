@@ -8,7 +8,6 @@ from lexmap.embeddings import EmbeddingSpace
 def toy_space():
     """Three 2-D words: a=[1,0], b=[0.8,0.6], c=[0,1] (already unit norm)."""
     return EmbeddingSpace(
-        "toy",
         ["a", "b", "c"],
         np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]),
         normalized=True,
@@ -19,7 +18,7 @@ def random_space(rng, n, d, tag="rand"):
     """Unit-normalized random space with distinct tokens."""
     vectors = rng.standard_normal((n, d))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return EmbeddingSpace(tag, [f"{tag}{i}" for i in range(n)], vectors, normalized=True)
+    return EmbeddingSpace([f"{tag}{i}" for i in range(n)], vectors, normalized=True)
 
 
 def write_vec(path, entries, dim=None, header_count=None):

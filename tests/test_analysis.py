@@ -105,13 +105,11 @@ class TestFrobeniusNorm:
 class TestPrecisionAtK:
     def _fixture(self):
         tgt = EmbeddingSpace(
-            "t",
             ["t0", "t1", "t2", "t3"],
             np.array([[1.0, 0.0], [0.0, 1.0], [0.8, 0.6], [-1.0, 0.0]]),
             normalized=True,
         )
         src = EmbeddingSpace(
-            "s",
             ["s0", "s1", "s2"],
             np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]]),
             normalized=True,
@@ -122,7 +120,7 @@ class TestPrecisionAtK:
     def test_identity_on_matched_world_is_100(self):
         rng = np.random.default_rng(6)
         src = random_space(rng, 20, 4, tag="s")
-        tgt = EmbeddingSpace("t", [f"t{i}" for i in range(20)], src.vectors, normalized=True)
+        tgt = EmbeddingSpace([f"t{i}" for i in range(20)], src.vectors, normalized=True)
         lex = BilingualLexicon({f"s{i}": [f"t{i}"] for i in range(20)})
         ds = build_full_dataset(lex, src, tgt)
         assert precision_at_k(LinearMap(np.eye(4)), ds, tgt, 1) == 100.0
@@ -168,7 +166,7 @@ class TestPrecisionAtK:
         ds, tgt = self._fixture()
         # give s2 a reachable second gold; any-gold counts it, first-gold does not
         lex = BilingualLexicon({"s2": ["t3", "t1"]})
-        src = EmbeddingSpace("s", ["s2"], np.array([[0.0, 1.0]]), normalized=True)
+        src = EmbeddingSpace(["s2"], np.array([[0.0, 1.0]]), normalized=True)
         ds2 = build_full_dataset(lex, src, tgt)
         m = LinearMap(np.eye(2))
         assert precision_at_k(m, ds2, tgt, 1) == 100.0

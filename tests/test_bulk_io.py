@@ -54,11 +54,13 @@ def reference_load_embeddings(path, limit=None, normalize=True):
             if not np.isfinite(vec).all():
                 stats.malformed += 1
                 continue
-            if normalize:
-                norm = np.linalg.norm(vec)
-                if not np.isfinite(norm):  # the squared norm overflows
+            norm = np.linalg.norm(vec)
+            if not np.isfinite(norm):  # the squared norm overflows
+                if normalize:
                     stats.malformed += 1
                     continue
+                stats.norm_overflow += 1  # a raw load keeps the row
+            if normalize:
                 if norm == 0.0:
                     stats.zero_dropped += 1
                     continue
@@ -72,7 +74,7 @@ def reference_load_embeddings(path, limit=None, normalize=True):
             f"{stats.zero_dropped} zero vectors"
         )
     vectors = np.vstack(rows) if rows else np.empty((0, dim))
-    return EmbeddingSpace(path.stem, words, vectors, normalized=normalize, stats=stats)
+    return EmbeddingSpace(words, vectors, normalized=normalize, stats=stats)
 
 
 def reference_map_body(lines):
@@ -148,6 +150,7 @@ def vec_files(draw):
 @example(("2 2\na 1 2\nb 1\x1c 2\n", None, False))  # a spelling only numpy reads
 @example(("3 1\n" + "".join(f"w{i} {i}\n" for i in range(300)), 2, True))  # limit inside a chunk
 @example(("2 2\na 1e200 1e200\nb 1 0\n", None, True))  # a norm that overflows
+@example(("3 2\na 1e200 1e200\nb 1 0\nc 1.7e308 1.7e308\n", None, False))  # kept raw
 def test_load_embeddings_matches_per_line_reference(tmp_path_factory, case):
     text, limit, normalize = case
     path = tmp_path_factory.mktemp("vec") / "e.vec"
@@ -244,7 +247,7 @@ def test_map_write_read_round_trip_is_exact(tmp_path_factory, matrix):
 def test_vec_write_read_round_trip_is_exact(tmp_path_factory, matrix):
     words = [f"w{i}" for i in range(len(matrix))]
     path = tmp_path_factory.mktemp("vec") / "e.vec"
-    write_embeddings(EmbeddingSpace("e", words, matrix), path)
+    write_embeddings(EmbeddingSpace(words, matrix), path)
     expected = f"{len(words)} {matrix.shape[1]}\n" + "".join(
         word + " " + " ".join(repr(float(x)) for x in row) + "\n"
         for word, row in zip(words, matrix)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -8,7 +9,9 @@ import numpy as np
 import pytest
 
 import lexmap
+from lexmap.analysis import matrix_cosine
 from lexmap.cli import build_parser, run
+from lexmap.embeddings import cosine_similarity, load_embeddings
 from lexmap.mapper import LinearMap, load_map, save_map
 from lexmap.synth import default_anchor_words, export_world, generate_linear_world, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
@@ -256,6 +259,20 @@ class TestSynthAndDiagnose:
         values = [float(line.split("\t")[3]) for line in pairwise[1:]]
         assert values and min(values) >= 0.95
 
+    def test_experiment_after_diagnose_rewrites_pairwise(self, world_dir, world_anchors, tmp_path):
+        out = tmp_path / "shared"
+        code = run(
+            [
+                "diagnose", "--world", str(world_dir), "--anchors", ",".join(world_anchors[:3]),
+                "--trainer", "lsq", "--lam", "1e-6", "--test-size", "50", "--seed", "3",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        assert run(_experiment_args(world_dir, world_anchors[3:5], out)) == 0
+        pairs = [line.split("\t")[:2] for line in (out / "pairwise.tsv").read_text().splitlines()[1:]]
+        assert pairs == [list(world_anchors[3:5])]
+
 
 class TestExperimentCommand:
     def test_linear_world_report(self, world_dir, world_anchors, tmp_path):
@@ -271,6 +288,23 @@ class TestExperimentCommand:
         for name in ("report.jsonl", "scatter.tsv", "config.json"):
             assert (out / name).is_file()
         assert (out / "maps" / "global.txt").is_file()
+
+    def test_pairwise_tsv_matches_anchor_vectors_and_saved_maps(
+        self, world_dir, world_anchors, tmp_path
+    ):
+        out = tmp_path / "exp"
+        anchors = world_anchors[:3]
+        assert run(_experiment_args(world_dir, anchors, out)) == 0
+        lines = (out / "pairwise.tsv").read_text().splitlines()
+        assert lines[0] == "anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"
+        pairs = [line.split("\t") for line in lines[1:]]
+        assert [(a, b) for a, b, *_ in pairs] == list(itertools.combinations(anchors, 2))
+        src = load_embeddings(world_dir / "src.vec")
+        for a, b, anchor_cos, map_cos in pairs:
+            assert float(anchor_cos) == cosine_similarity(src.vector(a), src.vector(b))
+            maps = [load_map(out / "maps" / f"local_{w}.txt").matrix for w in (a, b)]
+            # a fitted lsq map is Fortran-ordered, a loaded one C-ordered: sums may differ by ulps
+            assert float(map_cos) == pytest.approx(matrix_cosine(*maps), rel=1e-12)
 
     def test_rerun_into_one_out_leaves_only_its_own_maps(self, world_dir, world_anchors, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"
@@ -400,6 +434,26 @@ class TestTrainAndTranslate:
         top1 = {line.split("\t")[0]: line.split("\t")[3] for line in lines[1:] if line.split("\t")[2] == "1"}
         for word in words:
             assert top1[word] == world.lexicon.targets(word)[0]
+
+    def test_translate_with_anchor_map_labels_rows_with_its_anchor(
+        self, world_dir, world_anchors, tmp_path
+    ):
+        train_out, out = tmp_path / "train", tmp_path / "tr"
+        anchor = world_anchors[0]
+        assert run([*_train_args(world_dir, train_out), "--anchor", anchor]) == 0
+        code = run(
+            [
+                "translate",
+                "--src-emb", str(world_dir / "src.vec"),
+                "--tgt-emb", str(world_dir / "tgt.vec"),
+                "--map", str(train_out / "map.txt"),
+                "--words", "w00001,w00002",
+                "--k", "2", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows = [line.split("\t") for line in (out / "translations.tsv").read_text().splitlines()[1:]]
+        assert len(rows) == 4 and {row[1] for row in rows} == {anchor}
 
     def test_translate_with_atlas(self, world_dir, tmp_path):
         world = load_world(world_dir)

@@ -89,13 +89,14 @@ class TestLoadEmbeddings:
     def test_row_whose_norm_overflows(self, tmp_path):
         """Normalizing made such a row zero and aborted the load with "not unit norm"."""
         path = tmp_path / "t.vec"
-        path.write_text("2 2\na 1e200 1e200\nb 1 0\n", encoding="utf-8")
+        path.write_text("3 2\na 1e200 1e200\nb 1 0\nc 1.7e308 1.7e308\n", encoding="utf-8")
         space = load_embeddings(path)
         assert space.words == ("b",)
-        assert space.stats.malformed == 1
+        assert space.stats.malformed == 2 and space.stats.norm_overflow == 0
         raw = load_embeddings(path, normalize=False)  # raw loads keep every finite row
-        assert raw.words == ("a", "b")
-        assert np.array_equal(raw.vectors, [[1e200, 1e200], [1.0, 0.0]])
+        assert raw.words == ("a", "b", "c")
+        assert np.array_equal(raw.vectors, [[1e200, 1e200], [1.0, 0.0], [1.7e308, 1.7e308]])
+        assert raw.stats.malformed == 0 and raw.stats.norm_overflow == 2
 
     def test_body_without_any_loadable_word_rejected(self, tmp_path):
         path = tmp_path / "t.vec"
@@ -177,7 +178,7 @@ class TestCosinesToAll:
         rng = np.random.default_rng(12)
         vectors = rng.standard_normal((40, 7)) * rng.uniform(0.1, 10, size=(40, 1))
         vectors[5] = 0.0
-        space = EmbeddingSpace("raw", [f"w{i}" for i in range(40)], vectors)
+        space = EmbeddingSpace([f"w{i}" for i in range(40)], vectors)
         for _ in range(20):
             query = rng.standard_normal(7)
             norms = np.sqrt(np.vecdot(space.vectors, space.vectors))
@@ -189,7 +190,7 @@ class TestCosinesToAll:
             assert got[5] == 0.0
 
     def test_row_norms_are_read_only(self):
-        raw = EmbeddingSpace("raw", ["a", "b"], np.array([[3.0, 4.0], [0.0, 0.0]]))
+        raw = EmbeddingSpace(["a", "b"], np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert_allclose(raw.row_norms, [5.0, np.inf])
         with pytest.raises(ValueError):
             raw.row_norms[0] = 1.0
@@ -216,7 +217,7 @@ class TestTopK:
 
     def test_tie_break_by_vocab_index(self):
         space = EmbeddingSpace(
-            "t", ["x", "y"], np.array([[1.0, 0.0], [1.0, 0.0]]), normalized=True
+            ["x", "y"], np.array([[1.0, 0.0], [1.0, 0.0]]), normalized=True
         )
         result = top_k_by_cosine(space, np.array([1.0, 0.0]), 2)
         assert [w for w, _ in result] == ["x", "y"]

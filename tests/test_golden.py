@@ -2,7 +2,8 @@
 
 The first is synth -> diagnose --trainer lsq -> translate --atlas; its
 expected bytes and values were recorded before the ranking paths were
-unified behind one top-k kernel. The second is synth -> experiment
+unified behind one top-k kernel, and its pairwise.tsv at commit a46c966,
+before experiment and diagnose came to share one report path. The second is synth -> experiment
 --trainer maxmargin; its expected bytes, values and map digests were
 recorded at commit 7c64b36, before Spearman moved from scipy to numpy and
 before the bulk float parser and writers. The synth digests at the end were
@@ -75,11 +76,22 @@ EXPECTED_TRANSLATIONS_TSV = (
     'w00540\tw00564\t3\tv00543\t0.888975\n'
 )
 
+EXPECTED_PAIRWISE_TSV = (
+    'anchor_a\tanchor_b\tanchor_cosine\tmap_cosine\n'
+    'w00564\tw00470\t0.09224489571920348\t0.9448081964939529\n'
+    'w00564\tw00512\t0.04437305074536806\t0.907275392712934\n'
+    'w00564\tw00559\t-0.6088847962398471\t0.844452501545217\n'
+    'w00470\tw00512\t-0.16751654150235812\t0.932926159033028\n'
+    'w00470\tw00559\t0.032754110800152614\t0.896104920218969\n'
+    'w00512\tw00559\t0.12396956197712786\t0.9380752713171064\n'
+)
+
 
 def run_golden(tmp_path):
-    """Run the pinned scenario; returns (report.tsv, report.jsonl, translations.tsv).
+    """Run the pinned scenario; returns the texts of four of its outputs.
 
-    The atlas holds diagnose's local maps, keyed by their anchors' source
+    They are, in order, report.tsv, report.jsonl, translations.tsv and
+    pairwise.tsv. The atlas holds diagnose's local maps, keyed by their anchors' source
     vectors, with the global map as fallback; the floor sends some words to it.
     """
     world, diag, atlas_dir, trans = (tmp_path / n for n in ("world", "diag", "atlas", "trans"))
@@ -107,7 +119,8 @@ def run_golden(tmp_path):
     ]) == 0
     return tuple(
         path.read_text(encoding="utf-8")
-        for path in (diag / "report.tsv", diag / "report.jsonl", trans / "translations.tsv")
+        for path in (diag / "report.tsv", diag / "report.jsonl", trans / "translations.tsv",
+                     diag / "pairwise.tsv")
     )
 
 
@@ -143,6 +156,10 @@ def test_report_jsonl_values(golden):
 
 def test_translations_tsv_bytes(golden):
     assert golden[2] == EXPECTED_TRANSLATIONS_TSV
+
+
+def test_pairwise_tsv_bytes(golden):
+    assert golden[3] == EXPECTED_PAIRWISE_TSV
 
 
 MM_ANCHORS = ("w00207", "w00084", "w00037", "w00113")

@@ -19,7 +19,6 @@ from conftest import random_space
 @pytest.fixture
 def tgt_space():
     return EmbeddingSpace(
-        "tgt",
         ["alpha", "beta", "gamma"],
         np.array([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]]),
         normalized=True,

@@ -127,9 +127,8 @@ class TestTrainMaxMargin:
         assert precision_at_k(fitted, full, world.tgt_space, 1) == 100.0
 
     def test_single_pair_converges_below_hundredth_of_margin(self):
-        src = EmbeddingSpace("s", ["x"], np.array([[0.0, 1.0]]), normalized=True)
+        src = EmbeddingSpace(["x"], np.array([[0.0, 1.0]]), normalized=True)
         tgt = EmbeddingSpace(
-            "t",
             ["pos", "n1", "n2"],
             np.array([[1.0, 0.0], [0.0, 1.0], [-0.6, 0.8]]),
             normalized=True,
@@ -258,10 +257,10 @@ class TestTrainLeastSquares:
         rng = np.random.default_rng(5)
         # fewer pairs than dimensions makes X X^T rank-deficient
         src = EmbeddingSpace(
-            "s", ["a", "b"], _unit_rows(rng.standard_normal((2, 6))), normalized=True
+            ["a", "b"], _unit_rows(rng.standard_normal((2, 6))), normalized=True
         )
         tgt = EmbeddingSpace(
-            "t", ["ta", "tb"], _unit_rows(rng.standard_normal((2, 6))), normalized=True
+            ["ta", "tb"], _unit_rows(rng.standard_normal((2, 6))), normalized=True
         )
         ds = build_full_dataset(BilingualLexicon({"a": ["ta"], "b": ["tb"]}), src, tgt)
         with pytest.raises(np.linalg.LinAlgError, match="positive lam"):

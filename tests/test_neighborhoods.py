@@ -17,7 +17,6 @@ class TestBuildNeighborhood:
 
     def test_threshold_one_keeps_anchor_and_exact_duplicates(self):
         space = EmbeddingSpace(
-            "t",
             ["a", "dup", "c"],
             np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
             normalized=True,

@@ -59,7 +59,7 @@ def tied_retrieval(draw):
     d = draw(st.integers(1, 4))
     rows = np.array(draw(_int_rows(draw(st.integers(1, 12)), d)), dtype=np.float64).reshape(-1, d)
     assume(np.any(rows, axis=1).all())
-    tgt = EmbeddingSpace("t", [f"t{i}" for i in range(len(rows))], rows)
+    tgt = EmbeddingSpace([f"t{i}" for i in range(len(rows))], rows)
     n_src = draw(st.integers(1, 6))
     sources = np.array(draw(_int_rows(n_src, d)), dtype=np.float64).reshape(-1, d)
     matrix = np.array(draw(_int_rows(d, d)), dtype=np.float64).reshape(d, d)
@@ -168,7 +168,7 @@ def space_with_copied_row(n, d, seed, normalized, copies):
     if normalized:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     vectors[copies[1:]] = vectors[copies[0]]
-    return EmbeddingSpace("t", [f"t{i}" for i in range(n)], vectors, normalized), rng
+    return EmbeddingSpace([f"t{i}" for i in range(n)], vectors, normalized), rng
 
 
 @settings(max_examples=150, deadline=None)
@@ -183,7 +183,7 @@ def test_equal_rows_score_bit_equal_and_rank_by_index(case):
         scores = cosines_to_all(space, query)
         assert len({scores[i].hex() for i in copies}) == 1
         for row, score in zip(space.vectors, scores):
-            alone = EmbeddingSpace("one", ["w"], row[None, :], space.normalized)
+            alone = EmbeddingSpace(["w"], row[None, :], space.normalized)
             assert cosines_to_all(alone, query)[0].hex() == score.hex()
         ranked = [space.index(w) for w, _ in top_k_by_cosine(space, query, len(space))]
         assert [i for i in ranked if i in copies] == copies

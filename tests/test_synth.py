@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lexmap.analysis import precision_at_k, spearman_correlation
+from lexmap.analysis import pairwise_to_tsv, precision_at_k, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
     build_dataset,
@@ -24,7 +24,6 @@ from lexmap.synth import (
     load_world,
     local_map_at,
     locality_diagnostic,
-    pairwise_to_tsv,
     rotation_matrix,
 )
 from lexmap.translate import translate_topk
