@@ -27,13 +27,8 @@ from .mapper import (
     train_max_margin,
 )
 from .neighborhoods import Neighborhood, build_neighborhood, growth_profile
-from .synth import (
-    SyntheticWorld,
-    generate_linear_world,
-    generate_nonlinear_world,
-    locality_diagnostic,
-)
-from .translate import MapAtlas, piecewise_translate, translate_topk
+from .synth import SyntheticWorld, generate_linear_world, generate_nonlinear_world
+from .translate import MapAtlas, piecewise_translate
 
 __version__ = "0.1.0"
 
@@ -58,7 +53,6 @@ __all__ = [
     "hinge_loss",
     "load_embeddings",
     "load_lexicon",
-    "locality_diagnostic",
     "matrix_cosine",
     "orthogonality_penalty",
     "pearson_correlation",
@@ -70,5 +64,4 @@ __all__ = [
     "top_k_by_cosine",
     "train_least_squares",
     "train_max_margin",
-    "translate_topk",
 ]

@@ -71,22 +71,19 @@ def precision_at_k(
     test: TranslationDataset,
     tgt_space: EmbeddingSpace,
     k: int,
-    single_reference: bool = False,
 ) -> float:
     """Percentage of test items with a gold target in the cosine top-k.
 
     Retrieval ranks the full target vocabulary with the same scores and
-    tie-break (ascending vocabulary index) as translate_topk. A hit is any
-    gold target in the top-k; single_reference restricts the gold set to
-    its first entry.
+    tie-break (ascending vocabulary index) as top_k_by_cosine. A hit is any
+    gold target in the top-k.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
     hits = 0
     for inst in test.instances:
         top = top_k_indices(cosines_to_all(tgt_space, m.apply(inst.source_vector)), k)
-        golds = inst.gold_targets[:1] if single_reference else inst.gold_targets
-        hits += any(tgt_space.index(gold) in top for gold in golds)
+        hits += any(tgt_space.index(gold) in top for gold in inst.gold_targets)
     return 100.0 * hits / len(test)
 
 
@@ -173,7 +170,7 @@ def run_experiment(
     tgt_space: EmbeddingSpace,
     lexicon: BilingualLexicon,
     train_config: TrainConfig,
-    test_sizes: int | list[int],
+    test_size: int,
     seed: int,
     trainer: str = "max_margin",
     lam: float = 0.0,
@@ -196,15 +193,11 @@ def run_experiment(
         raise ValueError("anchors list is empty")
     if len(set(anchors)) != len(anchors):
         raise ValueError("anchor words must be unique")
-    if isinstance(test_sizes, int):
-        test_sizes = [test_sizes] * len(anchors)
-    if len(test_sizes) != len(anchors):
-        raise ValueError(f"need one test size per anchor ({len(anchors)}), got {len(test_sizes)}")
 
     skipped: list[tuple[str, str]] = []
     warnings: list[str] = []
     prepared: dict[str, tuple[TranslationDataset, TranslationDataset]] = {}
-    for anchor, test_size in zip(anchors, test_sizes):
+    for anchor in anchors:
         nb = build_neighborhood(src_space, anchor, s)
         try:
             ds = build_dataset(nb, lexicon, src_space, tgt_space)

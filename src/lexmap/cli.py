@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, synth
 from .embeddings import EmbeddingSpace, load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
-from .mapper import TrainConfig, get_trainer, load_map, save_map
+from .mapper import _INITS, TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
 from .translate import MapAtlas, load_atlas, piecewise_translate
 
@@ -48,7 +48,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--lr", type=float, default=0.1)
     parser.add_argument("--lr-decay", type=float, default=0.99)
-    parser.add_argument("--init", choices=["identity", "zeros", "scaled-random"], default="identity")
+    parser.add_argument("--init", choices=_INITS, default="identity")
     parser.add_argument("--ortho-weight", type=float, default=0.0)
     parser.add_argument("--lam", type=float, default=0.0, help="ridge weight for --trainer lsq")
 
@@ -243,7 +243,7 @@ def _run_report(args, out: Path, anchors, src_space, tgt_space, lexicon) -> None
         tgt_space,
         lexicon,
         _train_config(args),
-        test_sizes=args.test_size,
+        test_size=args.test_size,
         seed=args.seed,
         trainer=args.trainer,
         lam=args.lam,

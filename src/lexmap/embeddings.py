@@ -262,26 +262,13 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
-def top_k_by_cosine(
-    space: EmbeddingSpace,
-    query: np.ndarray,
-    k: int,
-    exclude: set[str] | None = None,
-) -> list[tuple[str, float]]:
+def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """The k highest-cosine words for a query, ties broken by vocabulary index.
 
-    Words in ``exclude`` are skipped. If fewer than k candidates remain, all
-    of them are returned.
+    A space of fewer than k words gives all of them.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    exclude = exclude or set()
     scores = cosines_to_all(space, query)
-    # k + len(exclude) ranked words hold at least k that are not excluded
-    ranked = top_k_indices(scores, k + len(exclude))
-    return [
-        (space.words[i], float(scores[i])) for i in ranked if space.words[i] not in exclude
-    ][:k]
+    return [(space.words[i], float(scores[i])) for i in top_k_indices(scores, k)]
 
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:

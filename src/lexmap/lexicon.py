@@ -48,14 +48,13 @@ class Instance:
 
 @dataclass(frozen=True)
 class TranslationDataset:
-    """Paired instances with a role (full / train / test) and provenance.
+    """Paired instances and their provenance.
 
     Provenance names the originating neighborhood as "anchor@s" or is
     "global" for merged data. Source words are unique within a dataset.
     """
 
     instances: tuple[Instance, ...]
-    role: str = "full"
     provenance: str = "global"
     drop_stats: dict = field(default_factory=dict, compare=False)
 
@@ -117,6 +116,33 @@ def load_lexicon(path: str | Path) -> BilingualLexicon:
     return BilingualLexicon(pairs, line_count=lines, dedup_count=dedup, skipped_count=skipped)
 
 
+def _pair(
+    words: list[str],
+    lexicon: BilingualLexicon,
+    src_space: EmbeddingSpace,
+    tgt_space: EmbeddingSpace,
+) -> tuple[list[Instance], int, int]:
+    """Instances of the words that have an in-vocabulary gold target, in word order.
+
+    Gold sets are filtered to in-vocabulary targets, preserving lexicon
+    order (the first surviving target is the training target downstream).
+    Also returns how many words were dropped for having no lexicon entry
+    and for having no gold target in the target space.
+    """
+    instances: list[Instance] = []
+    no_lexicon = no_target = 0
+    for word in words:
+        targets = lexicon.targets(word)
+        in_vocab = tuple(t for t in targets if t in tgt_space)
+        if in_vocab:
+            instances.append(Instance(word, src_space.vector(word), in_vocab))
+        elif targets:
+            no_target += 1
+        else:
+            no_lexicon += 1
+    return instances, no_lexicon, no_target
+
+
 def build_dataset(
     neighborhood: Neighborhood,
     lexicon: BilingualLexicon,
@@ -126,29 +152,16 @@ def build_dataset(
     """Pair neighborhood members with their in-vocabulary gold targets.
 
     Members missing from the lexicon, or whose every gold target is absent
-    from the target space, are dropped and counted. Gold sets are filtered
-    to in-vocabulary targets, preserving lexicon order (the first surviving
-    target is the training target downstream).
+    from the target space, are dropped and counted in ``drop_stats``.
     """
-    instances: list[Instance] = []
-    dropped_no_lexicon = 0
-    dropped_no_target = 0
-    for word, _ in neighborhood.members:
-        targets = lexicon.targets(word)
-        if not targets:
-            dropped_no_lexicon += 1
-            continue
-        in_vocab = tuple(t for t in targets if t in tgt_space)
-        if not in_vocab:
-            dropped_no_target += 1
-            continue
-        instances.append(Instance(word, src_space.vector(word), in_vocab))
-
+    instances, no_lexicon, no_target = _pair(
+        neighborhood.member_words(), lexicon, src_space, tgt_space
+    )
     stats = {
         "members": len(neighborhood),
         "kept": len(instances),
-        "dropped_no_lexicon": dropped_no_lexicon,
-        "dropped_no_target": dropped_no_target,
+        "dropped_no_lexicon": no_lexicon,
+        "dropped_no_target": no_target,
     }
     if not instances:
         raise ValueError(
@@ -156,7 +169,7 @@ def build_dataset(
             f"(s={neighborhood.threshold_s}): {stats}"
         )
     provenance = f"{neighborhood.anchor_word}@{neighborhood.threshold_s}"
-    return TranslationDataset(tuple(instances), role="full", provenance=provenance, drop_stats=stats)
+    return TranslationDataset(tuple(instances), provenance=provenance, drop_stats=stats)
 
 
 def build_full_dataset(
@@ -165,17 +178,11 @@ def build_full_dataset(
     tgt_space: EmbeddingSpace,
 ) -> TranslationDataset:
     """Pair every lexicon entry covered by both spaces (no neighborhood)."""
-    instances: list[Instance] = []
-    for src, targets in lexicon.pairs.items():
-        if src not in src_space:
-            continue
-        in_vocab = tuple(t for t in targets if t in tgt_space)
-        if not in_vocab:
-            continue
-        instances.append(Instance(src, src_space.vector(src), in_vocab))
+    covered = [src for src in lexicon.pairs if src in src_space]
+    instances = _pair(covered, lexicon, src_space, tgt_space)[0]
     if not instances:
         raise ValueError("no lexicon pair is covered by both embedding spaces")
-    return TranslationDataset(tuple(instances), role="full", provenance="global")
+    return TranslationDataset(tuple(instances), provenance="global")
 
 
 def split_dataset(
@@ -205,8 +212,8 @@ def split_dataset(
     train = tuple(inst for i, inst in enumerate(ds.instances) if i not in test_idx)
     test = tuple(inst for i, inst in enumerate(ds.instances) if i in test_idx)
     return (
-        TranslationDataset(train, role="train", provenance=ds.provenance),
-        TranslationDataset(test, role="test", provenance=ds.provenance),
+        TranslationDataset(train, provenance=ds.provenance),
+        TranslationDataset(test, provenance=ds.provenance),
     )
 
 
@@ -238,10 +245,5 @@ def union_train_datasets(
     if not merged:
         raise ValueError("global training union is empty after exclusions")
     stats = {"kept": len(merged), "excluded_test_words": excluded}
-    return TranslationDataset(tuple(merged), role="train", provenance="global", drop_stats=stats)
+    return TranslationDataset(tuple(merged), provenance="global", drop_stats=stats)
 
-
-def dataset_to_tsv(ds: TranslationDataset) -> str:
-    """Audit export: source word and gold targets joined by '|'."""
-    lines = [f"{inst.source_word}\t{'|'.join(inst.gold_targets)}" for inst in ds.instances]
-    return "\n".join(lines) + "\n"

@@ -35,7 +35,9 @@ class LinearMap:
     loss_history: tuple[float, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        matrix = np.asarray(self.matrix, dtype=np.float64)
+        # C order, as load_map gives: matrix_cosine then sums a fitted map and
+        # its saved copy in one order, bit for bit
+        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise ValueError("map matrix must be 2-D")
         if not np.all(np.isfinite(matrix)):
@@ -374,9 +376,12 @@ def load_map(path: str | Path) -> LinearMap:
 
     trainer = meta.pop("trainer", "unspecified")
     anchor = meta.pop("anchor", "global")
-    train_size = int(meta.pop("train_size", "0"))
-    final_loss_raw = meta.pop("final_loss", None)
-    final_loss = float(final_loss_raw) if final_loss_raw is not None else None
+    try:
+        train_size = int(meta.pop("train_size", "0"))
+        final_loss_raw = meta.pop("final_loss", None)
+        final_loss = float(final_loss_raw) if final_loss_raw is not None else None
+    except ValueError as exc:
+        raise ValueError(f"bad map metadata in {path}: {exc}") from None
     return LinearMap(
         matrix,
         trainer=trainer,

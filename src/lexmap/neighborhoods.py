@@ -21,7 +21,6 @@ class Neighborhood:
     """Anchor word, threshold, and members sorted by descending cosine."""
 
     anchor_word: str
-    anchor_vector: np.ndarray
     threshold_s: float
     members: tuple[tuple[str, float], ...]
 
@@ -55,7 +54,7 @@ def build_neighborhood(space: EmbeddingSpace, anchor: str, s: float) -> Neighbor
     idx = np.flatnonzero(keep)
     idx = idx[top_k_indices(cos[idx], len(idx))]
     members = tuple((space.words[i], float(cos[i])) for i in idx)
-    return Neighborhood(anchor, space.vectors[anchor_idx], float(s), members)
+    return Neighborhood(anchor, float(s), members)
 
 
 def growth_profile(

@@ -30,10 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import ExperimentReport, run_experiment
 from .embeddings import EmbeddingSpace, cosine_similarity, load_embeddings, write_embeddings
 from .lexicon import BilingualLexicon, load_lexicon
-from .mapper import TrainConfig
 from .seeds import spawn_rng
 
 CENTER_SPREAD = 0.8  # largest |axis coordinate| of a cluster center
@@ -221,39 +219,6 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
         if label not in best or score > best[label][0]:
             best[label] = (score, word)
     return [best[label][1] for label in sorted(best)]
-
-
-def locality_diagnostic(
-    world: SyntheticWorld,
-    anchors: list[str],
-    s: float,
-    trainer: str,
-    config: TrainConfig,
-    test_size: int = 100,
-    seed: int | None = None,
-    eval_k: int = 10,
-    min_train: int = 50,
-    lam: float = 0.0,
-) -> ExperimentReport:
-    """run_experiment on the world's spaces and lexicon; seed defaults to config's.
-
-    The report's pairwise map similarities test the similarity-vs-distance
-    trend directly against the known generating map.
-    """
-    return run_experiment(
-        anchors,
-        s,
-        world.src_space,
-        world.tgt_space,
-        world.lexicon,
-        config,
-        test_sizes=test_size,
-        seed=config.seed if seed is None else seed,
-        trainer=trainer,
-        lam=lam,
-        eval_k=eval_k,
-        min_train=min_train,
-    )
 
 
 def export_world(world: SyntheticWorld, directory: str | Path) -> None:

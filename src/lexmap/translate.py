@@ -66,16 +66,6 @@ class MapAtlas:
         return len(self.entries)
 
 
-def translate_topk(
-    m: LinearMap,
-    src_vector: np.ndarray,
-    tgt_space: EmbeddingSpace,
-    k: int,
-) -> list[tuple[str, float]]:
-    """Top-k target words by cosine to the mapped source vector."""
-    return top_k_by_cosine(tgt_space, m.apply(src_vector), k)
-
-
 def select_entry(
     atlas: MapAtlas, src_vector: np.ndarray, floor: float = 0.0
 ) -> tuple[LinearMap, str]:
@@ -108,7 +98,7 @@ def piecewise_translate(
     """Translate through the nearest-anchor map; returns (ranking, anchor used)."""
     src_vector = src_space.vector(src_word)
     chosen, label = select_entry(atlas, src_vector, floor=floor)
-    return translate_topk(chosen, src_vector, tgt_space, k), label
+    return top_k_by_cosine(tgt_space, chosen.apply(src_vector), k), label
 
 
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:

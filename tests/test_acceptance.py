@@ -33,12 +33,7 @@ from lexmap.mapper import (
     train_max_margin,
 )
 from lexmap.neighborhoods import build_neighborhood
-from lexmap.synth import (
-    default_anchor_words,
-    generate_linear_world,
-    generate_nonlinear_world,
-    locality_diagnostic,
-)
+from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
 
 from conftest import random_space
 
@@ -175,18 +170,18 @@ def test_criterion_4_locality_discrimination():
     nonlinear_rhos = []
     for seed in range(10):
         linear = generate_linear_world(3000, 20, seed=seed, cluster_std=0.2)
-        report = locality_diagnostic(
-            linear, default_anchor_words(linear), 0.5, "least_squares",
-            config, test_size=100, seed=seed, lam=1e-6,
+        report = run_experiment(
+            default_anchor_words(linear), 0.5, linear.src_space, linear.tgt_space,
+            linear.lexicon, config, test_size=100, seed=seed, trainer="least_squares", lam=1e-6,
         )
         linear_mins.append(min(mc for *_, mc in report.pairwise_map_cosines))
 
         rotating = generate_nonlinear_world(
             3000, 20, seed=seed, variation_strength=2.0, cluster_std=0.2
         )
-        report = locality_diagnostic(
-            rotating, default_anchor_words(rotating), 0.5, "least_squares",
-            config, test_size=100, seed=seed, lam=1e-6,
+        report = run_experiment(
+            default_anchor_words(rotating), 0.5, rotating.src_space, rotating.tgt_space,
+            rotating.lexicon, config, test_size=100, seed=seed, trainer="least_squares", lam=1e-6,
         )
         nonlinear_mins.append(min(mc for *_, mc in report.pairwise_map_cosines))
         nonlinear_rhos.append(
@@ -219,7 +214,7 @@ def test_criterion_5_self_row_invariants():
     anchors = default_anchor_words(world)[:3]
     report = run_experiment(
         anchors, 0.5, world.src_space, world.tgt_space, world.lexicon,
-        TrainConfig(seed=5), test_sizes=80, seed=5,
+        TrainConfig(seed=5), test_size=80, seed=5,
         trainer="least_squares", lam=1e-6,
     )
     row = report.rows[0]
@@ -268,7 +263,7 @@ def test_criterion_7_real_data_trends():
 
     report = run_experiment(
         anchors, 0.5, src, tgt, lexicon, TrainConfig(seed=0, init="zeros"),
-        test_sizes=300, seed=0, trainer="max_margin", eval_k=10,
+        test_size=300, seed=0, trainer="max_margin", eval_k=10,
     )
     for row in report.rows:
         print(

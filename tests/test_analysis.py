@@ -20,6 +20,7 @@ from lexmap.analysis import (
 from lexmap.embeddings import EmbeddingSpace, top_k_by_cosine
 from lexmap.lexicon import BilingualLexicon, build_full_dataset
 from lexmap.mapper import LinearMap, TrainConfig
+from lexmap.neighborhoods import build_neighborhood
 from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
 
 from conftest import random_space
@@ -162,16 +163,6 @@ class TestPrecisionAtK:
                 hits += any(g in ranked for g in inst.gold_targets)
             assert precision_at_k(m, ds, tgt, k) == pytest.approx(100.0 * hits / len(ds))
 
-    def test_single_reference_mode(self):
-        ds, tgt = self._fixture()
-        # give s2 a reachable second gold; any-gold counts it, first-gold does not
-        lex = BilingualLexicon({"s2": ["t3", "t1"]})
-        src = EmbeddingSpace(["s2"], np.array([[0.0, 1.0]]), normalized=True)
-        ds2 = build_full_dataset(lex, src, tgt)
-        m = LinearMap(np.eye(2))
-        assert precision_at_k(m, ds2, tgt, 1) == 100.0
-        assert precision_at_k(m, ds2, tgt, 1, single_reference=True) == 0.0
-
     def test_empty_test_set_rejected(self):
         from lexmap.lexicon import TranslationDataset
 
@@ -215,12 +206,24 @@ def linear_report():
         world.tgt_space,
         world.lexicon,
         TrainConfig(seed=5),
-        test_sizes=80,
+        test_size=80,
         seed=5,
         trainer="least_squares",
         lam=1e-6,
     )
     return world, report
+
+
+def _lexicon_starving(world, reference, anchor):
+    """The world's lexicon without the words only ``anchor``'s neighborhood holds.
+
+    ``anchor`` then pairs only the neighbors it shares with ``reference``:
+    fewer than a test split of 80, while ``reference`` keeps all of its pairs.
+    """
+    kept, starved = (set(build_neighborhood(world.src_space, a, 0.5).member_words())
+                     for a in (reference, anchor))
+    assert len(starved & kept) < 80
+    return BilingualLexicon({w: t for w, t in world.lexicon.pairs.items() if w not in starved - kept})
 
 
 class TestRunExperiment:
@@ -261,7 +264,7 @@ class TestRunExperiment:
             world.tgt_space,
             world.lexicon,
             TrainConfig(seed=6),
-            test_sizes=80,
+            test_size=80,
             seed=6,
             trainer="least_squares",
             lam=1e-6,
@@ -279,29 +282,30 @@ class TestRunExperiment:
             0.5,
             world.src_space,
             world.tgt_space,
-            world.lexicon,
+            _lexicon_starving(world, *anchors),
             TrainConfig(seed=5),
-            test_sizes=[80, 10_000],
+            test_size=80,
             seed=5,
             trainer="least_squares",
             lam=1e-6,
         )
         assert len(report.rows) == 1
         assert report.skipped and report.skipped[0][0] == anchors[1]
+        assert report.skipped[0][1].endswith("usable pairs cannot supply a test split of 80")
         assert any("correlation omitted" in w for w in report.warnings)
 
     def test_unusable_reference_is_fatal(self, linear_report):
         world, _ = linear_report
-        anchors = default_anchor_words(world)[:2]
-        with pytest.raises(ValueError, match="reference"):
+        first, second = default_anchor_words(world)[:2]
+        with pytest.raises(ValueError, match="reference .* cannot supply a test split of 80"):
             run_experiment(
-                anchors,
+                [second, first],
                 0.5,
                 world.src_space,
                 world.tgt_space,
-                world.lexicon,
+                _lexicon_starving(world, first, second),
                 TrainConfig(seed=5),
-                test_sizes=[10_000, 80],
+                test_size=80,
                 seed=5,
                 trainer="least_squares",
             )
@@ -312,7 +316,7 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="unique"):
             run_experiment(
                 [a, a], 0.5, world.src_space, world.tgt_space, world.lexicon,
-                TrainConfig(seed=5), test_sizes=80, seed=5,
+                TrainConfig(seed=5), test_size=80, seed=5,
             )
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import lexmap
-from lexmap.analysis import matrix_cosine
+from lexmap.analysis import frobenius_norm, matrix_cosine
 from lexmap.cli import build_parser, run
 from lexmap.embeddings import cosine_similarity, load_embeddings
 from lexmap.mapper import LinearMap, load_map, save_map
@@ -239,6 +239,23 @@ class TestNeighborhoodCommand:
         assert (out / "config.json").is_file()
 
 
+def _assert_cosines_equal_saved_maps(out, src, anchors):
+    """pairwise.tsv and report.jsonl hold the cosines and norms of the saved maps, bit for bit."""
+    lines = (out / "pairwise.tsv").read_text().splitlines()
+    assert lines[0] == "anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"
+    pairs = [line.split("\t") for line in lines[1:]]
+    assert [(a, b) for a, b, *_ in pairs] == list(itertools.combinations(anchors, 2))
+    maps = {a: load_map(out / "maps" / f"local_{a}.txt").matrix for a in anchors}
+    for a, b, anchor_cos, map_cos in pairs:
+        assert float(anchor_cos) == cosine_similarity(src.vector(a), src.vector(b))
+        assert float(map_cos) == matrix_cosine(maps[a], maps[b])
+    rows = [json.loads(line) for line in (out / "report.jsonl").read_text().splitlines()[:-1]]
+    assert [row["anchor_word"] for row in rows] == anchors
+    for row in rows:
+        assert row["map_cosine"] == matrix_cosine(maps[anchors[0]], maps[row["anchor_word"]])
+        assert row["map_norm"] == frobenius_norm(maps[row["anchor_word"]])
+
+
 class TestSynthAndDiagnose:
     def test_synth_outputs(self, world_dir):
         for name in ("src.vec", "tgt.vec", "lexicon.txt", "world.json", "config.json"):
@@ -258,6 +275,15 @@ class TestSynthAndDiagnose:
         assert pairwise[0] == "anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"
         values = [float(line.split("\t")[3]) for line in pairwise[1:]]
         assert values and min(values) >= 0.95
+
+    def test_diagnose_lsq_cosines_equal_saved_maps(self, world_dir, world_anchors, tmp_path):
+        """Fitted lsq maps are C-ordered like loaded ones, so cosines agree bit for bit."""
+        out = tmp_path / "diag"
+        assert run([
+            "diagnose", "--world", str(world_dir), "--trainer", "lsq", "--lam", "1e-6",
+            "--test-size", "50", "--seed", "3", "--out", str(out),
+        ]) == 0
+        _assert_cosines_equal_saved_maps(out, load_world(world_dir).src_space, world_anchors)
 
     def test_experiment_after_diagnose_rewrites_pairwise(self, world_dir, world_anchors, tmp_path):
         out = tmp_path / "shared"
@@ -295,16 +321,7 @@ class TestExperimentCommand:
         out = tmp_path / "exp"
         anchors = world_anchors[:3]
         assert run(_experiment_args(world_dir, anchors, out)) == 0
-        lines = (out / "pairwise.tsv").read_text().splitlines()
-        assert lines[0] == "anchor_a\tanchor_b\tanchor_cosine\tmap_cosine"
-        pairs = [line.split("\t") for line in lines[1:]]
-        assert [(a, b) for a, b, *_ in pairs] == list(itertools.combinations(anchors, 2))
-        src = load_embeddings(world_dir / "src.vec")
-        for a, b, anchor_cos, map_cos in pairs:
-            assert float(anchor_cos) == cosine_similarity(src.vector(a), src.vector(b))
-            maps = [load_map(out / "maps" / f"local_{w}.txt").matrix for w in (a, b)]
-            # a fitted lsq map is Fortran-ordered, a loaded one C-ordered: sums may differ by ulps
-            assert float(map_cos) == pytest.approx(matrix_cosine(*maps), rel=1e-12)
+        _assert_cosines_equal_saved_maps(out, load_embeddings(world_dir / "src.vec"), anchors)
 
     def test_rerun_into_one_out_leaves_only_its_own_maps(self, world_dir, world_anchors, tmp_path):
         shared, fresh = tmp_path / "shared", tmp_path / "fresh"

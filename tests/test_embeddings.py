@@ -225,10 +225,6 @@ class TestTopK:
     def test_k_larger_than_vocab_returns_all(self, toy_space):
         assert len(top_k_by_cosine(toy_space, np.array([1.0, 0.0]), 100)) == 3
 
-    def test_exclude(self, toy_space):
-        result = top_k_by_cosine(toy_space, toy_space.vector("a"), 1, exclude={"a"})
-        assert result[0][0] == "b"
-
     def test_full_k_is_sorted_permutation(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

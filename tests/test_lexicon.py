@@ -6,7 +6,6 @@ from lexmap.lexicon import (
     BilingualLexicon,
     build_dataset,
     build_full_dataset,
-    dataset_to_tsv,
     load_lexicon,
     split_dataset,
     union_train_datasets,
@@ -139,10 +138,6 @@ class TestSplitDataset:
         train, test = split_dataset(ds, 3, seed=0, method="frequency")
         assert [i.source_word for i in test.instances] == ["s0", "s1", "s2"]
 
-    def test_roles_assigned(self):
-        train, test = split_dataset(self._dataset(8), 2, seed=5)
-        assert train.role == "train" and test.role == "test"
-
 
 class TestUnionAndExport:
     def test_union_dedups_and_excludes(self):
@@ -166,9 +161,3 @@ class TestUnionAndExport:
         full = build_full_dataset(lex, space, tgt)
         with pytest.raises(ValueError, match="empty"):
             union_train_datasets([full], exclude_words={"s0", "s1", "s2"})
-
-    def test_tsv_export(self, toy_space, tgt_space):
-        lex = BilingualLexicon({"a": ["alpha", "beta"]})
-        nb = build_neighborhood(toy_space, "a", 0.99)
-        ds = build_dataset(nb, lex, toy_space, tgt_space)
-        assert dataset_to_tsv(ds) == "a\talpha|beta\n"

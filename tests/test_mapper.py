@@ -353,6 +353,14 @@ class TestMapSerialization:
         with pytest.raises(ValueError, match=f"bad map header in {re.escape(str(path))}"):
             load_map(path)
 
+    @pytest.mark.parametrize("meta", ["train_size=x", "final_loss=abc"])
+    def test_bad_metadata_named(self, tmp_path, meta):
+        """A non-numeric train_size or final_loss used to fail naming no file."""
+        path = tmp_path / "m.txt"
+        path.write_text(f"2 2\n# {meta}\n1.0 0.0\n0.0 1.0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad map metadata in {re.escape(str(path))}: "):
+            load_map(path)
+
 
 class TestLinearMapType:
     def test_non_finite_entries_rejected(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from lexmap.analysis import pairwise_to_tsv, precision_at_k, spearman_correlation
+from lexmap.analysis import pairwise_to_tsv, precision_at_k, run_experiment, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
     build_dataset,
@@ -23,10 +23,8 @@ from lexmap.synth import (
     generate_nonlinear_world,
     load_world,
     local_map_at,
-    locality_diagnostic,
     rotation_matrix,
 )
-from lexmap.translate import translate_topk
 
 
 class TestGeneration:
@@ -138,8 +136,9 @@ class TestLocalityDiagnostic:
     def test_single_anchor_self_row(self):
         world = generate_linear_world(2500, 16, seed=2, cluster_std=0.2)
         anchor = default_anchor_words(world)[0]
-        report = locality_diagnostic(
-            world, [anchor], 0.5, "least_squares", TrainConfig(seed=2), test_size=60, lam=1e-6
+        report = run_experiment(
+            [anchor], 0.5, world.src_space, world.tgt_space, world.lexicon, TrainConfig(seed=2),
+            test_size=60, seed=2, trainer="least_squares", lam=1e-6,
         )
         assert len(report.rows) == 1
         assert report.rows[0].delta == 0.0
@@ -149,16 +148,18 @@ class TestLocalityDiagnostic:
     def test_linear_world_high_agreement(self):
         world = generate_linear_world(2500, 16, seed=2, cluster_std=0.2)
         anchors = default_anchor_words(world)
-        report = locality_diagnostic(
-            world, anchors, 0.5, "least_squares", TrainConfig(seed=2), test_size=60, lam=1e-6
+        report = run_experiment(
+            anchors, 0.5, world.src_space, world.tgt_space, world.lexicon, TrainConfig(seed=2),
+            test_size=60, seed=2, trainer="least_squares", lam=1e-6,
         )
         assert min(mc for *_, mc in report.pairwise_map_cosines) >= 0.95
 
     def test_rotating_world_trend(self):
         world = generate_nonlinear_world(2500, 16, seed=2, variation_strength=2.0, cluster_std=0.2)
         anchors = default_anchor_words(world)
-        report = locality_diagnostic(
-            world, anchors, 0.5, "least_squares", TrainConfig(seed=2), test_size=60, lam=1e-6
+        report = run_experiment(
+            anchors, 0.5, world.src_space, world.tgt_space, world.lexicon, TrainConfig(seed=2),
+            test_size=60, seed=2, trainer="least_squares", lam=1e-6,
         )
         rows_rho = spearman_correlation(
             [r.anchor_cosine for r in report.rows], [r.map_cosine for r in report.rows]

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from lexmap.embeddings import EmbeddingSpace
+from lexmap.embeddings import EmbeddingSpace, top_k_by_cosine
 from lexmap.mapper import LinearMap
 from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
 from lexmap.translate import (
@@ -14,7 +14,6 @@ from lexmap.translate import (
     piecewise_translate,
     save_atlas,
     select_entry,
-    translate_topk,
 )
 
 from conftest import random_space
@@ -28,7 +27,7 @@ def linear_world():
 class TestTranslateTopK:
     def test_identity_map_self_retrieval(self, toy_space):
         m = LinearMap(np.eye(2))
-        out = translate_topk(m, toy_space.vector("b"), toy_space, 1)
+        out = top_k_by_cosine(toy_space, m.apply(toy_space.vector("b")), 1)
         assert out[0][0] == "b"
 
     def test_oracle_world_gold_first_everywhere(self, linear_world):
@@ -36,20 +35,21 @@ class TestTranslateTopK:
         world = linear_world
         m = LinearMap(world.ground_truth.matrix)
         for src, targets in world.lexicon.pairs.items():
-            out = translate_topk(m, world.src_space.vector(src), world.tgt_space, 1)
+            out = top_k_by_cosine(world.tgt_space, m.apply(world.src_space.vector(src)), 1)
             assert out[0][0] == targets[0]
 
     def test_k1_is_head_of_k10(self, linear_world):
         world = linear_world
         m = LinearMap(world.ground_truth.matrix)
         v = world.src_space.vector("w00005")
-        assert translate_topk(m, v, world.tgt_space, 10)[:1] == translate_topk(
-            m, v, world.tgt_space, 1
+        mapped = m.apply(v)
+        assert top_k_by_cosine(world.tgt_space, mapped, 10)[:1] == top_k_by_cosine(
+            world.tgt_space, mapped, 1
         )
 
     def test_dimension_mismatch(self, toy_space):
         with pytest.raises(ValueError):
-            translate_topk(LinearMap(np.eye(3)), np.ones(2), toy_space, 1)
+            top_k_by_cosine(toy_space, LinearMap(np.eye(3)).apply(np.ones(2)), 1)
 
 
 def _atlas_for(world, anchors, maps=None):
@@ -68,7 +68,7 @@ class TestPiecewiseTranslate:
         for word in list(world.src_space.words)[:20]:
             got, label = piecewise_translate(atlas, word, world.src_space, world.tgt_space, 5)
             assert label == "w00003"
-            assert got == translate_topk(m, world.src_space.vector(word), world.tgt_space, 5)
+            assert got == top_k_by_cosine(world.tgt_space, m.apply(world.src_space.vector(word)), 5)
 
     def test_anchor_word_dispatches_to_own_map(self, linear_world):
         world = linear_world
@@ -113,7 +113,7 @@ class TestPiecewiseTranslate:
         atlas = _atlas_for(world, default_anchor_words(world)[:5], maps=[m] * 5)
         for word in list(world.src_space.words)[:20]:
             got, _ = piecewise_translate(atlas, word, world.src_space, world.tgt_space, 3)
-            assert got == translate_topk(m, world.src_space.vector(word), world.tgt_space, 3)
+            assert got == top_k_by_cosine(world.tgt_space, m.apply(world.src_space.vector(word)), 3)
 
     def test_empty_atlas_without_fallback_errors(self, linear_world):
         world = linear_world
@@ -279,6 +279,19 @@ class TestAtlasPersistence:
         path = tmp_path / "map_0001.txt"
         path.write_text(path.read_text().rsplit("\n", 2)[0] + f"\n{row}\n")
         with pytest.raises(ValueError, match=f"bad map body in {re.escape(str(path))}: "):
+            load_atlas(tmp_path)
+
+    @pytest.mark.parametrize("meta", ["train_size=x", "final_loss=abc"])
+    def test_bad_map_metadata_names_the_map_file(self, tmp_path, meta):
+        entries = tuple(
+            AtlasEntry(w, np.array(v), LinearMap(np.eye(2)))
+            for w, v in (("a", [1.0, 0.0]), ("b", [0.0, 1.0]))
+        )
+        save_atlas(MapAtlas(entries), tmp_path)
+        path = tmp_path / "map_0001.txt"
+        # a later line of a key wins over the train_size=0 that save_map wrote
+        path.write_text(path.read_text().replace("# train_size=0\n", f"# train_size=0\n# {meta}\n"))
+        with pytest.raises(ValueError, match=f"bad map metadata in {re.escape(str(path))}: "):
             load_atlas(tmp_path)
 
     def test_missing_manifest(self, tmp_path):
