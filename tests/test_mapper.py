@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from lexmap.analysis import precision_at_k
 from lexmap.embeddings import EmbeddingSpace
-from lexmap.lexicon import BilingualLexicon, build_full_dataset, split_dataset
+from lexmap.lexicon import BilingualLexicon, TranslationDataset, build_full_dataset, split_dataset
 from lexmap.mapper import (
     LinearMap,
     TrainConfig,
@@ -20,6 +20,7 @@ from lexmap.mapper import (
     train_least_squares,
     train_max_margin,
 )
+from lexmap.seeds import spawn_rng
 from lexmap.synth import generate_linear_world
 
 GAMMA = 0.4
@@ -178,10 +179,52 @@ class TestTrainMaxMargin:
         with pytest.raises(ArithmeticError, match="non-finite"):
             train_max_margin(full, world.tgt_space, bad)
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TrainConfig(seed=5, epochs=4, negatives=2, init="zeros"),
+            TrainConfig(seed=6, epochs=3, learning_rate=0.05, ortho_weight=0.05),
+        ],
+        ids=["two-negatives", "ortho-weight"],
+    )
+    def test_matches_reference_loop_over_hinge_functions(self, small_world, config):
+        """A plain SGD loop over hinge_loss and hinge_gradient, drawing from the
+        trainer's shuffle and negatives streams, reproduces the trainer's loss
+        trajectory and final matrix, so the two compute one loss."""
+        world, full = small_world
+        train = TranslationDataset(full.instances[:150])
+        fitted = train_max_margin(train, world.tgt_space, config)
+
+        X = train.source_matrix()
+        Y = train.target_matrix(world.tgt_space)
+        m = len(train)
+        W = np.eye(X.shape[1]) if config.init == "identity" else np.zeros((Y.shape[1], X.shape[1]))
+        lr = config.learning_rate
+        history = []
+        for epoch in range(config.epochs):
+            order = spawn_rng(config.seed, "shuffle", epoch).permutation(m)
+            neg_rng = spawn_rng(config.seed, "negatives", epoch)
+            total = 0.0
+            for i in order:
+                grad = np.zeros_like(W)
+                for _ in range(config.negatives):
+                    j = int(neg_rng.integers(m - 1))
+                    j += j >= i
+                    total += hinge_loss(W, X[i], Y[i], Y[j], config.gamma)
+                    grad += hinge_gradient(W, X[i], Y[i], Y[j], config.gamma)
+                W = W - lr * grad
+            loss = total / m
+            if config.ortho_weight > 0.0:
+                loss += config.ortho_weight * orthogonality_penalty(W) ** 2
+                W = W - lr * config.ortho_weight * 4.0 * ((W @ W.T - np.eye(len(W))) @ W)
+            history.append(loss)
+            lr *= config.lr_decay
+
+        assert fitted.loss_history == pytest.approx(history, rel=1e-9)
+        assert np.max(np.abs(fitted.matrix - W)) <= 1e-9 * np.max(np.abs(W))
+
     def test_empty_training_set_rejected(self, small_world):
         world, full = small_world
-        from lexmap.lexicon import TranslationDataset
-
         with pytest.raises(ValueError, match="empty"):
             train_max_margin(TranslationDataset(()), world.tgt_space, TrainConfig())
 
