@@ -9,6 +9,7 @@ experiment reports can be audited.
 
 from __future__ import annotations
 
+import ast
 import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -20,6 +21,8 @@ from .lexicon import TranslationDataset
 from .seeds import spawn_rng
 
 _INITS = ("identity", "zeros", "scaled-random")
+# max-margin SGD steps held back and folded into the map at once
+_RANK = 32
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,15 @@ def _init_matrix(config: TrainConfig, d_tgt: int, d_src: int) -> np.ndarray:
     return rng.uniform(-bound, bound, size=(d_tgt, d_src))
 
 
+def _fold(W: np.ndarray, U: np.ndarray, V: np.ndarray) -> None:
+    """W -= U^T V in place, each entry summed over the rows of U and V in order.
+
+    numpy's einsum loops run on one thread; a BLAS GEMM here would make the
+    trained map depend on the BLAS thread count.
+    """
+    W -= np.einsum("ki,kj->ij", U, V)
+
+
 def train_max_margin(
     train: TranslationDataset,
     tgt_space: EmbeddingSpace,
@@ -166,6 +178,13 @@ def train_max_margin(
     their first target as the positive. All randomness derives from
     config.seed, so the loss trajectory and final matrix are reproducible
     bit for bit.
+
+    Each hinge step is the W-independent rank-one 2 lr (y_neg - y_pos) x^T,
+    so SGD steps are applied in delayed rank-r folds: W is kept as
+    W - U^T V with up to _RANK pending steps as rows of U and V, and the
+    pending steps are folded into W every _RANK active steps and before the
+    per-epoch orthogonality step and finiteness check. The map does not
+    depend on the BLAS thread count.
     """
     m = len(train)
     if m == 0:
@@ -180,7 +199,10 @@ def train_max_margin(
     # per-step buffers; each element sees the same operations in the same order
     wx = np.empty(d_tgt)
     diff = np.empty(d_tgt)
-    step = np.empty((d_tgt, d_src))
+    # pending steps: the effective map is W - U[:pending].T @ V[:pending]
+    U = np.empty((_RANK, d_tgt))
+    V = np.empty((_RANK, d_src))
+    pending = 0
 
     vocab_fallback: np.ndarray | None = None
     if m == 1:
@@ -202,6 +224,8 @@ def train_max_margin(
                 x = X[i]
                 y_pos = Y[i]
                 np.matmul(W, x, out=wx)
+                if pending:
+                    wx -= (V[:pending] @ x) @ U[:pending]
                 np.subtract(y_pos, wx, out=diff)
                 d_pos = float(diff @ diff)
                 push = None
@@ -219,9 +243,14 @@ def train_max_margin(
                         epoch_loss += violation
                         push = (y_neg - y_pos) if push is None else push + (y_neg - y_pos)
                 if push is not None:
-                    np.multiply.outer(push, x, out=step)
-                    step *= lr * 2.0
-                    W -= step
+                    np.multiply(push, lr * 2.0, out=U[pending])
+                    V[pending] = x
+                    pending += 1
+                    if pending == _RANK:
+                        _fold(W, U, V)
+                        pending = 0
+            _fold(W, U[:pending], V[:pending])
+            pending = 0
             avg_loss = epoch_loss / m
             if config.ortho_weight > 0.0:
                 # full-batch penalty step once per epoch; per-instance application
@@ -344,8 +373,20 @@ def save_map(m: LinearMap, path: str | Path) -> None:
             fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
+def _literal(text: str):
+    """The value whose repr save_map wrote, or text itself if it is no literal."""
+    try:
+        return ast.literal_eval(text)
+    except (ValueError, SyntaxError, TypeError):
+        return text
+
+
 def load_map(path: str | Path) -> LinearMap:
-    """Read a map written by save_map."""
+    """Read a map written by save_map.
+
+    Hyperparameter values come back as the Python literals save_map wrote
+    with repr, so a loaded map saves to the same bytes.
+    """
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"map file not found: {path}")
@@ -386,7 +427,7 @@ def load_map(path: str | Path) -> LinearMap:
         matrix,
         trainer=trainer,
         anchor=anchor,
-        hyperparams=meta,
+        hyperparams={key: _literal(value) for key, value in meta.items()},
         train_size=train_size,
         final_loss=final_loss,
     )

@@ -3,7 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from lexmap.analysis import (
     TSV_COLUMNS,

@@ -13,7 +13,7 @@ from lexmap.analysis import frobenius_norm, matrix_cosine
 from lexmap.cli import build_parser, run
 from lexmap.embeddings import cosine_similarity, load_embeddings
 from lexmap.mapper import LinearMap, load_map, save_map
-from lexmap.synth import default_anchor_words, export_world, generate_linear_world, load_world
+from lexmap.synth import default_anchor_words, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
 
 from conftest import write_vec

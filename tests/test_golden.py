@@ -9,8 +9,10 @@ cosines) moved by ulps when fitted maps came to be stored C-ordered, as
 saved maps load, and were re-recorded then. The second is synth -> experiment
 --trainer maxmargin; its expected bytes, values and map digests were
 recorded at commit 7c64b36, before Spearman moved from scipy to numpy and
-before the bulk float parser and writers. The synth digests at the end were
-recorded at commit e9f0b98, before the generator's three bodies became one.
+before the bulk float parser and writers; its map digests and pearson line
+moved by ulps when SGD steps came to be applied in delayed rank-r folds, and
+were re-recorded then. The synth digests at the end were recorded at commit
+e9f0b98, before the generator's three bodies became one.
 A change to what lexmap computes must show up here and be re-recorded on
 purpose, with the reason in CHANGES.md.
 """
@@ -174,7 +176,7 @@ EXPECTED_MM_REPORT_TSV = (
     'w00084\t84\t10\t0.29\t40.0\t50.0\t20.0\t-30.0\t0.90\t3.61\n'
     'w00037\t98\t10\t-0.41\t50.0\t0.0\t50.0\t50.0\t0.87\t3.54\n'
     'w00113\t96\t10\t-0.53\t40.0\t30.0\t30.0\t0.0\t0.84\t3.61\n'
-    '# pearson(map_cosine, acc_reference)\t0.2385451343292039\n'
+    '# pearson(map_cosine, acc_reference)\t0.23854513432920463\n'
     '# spearman(map_cosine, acc_reference)\t0.316227766016838\n'
 )
 
@@ -188,11 +190,11 @@ EXPECTED_MM_RECORDS = [
 
 # sha256 of each saved map file (8 x 8 matrices plus provenance lines)
 EXPECTED_MM_MAP_SHA256 = {
-    "global.txt": "c5bc4bc09456d94d04bdb93957eb73d25bb62abb37806a5e8f71c1bc3220e568",
-    "local_w00037.txt": "9d45b9b82b7f2131a0111de42cc959ca6c1647ea0245fb53ebbf9cd2e94d9cd1",
-    "local_w00084.txt": "f30b0a6d586bf4acffb9accc80142c89ece5fdda9791ef9148dee5a29505636b",
-    "local_w00113.txt": "8a453954d28a5f0296958b63a1826efd0197f15c6f38c0091790ffadddcd4f99",
-    "local_w00207.txt": "84eef95dfe549611ad9dc614fbdbac5950b0afc2c605a9e03fe1d0695e2d68d0",
+    "global.txt": "8e71bcc2ca9791d804740654e7eddb65bd5be96330a29829af11f88144e646fb",
+    "local_w00037.txt": "03b0f50d26009ee8c2899bb3e6f1c171f2f06ee085b86e0dd5630ba5575e8464",
+    "local_w00084.txt": "5376752083e161638abffb6393e8d7200102a229fa0160e3382be7241142f208",
+    "local_w00113.txt": "2c1a2920a0d58c1f9974895fbb0479d0b86bfe80a74bf848d901f89643caad0c",
+    "local_w00207.txt": "bf9da43e3f6134794a853be8249cb09d96ffee50928974202da295783bc2152c",
 }
 
 

@@ -2,7 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
 
 from lexmap.analysis import precision_at_k
 from lexmap.embeddings import EmbeddingSpace
@@ -362,6 +361,24 @@ class TestMapSerialization:
         assert back.anchor == "anchor_word"
         assert back.train_size == 123
         assert back.final_loss == pytest.approx(0.0125)
+
+    @pytest.mark.parametrize("trainer", ["lsq", "maxmargin"])
+    def test_load_then_save_keeps_bytes(self, small_world, tmp_path, trainer):
+        """Hyperparameters used to load as repr strings, so each save quoted them again."""
+        world, full = small_world
+        _, fit = get_trainer(trainer)
+        fitted = fit(full, world.tgt_space, TrainConfig(seed=1, epochs=2), 1e-6, "w00003")
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_map(fitted, first)
+        loaded = load_map(first)
+        assert loaded.hyperparams == fitted.hyperparams
+        save_map(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_non_literal_metadata_kept_as_text(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("1 1\n# note=two words\n# seed=3\n1.0\n", encoding="utf-8")
+        assert load_map(path).hyperparams == {"note": "two words", "seed": 3}
 
     def test_header_and_comment_layout(self, tmp_path):
         fitted = LinearMap(np.eye(2), trainer="least_squares")

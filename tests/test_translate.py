@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from lexmap.embeddings import EmbeddingSpace, top_k_by_cosine
+from lexmap.embeddings import top_k_by_cosine
 from lexmap.mapper import LinearMap
 from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
 from lexmap.translate import (
@@ -15,8 +15,6 @@ from lexmap.translate import (
     save_atlas,
     select_entry,
 )
-
-from conftest import random_space
 
 
 @pytest.fixture(scope="module")
