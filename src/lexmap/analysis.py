@@ -11,7 +11,7 @@ pair of usable anchors.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import combinations
 
 import numpy as np
@@ -27,20 +27,6 @@ from .lexicon import (
 from .mapper import LinearMap, TrainConfig, get_trainer
 from .neighborhoods import build_neighborhood
 from .seeds import spawn_seed
-
-TSV_COLUMNS = (
-    "anchor_word",
-    "train_size",
-    "test_size",
-    "anchor_cosine",
-    "acc_global",
-    "acc_reference",
-    "acc_local",
-    "delta",
-    "map_cosine",
-    "map_norm",
-)
-
 
 def matrix_cosine(m1: np.ndarray, m2: np.ndarray) -> float:
     """Cosine similarity of two matrices viewed as flat vectors.
@@ -135,18 +121,25 @@ def spearman_correlation(xs: list[float], ys: list[float]) -> float:
 
 @dataclass(frozen=True)
 class ExperimentRow:
-    """One report row: data sizes, anchor similarity, accuracies, map stats."""
+    """One report row: data sizes, anchor similarity, accuracies, map stats.
+
+    The fields are the columns of report.tsv, in order; a field's ``tsv``
+    metadata is its format spec there.
+    """
 
     anchor_word: str
     train_size: int
     test_size: int
-    anchor_cosine: float
-    acc_global: float
-    acc_reference: float
-    acc_local: float
-    delta: float
-    map_cosine: float
-    map_norm: float
+    anchor_cosine: float = field(metadata={"tsv": ".2f"})
+    acc_global: float = field(metadata={"tsv": ".1f"})
+    acc_reference: float = field(metadata={"tsv": ".1f"})
+    acc_local: float = field(metadata={"tsv": ".1f"})
+    delta: float = field(metadata={"tsv": ".1f"})
+    map_cosine: float = field(metadata={"tsv": ".2f"})
+    map_norm: float = field(metadata={"tsv": ".2f"})
+
+
+TSV_COLUMNS = tuple(f.name for f in fields(ExperimentRow))
 
 
 @dataclass(frozen=True)
@@ -181,12 +174,14 @@ def run_experiment(
     """Train per-anchor local maps plus a global map and report diagnostics.
 
     The first anchor is the reference: every row compares the local map
-    against the reference anchor's map on that row's test set. Anchors
-    whose paired training data falls below min_train (or cannot be split)
-    are skipped with a diagnostic; the reference anchor must be usable.
-    The global map trains on the union of all usable train sets with every
-    test word excluded. With fewer than two usable rows, or degenerate
-    columns, the correlations are omitted with a warning.
+    against the reference anchor's map on that row's test set. Each anchor
+    in turn is scanned, paired, split and trained. One whose paired training
+    data falls below min_train (or cannot be split) is skipped with a
+    diagnostic; the reference anchor must be usable, and raises before the
+    other anchors are scanned if it is not. The global map trains on the
+    union of all usable train sets with every test word excluded. With fewer
+    than two usable rows, or degenerate columns, the correlations are
+    omitted with a warning.
     """
     _, fit = get_trainer(trainer)
     if not anchors:
@@ -196,53 +191,44 @@ def run_experiment(
 
     skipped: list[tuple[str, str]] = []
     warnings: list[str] = []
+
+    def skip(anchor: str, reason: str) -> None:
+        if anchor == anchors[0]:
+            raise ValueError(f"reference anchor {anchor!r} unusable: {reason}")
+        skipped.append((anchor, reason))
+
     prepared: dict[str, tuple[TranslationDataset, TranslationDataset]] = {}
-    for anchor in anchors:
+    trained: dict[str, LinearMap] = {}
+    for index, anchor in enumerate(anchors):
         nb = build_neighborhood(src_space, anchor, s)
         try:
             ds = build_dataset(nb, lexicon, src_space, tgt_space)
         except ValueError as exc:
-            skipped.append((anchor, str(exc)))
+            skip(anchor, str(exc))
             continue
         if len(ds) <= test_size:
-            skipped.append(
-                (anchor, f"{len(ds)} usable pairs cannot supply a test split of {test_size}")
-            )
+            skip(anchor, f"{len(ds)} usable pairs cannot supply a test split of {test_size}")
             continue
         train, test = split_dataset(ds, test_size, seed=seed, method=split_method)
         if len(train) < min_train:
-            skipped.append(
-                (anchor, f"train size {len(train)} below floor {min_train}")
-            )
+            skip(anchor, f"train size {len(train)} below floor {min_train}")
             continue
         prepared[anchor] = (train, test)
+        seeded = replace(train_config, seed=spawn_seed(seed, "train", index))
+        trained[anchor] = fit(train, tgt_space, seeded, lam, anchor)
+
+    all_test_words = set().union(*(test.source_words() for _, test in prepared.values()))
+    global_train = union_train_datasets(
+        [train for train, _ in prepared.values()], exclude_words=all_test_words
+    )
+    seeded = replace(train_config, seed=spawn_seed(seed, "train", "global"))
+    global_map = fit(global_train, tgt_space, seeded, lam, "global")
 
     reference = anchors[0]
-    if reference not in prepared:
-        reason = dict(skipped).get(reference, "not prepared")
-        raise ValueError(f"reference anchor {reference!r} unusable: {reason}")
-
-    trained: dict[str, LinearMap] = {}
-    for index, anchor in enumerate(anchors):
-        if anchor in prepared:
-            seeded = train_config.with_seed(spawn_seed(seed, "train", index))
-            trained[anchor] = fit(prepared[anchor][0], tgt_space, seeded, lam, anchor)
-    usable = list(trained)
-
-    all_test_words: set[str] = set()
-    for anchor in usable:
-        all_test_words |= prepared[anchor][1].source_words()
-    global_train = union_train_datasets(
-        [prepared[a][0] for a in usable], exclude_words=all_test_words
-    )
-    global_seed = spawn_seed(seed, "train", "global")
-    global_map = fit(global_train, tgt_space, train_config.with_seed(global_seed), lam, "global")
-
     ref_map = trained[reference]
     ref_vector = src_space.vector(reference)
     rows: list[ExperimentRow] = []
-    for anchor in usable:
-        train, test = prepared[anchor]
+    for anchor, (train, test) in prepared.items():
         local = trained[anchor]
         acc_global = precision_at_k(global_map, test, tgt_space, eval_k)
         acc_reference = precision_at_k(ref_map, test, tgt_space, eval_k)
@@ -288,7 +274,7 @@ def run_experiment(
         pairwise_map_cosines=[
             (a, b, cosine_similarity(src_space.vector(a), src_space.vector(b)),
              matrix_cosine(trained[a].matrix, trained[b].matrix))
-            for a, b in combinations(usable, 2)
+            for a, b in combinations(trained, 2)
         ],
     )
 
@@ -297,22 +283,8 @@ def report_to_tsv(report: ExperimentReport) -> str:
     """Fixed ten-column TSV; accuracies to one decimal, trailing correlations."""
     lines = ["\t".join(TSV_COLUMNS)]
     for row in report.rows:
-        lines.append(
-            "\t".join(
-                [
-                    row.anchor_word,
-                    str(row.train_size),
-                    str(row.test_size),
-                    f"{row.anchor_cosine:.2f}",
-                    f"{row.acc_global:.1f}",
-                    f"{row.acc_reference:.1f}",
-                    f"{row.acc_local:.1f}",
-                    f"{row.delta:.1f}",
-                    f"{row.map_cosine:.2f}",
-                    f"{row.map_norm:.2f}",
-                ]
-            )
-        )
+        lines.append("\t".join(format(getattr(row, f.name), f.metadata.get("tsv", ""))
+                               for f in fields(row)))
     pearson = "n/a" if report.pearson_simvacc is None else repr(report.pearson_simvacc)
     spearman = "n/a" if report.spearman_simvacc is None else repr(report.spearman_simvacc)
     lines.append(f"# pearson(map_cosine, acc_reference)\t{pearson}")

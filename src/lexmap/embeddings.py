@@ -28,6 +28,7 @@ class LoadStats:
     duplicates: int = 0
     zero_dropped: int = 0
     norm_overflow: int = 0  # finite rows kept by a raw load whose norm is inf
+    header_mismatch: int = 0  # 1 if, with no limit below it, the header count != body lines
 
 
 class EmbeddingSpace:
@@ -102,18 +103,23 @@ def load_embeddings(
     skipped as malformed; zero vectors are dropped when normalizing; a raw
     load keeps a finite row whose norm overflows. All are counted in the
     space's ``stats`` rather than aborting the load (published .vec files
-    contain occasional tokens with embedded spaces).
+    contain occasional tokens with embedded spaces). Unless a limit below
+    the header count cuts the read short, a body whose line count differs
+    from the header count is counted too, from the lines already read and
+    at most one more.
 
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
-        limit: optional cap on vocabulary size.
+        limit: optional cap on vocabulary size, at least 1.
         normalize: scale every vector to unit Euclidean norm.
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: unparsable header, non-positive dimensions, or a body
-            of which no line loads.
+        ValueError: a limit below 1, unparsable header, non-positive
+            dimensions, or a body of which no line loads.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"embedding file not found: {path}")
@@ -122,6 +128,7 @@ def load_embeddings(
     words: list[str] = []
     blocks: list[np.ndarray] = []
     seen: set[str] = set()
+    body_lines = 0
 
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
@@ -139,6 +146,7 @@ def load_embeddings(
             lines = [line.rstrip() for line in islice(fh, _CHUNK_LINES)]
             if not lines:
                 break
+            body_lines += len(lines)
             # well-formed: splits on " " into a non-empty token and dim fields
             formed = [line.count(" ") == dim and not line.startswith(" ") for line in lines]
             split = [line.partition(" ") for line, ok in zip(lines, formed) if ok]
@@ -178,6 +186,10 @@ def load_embeddings(
             if normalize:
                 kept /= norms[keep][:, None]
             blocks.append(kept)
+        if target == count:
+            # the read stops before the end only after count words, so after at
+            # least count lines: one more line then settles an equal count
+            stats.header_mismatch = int(body_lines != count or fh.readline() != "")
 
     if not words and (stats.malformed or stats.zero_dropped):
         raise ValueError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +91,6 @@ class TrainConfig:
             raise ValueError(f"init must be one of {_INITS}, got {self.init!r}")
         if self.ortho_weight < 0:
             raise ValueError(f"ortho_weight must be >= 0, got {self.ortho_weight}")
-
-    def with_seed(self, seed: int) -> "TrainConfig":
-        return replace(self, seed=seed)
 
 
 def squared_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -125,22 +125,29 @@ def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
 
 
 def load_atlas(directory: str | Path) -> MapAtlas:
-    """Load an atlas saved by save_atlas."""
+    """Load an atlas saved by save_atlas.
+
+    A manifest that is not JSON, lacks a key or holds a value of the wrong
+    type is rejected, naming the manifest, before any map file loads.
+    """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.is_file():
         raise FileNotFoundError(f"atlas manifest not found: {manifest_path}")
-    with manifest_path.open("r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        items = [(item["anchor"], item["file"], np.array(item["vector"], dtype=np.float64))
+                 for item in manifest["entries"]]
+        fallback = manifest.get("fallback")
+        names = [fallback or "", *(text for anchor, file, _ in items for text in (anchor, file))]
+        if not all(isinstance(name, str) for name in names):
+            raise TypeError("anchor, file and fallback must be strings")
+    except KeyError as exc:
+        raise ValueError(f"bad atlas manifest in {manifest_path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad atlas manifest in {manifest_path}: {exc}") from None
     entries = tuple(
-        AtlasEntry(
-            anchor_word=item["anchor"],
-            anchor_vector=np.array(item["vector"], dtype=np.float64),
-            linear_map=load_map(directory / item["file"]),
-        )
-        for item in manifest["entries"]
+        AtlasEntry(anchor_word=anchor, anchor_vector=vector, linear_map=load_map(directory / file))
+        for anchor, file, vector in items
     )
-    fallback = None
-    if manifest.get("fallback"):
-        fallback = load_map(directory / manifest["fallback"])
-    return MapAtlas(entries, fallback=fallback)
+    return MapAtlas(entries, fallback=load_map(directory / fallback) if fallback else None)

@@ -319,6 +319,75 @@ class TestRunExperiment:
             )
 
 
+def _four_cluster_world():
+    """20 words near each axis of R^4 (prefixes a-d), mapped to themselves.
+
+    Every a-word has a lexicon pair, b-words none, the first 10 c-words and
+    the first 3 d-words one each. At s=0.5 each neighborhood is its cluster,
+    so with a test split of 3 and min_train 8: a0 is usable, b0 has no usable
+    pairs, c0 trains on 7 and d0 cannot supply the test split.
+    """
+    rng = np.random.default_rng(11)
+    words, rows = [], []
+    for axis, prefix in enumerate("abcd"):
+        for i in range(20):
+            row = 0.05 * rng.standard_normal(4)
+            row[axis] += 1.0
+            words.append(f"{prefix}{i}")
+            rows.append(row / np.linalg.norm(row))
+    vectors = np.array(rows)
+    src = EmbeddingSpace(words, vectors, normalized=True)
+    tgt = EmbeddingSpace([w.upper() for w in words], vectors, normalized=True)
+    paired = [f"a{i}" for i in range(20)] + [f"c{i}" for i in range(10)] + [f"d{i}" for i in range(3)]
+    return src, tgt, BilingualLexicon({w: [w.upper()] for w in paired})
+
+
+def _run_four_cluster(anchors, test_size=3):
+    src, tgt, lexicon = _four_cluster_world()
+    return run_experiment(
+        anchors, 0.5, src, tgt, lexicon, TrainConfig(seed=2),
+        test_size=test_size, seed=2, trainer="lsq", lam=1e-6, eval_k=2, min_train=8,
+    )
+
+
+NO_PAIRS_B0 = ("no usable pairs for neighborhood 'b0' (s=0.5): {'members': 20, 'kept': 0, "
+               "'dropped_no_lexicon': 20, 'dropped_no_target': 0}")
+SKIP_REASONS = {
+    "b0": NO_PAIRS_B0,
+    "c0": "train size 7 below floor 8",
+    "d0": "3 usable pairs cannot supply a test split of 3",
+}
+
+
+class TestSkippedAnchors:
+    def test_non_reference_anchors_skipped_in_order(self):
+        report = _run_four_cluster(["a0", "b0", "c0", "a1", "d0"])
+        assert [row.anchor_word for row in report.rows] == ["a0", "a1"]
+        assert report.skipped == [(a, SKIP_REASONS[a]) for a in ("b0", "c0", "d0")]
+        assert list(report.local_maps) == ["a0", "a1"]
+        assert [row.train_size for row in report.rows] == [17, 17]
+        lines = report_to_tsv(report).splitlines()
+        assert lines[-3:] == [f"# skipped\t{a}\t{SKIP_REASONS[a]}" for a in ("b0", "c0", "d0")]
+
+    @pytest.mark.parametrize("reference", ["b0", "c0", "d0"])
+    def test_each_reason_on_the_reference_is_fatal(self, reference):
+        message = f"reference anchor {reference!r} unusable: {SKIP_REASONS[reference]}"
+        with pytest.raises(ValueError) as info:
+            _run_four_cluster([reference, "a0"])
+        assert str(info.value) == message
+
+    def test_unusable_reference_raises_before_later_anchors_are_scanned(self):
+        """A later anchor outside the vocabulary would raise a KeyError if scanned."""
+        with pytest.raises(ValueError, match="^reference anchor 'b0' unusable: no usable pairs"):
+            _run_four_cluster(["b0", "not-a-word"])
+
+    @pytest.mark.parametrize("anchors", [["a0", "a1"], ["a1", "a0"]])
+    def test_zero_test_size_raises_split_dataset_error(self, anchors):
+        with pytest.raises(ValueError) as info:
+            _run_four_cluster(anchors, test_size=0)
+        assert str(info.value) == "test_count must be in (0, 20), got 0"
+
+
 class TestReportEmission:
     def test_tsv_layout(self, linear_report):
         _, report = linear_report

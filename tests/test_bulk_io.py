@@ -29,13 +29,17 @@ from lexmap.mapper import LinearMap, load_map, save_map
 
 def reference_load_embeddings(path, limit=None, normalize=True):
     """The per-line loader that the chunked bulk parse replaced."""
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     stats = LoadStats()
     words, rows, seen = [], [], set()
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().split()
         count, dim = int(header[0]), int(header[1])
         target = count if limit is None else min(count, limit)
-        for line in fh:
+        body = list(fh)
+        stats.header_mismatch = int(target == count and len(body) != count)
+        for line in body:
             if len(words) >= target:
                 break
             parts = line.rstrip().split(" ")
@@ -151,6 +155,9 @@ def vec_files(draw):
 @example(("3 1\n" + "".join(f"w{i} {i}\n" for i in range(300)), 2, True))  # limit inside a chunk
 @example(("2 2\na 1e200 1e200\nb 1 0\n", None, True))  # a norm that overflows
 @example(("3 2\na 1e200 1e200\nb 1 0\nc 1.7e308 1.7e308\n", None, False))  # kept raw
+@example(("3 1\n" + "".join(f"w{i} {i}\n" for i in range(5)), None, True))  # header too short
+@example(("5 1\na 1\nb 2\n", 5, True))  # header too long
+@example(("2 1\na 1\nb 2\n", 0, True))  # a limit below 1
 def test_load_embeddings_matches_per_line_reference(tmp_path_factory, case):
     text, limit, normalize = case
     path = tmp_path_factory.mktemp("vec") / "e.vec"

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import lexmap
-from lexmap.analysis import frobenius_norm, matrix_cosine
+from lexmap.analysis import frobenius_norm, matrix_cosine, report_to_tsv, run_experiment
 from lexmap.cli import build_parser, run
 from lexmap.embeddings import cosine_similarity, load_embeddings
-from lexmap.mapper import LinearMap, load_map, save_map
+from lexmap.mapper import LinearMap, TrainConfig, load_map, save_map
 from lexmap.synth import default_anchor_words, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
 
@@ -220,7 +220,24 @@ class TestUsage:
         assert capsys.readouterr().err.startswith("error: constraint:")
 
 
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_limit_below_one_is_constraint_error(self, tmp_path, capsys, limit):
+        vec = write_vec(tmp_path / "t.vec", [("a", [1, 0]), ("b", [0, 1])])
+        code = run(["neighborhood", "--src-emb", str(vec), "--limit", limit,
+                    "--anchors", "a", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: constraint: limit must be >= 1, got {limit}\n"
+
+
 class TestNeighborhoodCommand:
+    def test_limit_keeps_the_head_of_the_file(self, tmp_path):
+        vec = write_vec(tmp_path / "t.vec", [("a", [1.0, 0.0]), ("b", [0.8, 0.6]), ("c", [0.0, 1.0])])
+        out = tmp_path / "out"
+        assert run(["neighborhood", "--src-emb", str(vec), "--anchors", "a", "--limit", "2",
+                    "--thresholds", "0.5,-1.0", "--out", str(out)]) == 0
+        assert (out / "profile_a.tsv").read_text() == "s\tcount\n0.5\t2\n-1.0\t2\n"
+        assert json.loads((out / "config.json").read_text())["args"]["limit"] == 2
+
     def test_growth_profile_rows(self, tmp_path):
         vec = write_vec(
             tmp_path / "toy.vec",
@@ -314,6 +331,22 @@ class TestExperimentCommand:
         for name in ("report.jsonl", "scatter.tsv", "config.json"):
             assert (out / name).is_file()
         assert (out / "maps" / "global.txt").is_file()
+
+    def test_frequency_split_method(self, world_dir, world_anchors, tmp_path):
+        """--split-method frequency tests on the head of each neighborhood."""
+        out = tmp_path / "freq"
+        assert run([*_experiment_args(world_dir, world_anchors, out),
+                    "--split-method", "frequency"]) == 0
+        world = load_world(world_dir)
+        report = run_experiment(
+            world_anchors, 0.5, load_embeddings(world_dir / "src.vec"),
+            load_embeddings(world_dir / "tgt.vec"), world.lexicon, TrainConfig(seed=3),
+            test_size=50, seed=3, trainer="lsq", lam=1e-6, split_method="frequency",
+        )
+        assert (out / "report.tsv").read_text() == report_to_tsv(report)
+        random = tmp_path / "random"
+        assert run(_experiment_args(world_dir, world_anchors, random)) == 0
+        assert (random / "report.tsv").read_text() != report_to_tsv(report)
 
     def test_pairwise_tsv_matches_anchor_vectors_and_saved_maps(
         self, world_dir, world_anchors, tmp_path
@@ -421,6 +454,27 @@ class TestExperimentCommand:
 
 
 class TestTrainAndTranslate:
+    def test_train_flags_reach_the_map_and_rerun_byte_identical(self, world_dir, tmp_path):
+        """Every train flag off its default: the map records each, and --config repeats it."""
+        out1, out2 = tmp_path / "run1", tmp_path / "run2"
+        assert run([
+            "train", "--src-emb", str(world_dir / "src.vec"), "--tgt-emb", str(world_dir / "tgt.vec"),
+            "--lexicon", str(world_dir / "lexicon.txt"), "--trainer", "maxmargin",
+            "--gamma", "0.3", "--negatives", "2", "--epochs", "3", "--lr", "0.05",
+            "--lr-decay", "0.9", "--init", "scaled-random", "--ortho-weight", "0.01",
+            "--lam", "0.5", "--seed", "4", "--out", str(out1),
+        ]) == 0
+        meta = [line for line in (out1 / "map.txt").read_text().splitlines() if line.startswith("#")]
+        assert meta[:3] == ["# trainer=max_margin", "# anchor=global", "# train_size=1500"]
+        assert meta[3].startswith("# final_loss=")
+        assert meta[4:] == [
+            "# epochs=3", "# gamma=0.3", "# init='scaled-random'", "# learning_rate=0.05",
+            "# lr_decay=0.9", "# negatives=2", "# ortho_weight=0.01", "# seed=4",
+        ]
+        assert json.loads((out1 / "config.json").read_text())["args"]["lam"] == 0.5
+        assert run(["train", "--config", str(out1 / "config.json"), "--out", str(out2)]) == 0
+        assert (out2 / "map.txt").read_bytes() == (out1 / "map.txt").read_bytes()
+
     def test_train_global_map(self, world_dir, tmp_path):
         out = tmp_path / "train"
         assert run(_train_args(world_dir, out)) == 0

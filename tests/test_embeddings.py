@@ -31,6 +31,30 @@ class TestLoadEmbeddings:
         space = load_embeddings(path, limit=1)
         assert space.words == ("a",)
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_limit_below_one_rejected(self, tmp_path, limit):
+        path = write_vec(tmp_path / "t.vec", [("a", [1, 0, 0]), ("b", [0, 2, 0])])
+        with pytest.raises(ValueError, match=f"^limit must be >= 1, got {limit}$"):
+            load_embeddings(path, limit=limit)
+
+    @pytest.mark.parametrize("header_count, body_lines, limit, expected", [
+        (3, 3, None, 0),
+        (3, 5, None, 1),  # header too short: 3 words load
+        (5, 2, None, 1),  # header too long: 2 words load
+        (5, 2, 5, 1),  # a limit at the count cuts nothing
+        (5, 2, 4, 0),  # a limit below the count cuts the read short
+        (3, 5, 2, 0),
+        (0, 2, None, 1),
+        (300, 301, None, 1),  # the extra line is past the first chunk
+        (300, 300, None, 0),
+    ])
+    def test_header_count_against_body_lines(self, tmp_path, header_count, body_lines, limit, expected):
+        entries = [(f"w{i}", [1.0, float(i)]) for i in range(body_lines)]
+        path = write_vec(tmp_path / "t.vec", entries, header_count=header_count)
+        space = load_embeddings(path, limit=limit)
+        assert space.stats.header_mismatch == expected
+        assert len(space) == min(header_count, body_lines, limit or header_count)
+
     def test_duplicate_token_keeps_first_and_counts(self, tmp_path):
         path = write_vec(
             tmp_path / "t.vec",

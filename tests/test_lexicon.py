@@ -46,6 +46,13 @@ class TestLoadLexicon:
         assert lex.targets("dog") == ["Hund"]
         assert "cat" not in lex
 
+    def test_blank_lines_skipped_uncounted(self, tmp_path):
+        path = tmp_path / "lex.txt"
+        path.write_text("dog Hund\n\n  \t\ncat Katze\n\n", encoding="utf-8")
+        lex = load_lexicon(path)
+        assert lex.pairs == {"dog": ["Hund"], "cat": ["Katze"]}
+        assert (lex.line_count, lex.skipped_count) == (2, 0)
+
     def test_tab_or_space_separated(self, tmp_path):
         path = tmp_path / "lex.txt"
         path.write_text("a\tx\nb y\n", encoding="utf-8")

@@ -9,6 +9,7 @@ from lexmap.lexicon import BilingualLexicon, TranslationDataset, build_full_data
 from lexmap.mapper import (
     LinearMap,
     TrainConfig,
+    _init_matrix,
     hinge_gradient,
     get_trainer,
     hinge_loss,
@@ -222,6 +223,24 @@ class TestTrainMaxMargin:
         assert fitted.loss_history == pytest.approx(history, rel=1e-9)
         assert np.max(np.abs(fitted.matrix - W)) <= 1e-9 * np.max(np.abs(W))
 
+    def test_scaled_random_init_draws_from_the_init_stream(self):
+        bound = 1.0 / np.sqrt(5)
+        expected = spawn_rng(4, "init").uniform(-bound, bound, size=(3, 5))
+        drawn = _init_matrix(TrainConfig(seed=4, init="scaled-random"), 3, 5)
+        assert drawn.tobytes() == expected.tobytes()
+        assert np.abs(drawn).max() <= bound
+
+    def test_identity_init_of_a_rectangular_map_falls_back_to_scaled_random(self):
+        rng = np.random.default_rng(8)
+        src = EmbeddingSpace([f"s{i}" for i in range(30)], rng.standard_normal((30, 5)))
+        tgt = EmbeddingSpace([f"t{i}" for i in range(30)], rng.standard_normal((30, 3)))
+        lexicon = BilingualLexicon({f"s{i}": [f"t{i}"] for i in range(30)})
+        train = build_full_dataset(lexicon, src, tgt)
+        maps = [train_max_margin(train, tgt, TrainConfig(seed=4, epochs=2, init=init))
+                for init in ("identity", "scaled-random")]
+        assert maps[0].matrix.shape == (3, 5)
+        assert maps[0].matrix.tobytes() == maps[1].matrix.tobytes()
+
     def test_empty_training_set_rejected(self, small_world):
         world, full = small_world
         with pytest.raises(ValueError, match="empty"):
@@ -387,6 +406,11 @@ class TestMapSerialization:
         assert lines[0] == "2 2"
         assert lines[1].startswith("# ")
         assert lines[-1] == "0.0 1.0"
+
+    def test_blank_body_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_text("2 2\n# trainer=t\n\n1.0 0.0\n  \n0.0 1.0\n\n", encoding="utf-8")
+        assert load_map(path).matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
     def test_shape_mismatch_detected(self, tmp_path):
         (tmp_path / "m.txt").write_text("2 2\n1.0 0.0\n", encoding="utf-8")

@@ -91,6 +91,15 @@ class TestGrowthProfile:
         profile = growth_profile(toy_space, "a", [0.5])
         assert profile == [(0.5, len(build_neighborhood(toy_space, "a", 0.5)))]
 
+    def test_anchor_counted_where_its_own_cosine_is_below_s(self):
+        """The raw row [0.1, 0.2, 0.3] has a self-cosine of 1 - 2**-53."""
+        space = EmbeddingSpace(["a", "b"], np.array([[0.1, 0.2, 0.3], [-0.1, -0.2, -0.3]]))
+        profile = growth_profile(space, "a", [1.0, -1.0])
+        assert profile == [(1.0, 1), (-1.0, 2)]
+        assert [count for _, count in profile] == [
+            len(build_neighborhood(space, "a", s)) for s, _ in profile
+        ]
+
     def test_empty_thresholds(self, toy_space):
         assert growth_profile(toy_space, "a", []) == []
 

@@ -80,6 +80,15 @@ class TestGeneration:
         R = rotation_matrix(p, q, 1.1)
         assert_allclose(R @ R.T, np.eye(7), atol=1e-12)
 
+    def test_one_cluster_world(self):
+        """One cluster needs no spread of centers, and so only d >= 3."""
+        world = generate_nonlinear_world(200, 3, seed=1, n_clusters=1, cluster_std=0.1)
+        center = world.ground_truth.cluster_centers
+        assert center.shape == (1, 3)
+        assert abs(float(center[0] @ world.ground_truth.axis)) < 1e-12
+        assert set(world.region_labels.values()) == {0}
+        assert len(default_anchor_words(world)) == 1
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             generate_linear_world(1, 8)

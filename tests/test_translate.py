@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from lexmap.cli import run
 from lexmap.embeddings import top_k_by_cosine
 from lexmap.mapper import LinearMap
 from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
@@ -295,3 +296,28 @@ class TestAtlasPersistence:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_atlas(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("text, reason", [
+        ("not json", "Expecting value"),
+        ("{}", "missing key 'entries'"),
+        ('{"entries": "x"}', "string indices must be integers"),
+        ("[1]", "list indices must be integers"),
+        ('{"entries": [{"anchor": "a", "file": "map_0000.txt"}]}', "missing key 'vector'"),
+        ('{"entries": [{"anchor": "a", "file": 7, "vector": [1.0]}]}', "must be strings"),
+        ('{"entries": [{"anchor": "a", "file": "map_0000.txt", "vector": {}}]}', "float"),
+        ('{"entries": [], "fallback": 3}', "must be strings"),
+    ])
+    def test_malformed_manifest_named_before_any_map_loads(self, tmp_path, capsys, text, reason):
+        manifest = tmp_path / "atlas" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text(text, encoding="utf-8")
+        message = f"bad atlas manifest in {manifest}: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(reason)):
+            load_atlas(manifest.parent)
+        # no map file and no .vec file exists: loading one would be a data error
+        code = run(["translate", "--atlas", str(manifest.parent), "--words", "a",
+                    "--src-emb", str(tmp_path / "absent.vec"),
+                    "--tgt-emb", str(tmp_path / "absent.vec"), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: constraint: {message}") and err.count("\n") == 1
