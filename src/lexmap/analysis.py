@@ -16,7 +16,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosine_similarity, cosines_to_all, top_k_indices
+from .embeddings import EmbeddingSpace, cosine_similarity, top_k_rows
 from .lexicon import (
     BilingualLexicon,
     TranslationDataset,
@@ -61,15 +61,16 @@ def precision_at_k(
     """Percentage of test items with a gold target in the cosine top-k.
 
     Retrieval ranks the full target vocabulary with the same scores and
-    tie-break (ascending vocabulary index) as top_k_by_cosine. A hit is any
-    gold target in the top-k.
+    tie-break (ascending vocabulary index) as top_k_by_cosine, for the whole
+    test set in one top_k_rows call. A hit is any gold target in the top-k.
     """
     if len(test) == 0:
         raise ValueError("test set is empty")
-    hits = 0
-    for inst in test.instances:
-        top = top_k_indices(cosines_to_all(tgt_space, m.apply(inst.source_vector)), k)
-        hits += any(tgt_space.index(gold) in top for gold in inst.gold_targets)
+    tops, _ = top_k_rows(tgt_space, (m.apply(inst.source_vector) for inst in test.instances), k)
+    hits = sum(
+        any(tgt_space.index(gold) in top for gold in inst.gold_targets)
+        for inst, top in zip(test.instances, tops)
+    )
     return 100.0 * hits / len(test)
 
 
@@ -184,6 +185,8 @@ def run_experiment(
     omitted with a warning.
     """
     _, fit = get_trainer(trainer)
+    if eval_k < 1:
+        raise ValueError(f"k must be >= 1, got {eval_k}")
     if not anchors:
         raise ValueError("anchors list is empty")
     if len(set(anchors)) != len(anchors):

@@ -21,7 +21,7 @@ from .embeddings import EmbeddingSpace, load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
 from .mapper import _INITS, TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
-from .translate import MapAtlas, load_atlas, piecewise_translate
+from .translate import MapAtlas, load_atlas, translate_words
 
 
 def _add_space_flags(parser: argparse.ArgumentParser, tgt: bool = True) -> None:
@@ -272,6 +272,8 @@ def _run_report(args, out: Path, anchors, src_space, tgt_space, lexicon) -> None
 def _cmd_translate(args, out: Path) -> None:
     if (args.map_path is None) == (args.atlas is None):
         raise ValueError("pass exactly one of --map or --atlas")
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     # maps load first: a bad path fails before the slow .vec loads
     atlas = load_atlas(args.atlas) if args.atlas else MapAtlas((), fallback=load_map(args.map_path))
     src_space, tgt_space = _load_spaces(args)
@@ -283,10 +285,8 @@ def _cmd_translate(args, out: Path) -> None:
         raise ValueError("pass --words or --input")
 
     lines = ["source\tmap\trank\ttarget\tscore"]
-    for word in words:
-        ranking, label = piecewise_translate(
-            atlas, word, src_space, tgt_space, args.k, floor=args.floor
-        )
+    translations = translate_words(atlas, words, src_space, tgt_space, args.k, floor=args.floor)
+    for word, (ranking, label) in zip(words, translations):
         for rank, (target, score) in enumerate(ranking, 1):
             lines.append(f"{word}\t{label}\t{rank}\t{target}\t{score:.6f}")
     (out / "translations.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")

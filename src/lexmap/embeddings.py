@@ -8,6 +8,7 @@ space-separated, UTF-8.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
@@ -18,6 +19,10 @@ import numpy as np
 _CHUNK_LINES = 256
 # np.loadtxt strips these from a field as whitespace, float() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# least bytes of one top_k_rows block: its unit queries, GEMM cosines and their partitioned copy
+_BLOCK_BYTES = 2 << 20
+# a raw row normed below this may have lost its squares' bits to underflow
+_TINY_NORM = 2.0**-450
 
 
 @dataclass
@@ -126,7 +131,6 @@ def load_embeddings(
 
     stats = LoadStats()
     words: list[str] = []
-    blocks: list[np.ndarray] = []
     seen: set[str] = set()
     body_lines = 0
 
@@ -142,6 +146,9 @@ def load_embeddings(
             raise ValueError(f"bad header in {path}: count={count} dim={dim}")
 
         target = count if limit is None else min(count, limit)
+        # a kept line is a token and dim fields, each after a space: over 2 dim bytes,
+        # so a header count larger than the file cannot size the array
+        vectors = np.empty((min(target, path.stat().st_size // (2 * dim)), dim))
         while len(words) < target:
             lines = [line.rstrip() for line in islice(fh, _CHUNK_LINES)]
             if not lines:
@@ -159,6 +166,7 @@ def load_embeddings(
             # a NaN or inf entry, or a squared norm that overflows, gives a non-finite norm
             finite = np.isfinite(norms) if normalize else np.isfinite(block).all(axis=1)
             keep: list[int] = []
+            start = len(words)
             j = -1
             for ok in formed:
                 if len(words) >= target:
@@ -180,12 +188,11 @@ def load_embeddings(
                 seen.add(token)
                 words.append(token)
                 keep.append(j)
-            kept = block[keep]
+            kept = np.take(block, keep, axis=0, out=vectors[start:len(words)])
             # only a raw load keeps a row whose squared norm overflows
             stats.norm_overflow += int(np.isinf(norms[keep]).sum())
             if normalize:
                 kept /= norms[keep][:, None]
-            blocks.append(kept)
         if target == count:
             # the read stops before the end only after count words, so after at
             # least count lines: one more line then settles an equal count
@@ -196,7 +203,8 @@ def load_embeddings(
             f"no words loaded from {path}: {stats.malformed} malformed lines, "
             f"{stats.zero_dropped} zero vectors"
         )
-    vectors = np.concatenate(blocks) if blocks else np.empty((0, dim))
+    # the row views taken above are not used again, so the array shrinks in place
+    vectors.resize((len(words), dim), refcheck=False)
     return EmbeddingSpace(words, vectors, normalized=normalize, stats=stats)
 
 
@@ -242,18 +250,33 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
-    """Cosine of a query vector against every row of the space."""
+def _unit_query(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
+    """The query over its norm, checked against the space's dimension."""
     query = np.asarray(query, dtype=np.float64)
     if query.shape != (space.dim,):
         raise ValueError(f"query dimension {query.shape} != space dim {space.dim}")
     qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("cosine similarity undefined for zero query")
-    scores = np.vecdot(space.vectors, query / qnorm)
+    return query / qnorm
+
+
+def _cosines(space: EmbeddingSpace, rows: np.ndarray | None, unit: np.ndarray) -> np.ndarray:
+    """Cosines of a unit query to the space's rows (all of them for None).
+
+    Each score is one ``np.vecdot`` row product, so a row scores the same
+    bits in any subset of rows.
+    """
+    vectors = space.vectors if rows is None else space.vectors[rows]
+    scores = np.vecdot(vectors, unit)
     if not space.normalized:
-        scores = scores / space.row_norms
+        scores = scores / (space.row_norms if rows is None else space.row_norms[rows])
     return np.clip(scores, -1.0, 1.0)
+
+
+def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
+    """Cosine of a query vector against every row of the space."""
+    return _cosines(space, None, _unit_query(space, query))
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -274,13 +297,96 @@ def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
 
 
+def top_k_rows(
+    space: EmbeddingSpace, queries: Iterable[np.ndarray], k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and cosines of the k best rows for each query, best first.
+
+    Equal, bit for bit, to ranking ``cosines_to_all`` of each query with
+    ``top_k_indices``, whatever the block size or BLAS thread count. Blocks
+    of unit queries are scored with one GEMM, which only selects candidates:
+    two summation orders of one d-term dot product differ by at most
+    2 gamma_d |q| |v|, so every row whose GEMM cosine lies within twice
+    that margin of the query's k-th best GEMM cosine is rescored with
+    ``cosines_to_all``'s row products and ranked with ``top_k_indices``.
+    The margin holds for rows whose norm is finite and not tiny; in a raw
+    space any other nonzero row is always a candidate, and a query whose
+    unit vector is not finite is rescored over every row. Queries are read
+    lazily, one block at a time. A space of fewer than k rows gives all of
+    them.
+
+    Returns:
+        (indices, scores), each of shape (queries, min(k, len(space))).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    n = len(space)
+    width = min(k, n)
+    block = _block_queries(space)
+    forced = _forced_candidates(space)
+    # delta = 2 gamma_m |q| max|v|, gamma_m = m u / (1 - m u) with u = 2^-53, bounds
+    # how far two summation orders of one cosine differ; m = 2d+4 in place of d
+    # also covers the norms it uses, a raw space's division and its own rounding
+    mu = (2 * space.dim + 4) * 2.0**-53
+    scale = 2.0 * mu / (1.0 - mu)
+    if space.normalized and n:
+        scale *= float(space.row_norms.max())
+    indices: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
+    it = iter(queries)
+    while units := [_unit_query(space, q) for q in islice(it, block)]:
+        unit = np.array(units)
+        candidates = np.ones((len(units), n), dtype=bool)
+        if k < n:
+            with np.errstate(over="ignore", invalid="ignore"):  # forced rows are reset below
+                gemm = unit @ space.vectors.T
+                if not space.normalized:
+                    gemm /= space.row_norms
+            np.clip(gemm, -1.0, 1.0, out=gemm)
+            gemm[:, forced] = -np.inf
+            kth = np.partition(gemm, n - k, axis=1)[:, n - k]
+            margin = 2.0 * scale * np.sqrt(np.vecdot(unit, unit))
+            finite = np.isfinite(unit).all(axis=1)
+            np.greater_equal(gemm, (kth - margin)[:, None], out=candidates, where=finite[:, None])
+            candidates[:, forced] = True
+        for row, mask in zip(unit, candidates):
+            rows = np.flatnonzero(mask)
+            cos = _cosines(space, rows, row)
+            top = top_k_indices(cos, width)
+            indices.append(rows[top])
+            scores.append(cos[top])
+    shape = (len(indices), width)
+    return (np.array(indices, dtype=np.intp).reshape(shape),
+            np.array(scores, dtype=np.float64).reshape(shape))
+
+
+def _block_queries(space: EmbeddingSpace) -> int:
+    """Queries per top_k_rows block.
+
+    A block fills _BLOCK_BYTES, or an eighth of a larger space's matrix: the
+    GEMM then reads the matrix once per about d/16 queries rather than per
+    query, and the block adds at most an eighth to the space's memory.
+    """
+    block_bytes = max(_BLOCK_BYTES, space.vectors.nbytes // 8)
+    return max(1, block_bytes // (8 * (space.dim + 2 * len(space))))
+
+
+def _forced_candidates(space: EmbeddingSpace) -> np.ndarray:
+    """Rows of a raw space outside the margin's reach: nonzero with a tiny or inf norm."""
+    if space.normalized:
+        return np.empty(0, dtype=np.intp)
+    norms = space.row_norms
+    odd = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
+    return odd[space.vectors[odd].any(axis=1)]  # a zero row scores 0 in any order
+
+
 def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """The k highest-cosine words for a query, ties broken by vocabulary index.
 
     A space of fewer than k words gives all of them.
     """
-    scores = cosines_to_all(space, query)
-    return [(space.words[i], float(scores[i])) for i in top_k_indices(scores, k)]
+    indices, scores = top_k_rows(space, [query], k)
+    return [(space.words[i], float(s)) for i, s in zip(indices[0], scores[0])]
 
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:

@@ -403,7 +403,8 @@ def load_map(path: str | Path) -> LinearMap:
                 meta[key.strip()] = value
                 continue
             rows.append(line)
-    matrix = _parse_float_rows(rows, d_src, None)
+    # save_map's single spaces; other spacing fails the bulk parse and is split per entry
+    matrix = _parse_float_rows(rows, d_src, " ")
     try:
         if matrix is None:
             matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)

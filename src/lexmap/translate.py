@@ -9,12 +9,13 @@ global fallback map handles queries far from every anchor.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosines_to_all, top_k_by_cosine, top_k_indices
+from .embeddings import EmbeddingSpace, top_k_rows
 from .mapper import LinearMap, load_map, save_map
 
 
@@ -66,25 +67,58 @@ class MapAtlas:
         return len(self.entries)
 
 
+def dispatch(
+    atlas: MapAtlas, src_vectors: Sequence[np.ndarray], floor: float = 0.0
+) -> list[tuple[LinearMap, str]]:
+    """Per query, the map whose anchor is nearest by cosine, and its label.
+
+    All queries are scored against the stacked anchors in one top_k_rows
+    call. Ties keep the earliest atlas entry. The fallback map, labelled
+    with its anchor, is used when the atlas is empty or the best anchor
+    cosine is below the floor; without a fallback the best anchor is used
+    regardless, so dispatch always succeeds on a non-empty atlas.
+    """
+    if not atlas.entries:
+        if atlas.fallback is None:
+            raise ValueError("empty atlas with no fallback map")
+        return [(atlas.fallback, atlas.fallback.anchor)] * len(src_vectors)
+    best, scores = top_k_rows(atlas.anchors, src_vectors, 1)
+    chosen = []
+    for i, score in zip(best[:, 0], scores[:, 0]):
+        if atlas.fallback is None or not score < floor:
+            chosen.append((atlas.entries[i].linear_map, atlas.entries[i].anchor_word))
+        else:
+            chosen.append((atlas.fallback, atlas.fallback.anchor))
+    return chosen
+
+
 def select_entry(
     atlas: MapAtlas, src_vector: np.ndarray, floor: float = 0.0
 ) -> tuple[LinearMap, str]:
-    """Pick the map whose anchor is nearest the query by cosine.
+    """The map whose anchor is nearest the query, and its label: dispatch of one query."""
+    return dispatch(atlas, [src_vector], floor)[0]
 
-    Ties keep the earliest atlas entry. The fallback map, labelled with its
-    anchor, is used when the atlas is empty or the best anchor cosine is
-    below the floor; without a fallback the best anchor is used regardless,
-    so dispatch always succeeds on a non-empty atlas.
+
+def translate_words(
+    atlas: MapAtlas,
+    src_words: Sequence[str],
+    src_space: EmbeddingSpace,
+    tgt_space: EmbeddingSpace,
+    k: int,
+    floor: float = 0.0,
+) -> list[tuple[list[tuple[str, float]], str]]:
+    """Per word, its top-k through the nearest-anchor map and the anchor used.
+
+    Every word is dispatched at once; each mapped query is one gemv of its
+    map, and the mapped queries are ranked in top_k_rows blocks.
     """
-    if atlas.entries:
-        scores = cosines_to_all(atlas.anchors, src_vector)
-        best = top_k_indices(scores, 1)[0]
-        if atlas.fallback is None or not scores[best] < floor:
-            entry = atlas.entries[best]
-            return entry.linear_map, entry.anchor_word
-    elif atlas.fallback is None:
-        raise ValueError("empty atlas with no fallback map")
-    return atlas.fallback, atlas.fallback.anchor
+    vectors = [src_space.vector(w) for w in src_words]
+    chosen = dispatch(atlas, vectors, floor)
+    tops, scores = top_k_rows(tgt_space, (m.apply(v) for v, (m, _) in zip(vectors, chosen)), k)
+    return [
+        ([(tgt_space.words[i], float(s)) for i, s in zip(top, row)], label)
+        for top, row, (_, label) in zip(tops, scores, chosen)
+    ]
 
 
 def piecewise_translate(
@@ -96,9 +130,7 @@ def piecewise_translate(
     floor: float = 0.0,
 ) -> tuple[list[tuple[str, float]], str]:
     """Translate through the nearest-anchor map; returns (ranking, anchor used)."""
-    src_vector = src_space.vector(src_word)
-    chosen, label = select_entry(atlas, src_vector, floor=floor)
-    return top_k_by_cosine(tgt_space, chosen.apply(src_vector), k), label
+    return translate_words(atlas, [src_word], src_space, tgt_space, k, floor)[0]
 
 
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:

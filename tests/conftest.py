@@ -1,7 +1,16 @@
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lexmap.embeddings import EmbeddingSpace
+
+# CI runs each property test on the same examples every time, so a failure
+# there reproduces locally with CI=1 and prints the blob to replay it
+settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from lexmap import analysis
 from lexmap.analysis import (
     TSV_COLUMNS,
     frobenius_norm,
@@ -380,6 +381,17 @@ class TestSkippedAnchors:
         """A later anchor outside the vocabulary would raise a KeyError if scanned."""
         with pytest.raises(ValueError, match="^reference anchor 'b0' unusable: no usable pairs"):
             _run_four_cluster(["b0", "not-a-word"])
+
+    def test_k_below_one_raises_before_any_neighborhood_is_scanned(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("scanned a neighborhood")
+
+        monkeypatch.setattr(analysis, "build_neighborhood", scan)
+        src, tgt, lexicon = _four_cluster_world()
+        with pytest.raises(ValueError) as info:
+            run_experiment(["a0", "a1"], 0.5, src, tgt, lexicon, TrainConfig(seed=2),
+                           test_size=3, seed=2, trainer="lsq", lam=1e-6, eval_k=0)
+        assert str(info.value) == "k must be >= 1, got 0"
 
     @pytest.mark.parametrize("anchors", [["a0", "a1"], ["a1", "a0"]])
     def test_zero_test_size_raises_split_dataset_error(self, anchors):

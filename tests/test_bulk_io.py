@@ -188,15 +188,22 @@ MAP_FIELDS = st.one_of(
 )
 
 
+# save_map's single space, and spacing that only the per-entry split reads
+MAP_SEPARATORS = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 3),
     st.lists(st.lists(MAP_FIELDS, min_size=1, max_size=4), min_size=0, max_size=4),
-    st.sampled_from([" ", "  ", "\t"]),
+    st.lists(MAP_SEPARATORS, min_size=3, max_size=3),
 )
-def test_load_map_matches_per_line_reference(tmp_path_factory, d_src, rows, sep):
+@example(3, [["1", "2", "3"], ["4", "5", "6"]], ["  ", " ", " "])  # "1  2 3": a double space
+@example(3, [["1", "2", "3"], ["4", "5", "6"]], [" ", "\t", " "])  # "1 2\t3": a tab
+def test_load_map_matches_per_line_reference(tmp_path_factory, d_src, rows, seps):
     d_tgt = max(len(rows), 1)
-    lines = [sep.join(row) for row in rows]
+    # each row joins its fields with the drawn separators in turn
+    lines = [row[0] + "".join(seps[i % 3] + f for i, f in enumerate(row[1:])) for row in rows]
     path = tmp_path_factory.mktemp("map") / "m.txt"
     path.write_text(f"{d_tgt} {d_src}\n# trainer=t\n" + "".join(f"{line}\n" for line in lines),
                     encoding="utf-8")

@@ -565,6 +565,21 @@ class TestTrainAndTranslate:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: data: atlas manifest not found")
 
+    @pytest.mark.parametrize("maps", [["--atlas", "absent_atlas"], ["--map", "absent.txt"]])
+    def test_k_below_one_fails_before_loading_maps_or_vectors(self, maps, tmp_path, capsys):
+        code = run(
+            [
+                "translate",
+                "--src-emb", str(tmp_path / "absent_src.vec"),
+                "--tgt-emb", str(tmp_path / "absent_tgt.vec"),
+                maps[0], str(tmp_path / maps[1]),
+                "--words", "w00001", "--k", "0",
+                "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: constraint: k must be >= 1, got 0\n"
+
     def test_translate_requires_exactly_one_source_of_maps(self, world_dir, tmp_path, capsys):
         code = run(
             [

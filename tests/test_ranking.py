@@ -4,13 +4,18 @@ Every ranking in lexmap goes through ``top_k_indices``. These tests build
 exact ties on purpose (repeated scores, duplicated vectors) and compare each
 ranking path with the per-query reference it replaced. Equal rows of a
 random float space must tie exactly too, wherever they sit in the matrix.
+The batched kernel ``top_k_rows`` must equal the per-query path bit for bit
+at every block size, near-ties a few ulps apart and odd raw rows included.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from lexmap import embeddings
 from lexmap.analysis import precision_at_k
 from lexmap.embeddings import (
     EmbeddingSpace,
@@ -18,6 +23,7 @@ from lexmap.embeddings import (
     cosines_to_all,
     top_k_by_cosine,
     top_k_indices,
+    top_k_rows,
 )
 from lexmap.lexicon import Instance, TranslationDataset
 from lexmap.mapper import LinearMap
@@ -186,3 +192,113 @@ def test_equal_rows_score_bit_equal_and_rank_by_index(case):
         for gold, expected in ((copies[0], 100.0), (copies[1], 0.0)):
             test = TranslationDataset((Instance("q", query, (space.words[gold],)),))
             assert precision_at_k(identity, test, space, k) == expected
+
+
+def per_query_top_k(space, queries, k):
+    """top_k_rows as one cosines_to_all and top_k_indices per query."""
+    indices, scores = [], []
+    for query in queries:
+        cos = cosines_to_all(space, query)
+        top = top_k_indices(cos, k)
+        indices.append(top.tolist())
+        scores.append(cos[top].tobytes())
+    return indices, scores
+
+
+def result_or_error(f, *args):
+    """f's result, or the message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+# rows of a raw space that the GEMM margin does not cover, and a zero row
+ODD_ROWS = {
+    "zero": lambda d: np.zeros(d),
+    "overflowing": lambda d: np.full(d, 1e200),
+    "overflowing mixed": lambda d: np.resize([1.7e308, -1.7e308, 1.0], d),
+    "tiny": lambda d: np.full(d, 2.3e-162),
+}
+
+
+@st.composite
+def retrieval_cases(draw):
+    """(space, queries, k, queries per block) full of ties and near-ties.
+
+    Small-integer rows tie exactly; copied rows tie wherever they sit;
+    copies moved a few ulps score a few ulps apart, inside the GEMM margin.
+    A raw space may hold the rows of ODD_ROWS; queries include copies of
+    rows, one whose norm overflows and one with an inf entry.
+    """
+    n = draw(st.integers(1, 40))
+    d = draw(st.one_of(st.integers(1, 8), st.sampled_from([33, 300])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vectors = rng.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        vectors = rng.standard_normal((n, d)) * rng.uniform(0.1, 10, size=(n, 1))
+    normalized = draw(st.booleans())
+    if normalized:
+        vectors[~vectors.any(axis=1), 0] = 1.0
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    for _ in range(draw(st.integers(0, 6))):
+        source, copy = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        row = vectors[source].copy()
+        for _ in range(draw(st.integers(0, 3))):
+            row = np.nextafter(row, np.inf)
+        vectors[copy] = row
+    if not normalized:
+        for name in draw(st.lists(st.sampled_from(sorted(ODD_ROWS)), max_size=4)):
+            vectors[draw(st.integers(0, n - 1))] = ODD_ROWS[name](d)
+    space = EmbeddingSpace([f"t{i}" for i in range(n)], vectors, normalized)
+    queries = list(rng.standard_normal((draw(st.integers(1, 12)), d)))
+    queries += [vectors[i] for i in draw(st.lists(st.integers(0, n - 1), max_size=3))]
+    if draw(st.booleans()):
+        queries += [np.full(d, 1e300), np.resize([np.inf, 1.0], d)]
+    k = draw(st.integers(1, n + 2))
+    return space, queries, k, draw(st.sampled_from([1, 3, 1000]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing rows, as per query
+@settings(max_examples=300, deadline=None)
+@given(retrieval_cases())
+def test_top_k_rows_equals_per_query_path(case):
+    space, queries, k, per_block = case
+
+    def batched():
+        indices, scores = top_k_rows(space, iter(queries), k)
+        return [row.tolist() for row in indices], [row.tobytes() for row in scores]
+
+    with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+        got = result_or_error(batched)
+    assert got == result_or_error(per_query_top_k, space, queries, k)  # a zero query raises
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("per_block", [1, 7, 1000])
+def test_top_k_rows_on_near_ties_at_d300(normalized, per_block):
+    """Many rows a few ulps from the best at the benchmark's width.
+
+    Each query's own row is copied and nudged by 1 to 3 ulps per entry, so
+    the top scores differ in their last bits and GEMM and ``np.vecdot``
+    can order them differently.
+    """
+    rng = np.random.default_rng(14)
+    vectors = rng.standard_normal((400, 300)) * rng.uniform(0.5, 2, size=(400, 1))
+    if normalized:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    for base in range(0, 400, 8):
+        for offset in range(1, 4):
+            vectors[base + offset] = vectors[base]
+            for _ in range(offset):
+                vectors[base + offset] = np.nextafter(vectors[base + offset], np.inf)
+        vectors[base + 4] = vectors[base]
+    space = EmbeddingSpace([f"t{i}" for i in range(400)], vectors, normalized)
+    queries = [vectors[base] * 3.0 for base in range(0, 400, 8)]
+    queries += list(vectors[::8] + 1e-3 * rng.standard_normal((50, 300)))
+    for k in (1, 4, 10):
+        with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+            indices, scores = top_k_rows(space, queries, k)
+        got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
+        assert got == per_query_top_k(space, queries, k)
