@@ -332,7 +332,9 @@ def run(argv: list[str]) -> int:
         return int(exc.code or 0)
     except OSError as exc:
         print(f"error: data: {exc}", file=sys.stderr)
-    except (ValueError, KeyError) as exc:
+    except KeyError as exc:  # str() of a KeyError is the repr of its message
+        print(f"error: constraint: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except ValueError as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
     except (ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: numeric: {exc}", file=sys.stderr)

@@ -229,6 +229,11 @@ def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.
     return block if block.shape == (len(rows), width) else None
 
 
+def _format_float_row(row: np.ndarray) -> str:
+    """A row as " "-separated shortest reprs, which float() reads back exactly."""
+    return " ".join(map(repr, row.tolist()))
+
+
 def _float_fields(body: str, dim: int) -> list[float]:
     """The " "-separated floats of a .vec line body; all NaN (malformed) if float() fails."""
     try:
@@ -395,4 +400,4 @@ def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.words, space.vectors):
-            fh.write(word + " " + " ".join(map(repr, row.tolist())) + "\n")
+            fh.write(word + " " + _format_float_row(row) + "\n")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _parse_float_rows
+from .embeddings import EmbeddingSpace, _format_float_row, _parse_float_rows
 from .lexicon import TranslationDataset
 from .seeds import spawn_rng
 
@@ -367,7 +367,7 @@ def save_map(m: LinearMap, path: str | Path) -> None:
         for key, value in sorted(m.hyperparams.items()):
             fh.write(f"# {key}={value!r}\n")
         for row in m.matrix:
-            fh.write(" ".join(map(repr, row.tolist())) + "\n")
+            fh.write(_format_float_row(row) + "\n")
 
 
 def _literal(text: str):
@@ -384,7 +384,15 @@ def load_map(path: str | Path) -> LinearMap:
     Hyperparameter values come back as the Python literals save_map wrote
     with repr, so a loaded map saves to the same bytes.
     """
-    path = Path(path)
+    return _read_map(Path(path))
+
+
+def _read_map(path: Path, matrix: np.ndarray | None = None) -> LinearMap:
+    """load_map of path; a given matrix stands in for the rows, which go unparsed.
+
+    The header, its shape check against the matrix and the '#' metadata are
+    read from the file either way.
+    """
     if not path.is_file():
         raise FileNotFoundError(f"map file not found: {path}")
     with path.open("r", encoding="utf-8") as fh:
@@ -396,20 +404,19 @@ def load_map(path: str | Path) -> LinearMap:
         rows: list[str] = []
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 key, _, value = line[1:].strip().partition("=")
                 meta[key.strip()] = value
-                continue
-            rows.append(line)
-    # save_map's single spaces; other spacing fails the bulk parse and is split per entry
-    matrix = _parse_float_rows(rows, d_src, " ")
-    try:
-        if matrix is None:
-            matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
-    except ValueError as exc:  # a non-numeric entry, or rows of unequal length
-        raise ValueError(f"bad map body in {path}: {exc}") from None
+            elif line and matrix is None:
+                rows.append(line)
+    if matrix is None:
+        # save_map's single spaces; other spacing fails the bulk parse and is split per entry
+        matrix = _parse_float_rows(rows, d_src, " ")
+        try:
+            if matrix is None:
+                matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
+        except ValueError as exc:  # a non-numeric entry, or rows of unequal length
+            raise ValueError(f"bad map body in {path}: {exc}") from None
     if matrix.shape != (d_tgt, d_src):
         raise ValueError(f"bad map body in {path}: shape {matrix.shape} != header ({d_tgt}, {d_src})")
 

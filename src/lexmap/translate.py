@@ -8,6 +8,7 @@ global fallback map handles queries far from every anchor.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -16,7 +17,12 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSpace, top_k_rows
-from .mapper import LinearMap, load_map, save_map
+from .mapper import LinearMap, _read_map, save_map
+
+# the binary copy of an atlas's maps, which load_atlas serves while its digests hold
+_STACK_FILE = "maps.npy"
+# bytes read per digest update
+_DIGEST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,29 @@ def piecewise_translate(
     return translate_words(atlas, [src_word], src_space, tgt_space, k, floor)[0]
 
 
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in chunks (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
-    """Persist an atlas as one map file per anchor plus a JSON manifest."""
+    """Persist an atlas as one map file per anchor, a stack of the maps and a JSON manifest.
+
+    The text map files are the atlas. ``maps.npy`` stacks their matrices,
+    entries first and the fallback last, and the manifest's ``"stack"``
+    records its sha256 and that of every map file, in stack order.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"entries": [], "fallback": None}
+    maps: dict[str, LinearMap] = {}  # file -> map, in stack order
     for i, entry in enumerate(atlas.entries):
         filename = f"map_{i:04d}.txt"
-        save_map(entry.linear_map, directory / filename)
+        maps[filename] = entry.linear_map
         manifest["entries"].append(
             {
                 "anchor": entry.anchor_word,
@@ -149,18 +170,49 @@ def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
             }
         )
     if atlas.fallback is not None:
-        save_map(atlas.fallback, directory / "map_global.txt")
+        maps["map_global.txt"] = atlas.fallback
         manifest["fallback"] = "map_global.txt"
+    for filename, m in maps.items():
+        save_map(m, directory / filename)
+    matrices = [m.matrix for m in maps.values()]
+    stack = np.stack(matrices) if matrices else np.empty((0, 0, 0))
+    np.save(directory / _STACK_FILE, stack, allow_pickle=False)
+    manifest["stack"] = {
+        "file": _STACK_FILE,
+        "sha256": _sha256(directory / _STACK_FILE),
+        "maps": [_sha256(directory / filename) for filename in maps],
+    }
     with (directory / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+
+
+def _stacked_matrices(
+    directory: Path, stack: dict | None, files: list[str]
+) -> list[np.ndarray | None]:
+    """Per map file, its matrix from the stack, or None for all when a digest differs.
+
+    The stack is served only while its sha256 and that of every map file
+    equal the manifest's, so an edited, missing or added file sends every
+    map to the text parse.
+    """
+    unverified = [None] * len(files)
+    if stack is None:
+        return unverified
+    digests = zip([*files, stack["file"]], [*stack["maps"], stack["sha256"]])
+    if not all((directory / f).is_file() and _sha256(directory / f) == d for f, d in digests):
+        return unverified
+    matrices = np.load(directory / stack["file"], allow_pickle=False)
+    return list(matrices) if matrices.ndim == 3 and len(matrices) == len(files) else unverified
 
 
 def load_atlas(directory: str | Path) -> MapAtlas:
     """Load an atlas saved by save_atlas.
 
     A manifest that is not JSON, lacks a key or holds a value of the wrong
-    type is rejected, naming the manifest, before any map file loads.
+    type or length is rejected, naming the manifest, before any map file
+    loads. Each map's header and metadata come from its text file; its
+    matrix comes from the stack when every digest holds, else from the text.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -171,15 +223,23 @@ def load_atlas(directory: str | Path) -> MapAtlas:
         items = [(item["anchor"], item["file"], np.array(item["vector"], dtype=np.float64))
                  for item in manifest["entries"]]
         fallback = manifest.get("fallback")
-        names = [fallback or "", *(text for anchor, file, _ in items for text in (anchor, file))]
-        if not all(isinstance(name, str) for name in names):
-            raise TypeError("anchor, file and fallback must be strings")
+        files = [file for _, file, _ in items] + ([fallback] if fallback else [])
+        stack = manifest.get("stack")
+        if stack is not None and not (isinstance(stack, dict) and isinstance(stack["maps"], list)):
+            raise TypeError("stack must be an object with a list of map digests")
+        digests = [stack["file"], stack["sha256"], *stack["maps"]] if stack is not None else []
+        if not all(isinstance(name, str) for name in [*(a for a, _, _ in items), *files, *digests]):
+            raise TypeError("anchor, file, fallback and stack entries must be strings")
+        if stack is not None and len(stack["maps"]) != len(files):
+            raise ValueError(f"stack holds {len(stack['maps'])} map digests, expected {len(files)}")
     except KeyError as exc:
         raise ValueError(f"bad atlas manifest in {manifest_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad atlas manifest in {manifest_path}: {exc}") from None
+    matrices = _stacked_matrices(directory, stack, files)
+    maps = [_read_map(directory / file, matrix) for file, matrix in zip(files, matrices)]
     entries = tuple(
-        AtlasEntry(anchor_word=anchor, anchor_vector=vector, linear_map=load_map(directory / file))
-        for anchor, file, vector in items
+        AtlasEntry(anchor_word=anchor, anchor_vector=vector, linear_map=m)
+        for (anchor, _, vector), m in zip(items, maps)
     )
-    return MapAtlas(entries, fallback=load_map(directory / fallback) if fallback else None)
+    return MapAtlas(entries, fallback=maps[-1] if fallback else None)

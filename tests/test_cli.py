@@ -217,7 +217,7 @@ class TestUsage:
             ]
         )
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: constraint:")
+        assert capsys.readouterr().err == "error: constraint: anchor word not in vocabulary: 'ghost'\n"
 
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
@@ -549,6 +549,23 @@ class TestTrainAndTranslate:
         assert code == 0
         row = (out / "translations.tsv").read_text().splitlines()[1].split("\t")
         assert row[1] == anchors[0]  # dispatched to its own anchor map
+
+    def test_unknown_word_through_atlas_is_constraint_error(self, world_dir, tmp_path, capsys):
+        world = load_world(world_dir)
+        anchor = default_anchor_words(world)[0]
+        entries = (AtlasEntry(anchor, world.src_space.vector(anchor), LinearMap(world.ground_truth.matrix)),)
+        save_atlas(MapAtlas(entries), tmp_path / "atlas")
+        code = run(
+            [
+                "translate",
+                "--src-emb", str(world_dir / "src.vec"),
+                "--tgt-emb", str(world_dir / "tgt.vec"),
+                "--atlas", str(tmp_path / "atlas"),
+                "--words", "ghost", "--out", str(tmp_path / "o"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: constraint: word not in vocabulary: 'ghost'\n"
 
     def test_atlas_without_manifest_fails_before_loading_vectors(self, tmp_path, capsys):
         (tmp_path / "maps").mkdir()

@@ -4,10 +4,16 @@ import re
 import numpy as np
 import pytest
 
+import lexmap.mapper
 from lexmap.cli import run
 from lexmap.embeddings import top_k_by_cosine
-from lexmap.mapper import LinearMap
-from lexmap.synth import default_anchor_words, generate_linear_world, generate_nonlinear_world
+from lexmap.mapper import LinearMap, load_map
+from lexmap.synth import (
+    default_anchor_words,
+    export_world,
+    generate_linear_world,
+    generate_nonlinear_world,
+)
 from lexmap.translate import (
     AtlasEntry,
     MapAtlas,
@@ -212,6 +218,22 @@ class TestMapAtlasType:
         assert atlas.anchors.dim == 3
 
 
+def _save_stacked_atlas(world, directory):
+    """Three anchored maps and a fallback, each with its own matrix and provenance."""
+    rng = np.random.default_rng(5)
+    anchors = default_anchor_words(world)[:3]
+    maps = [
+        LinearMap(world.ground_truth.matrix + 0.01 * rng.standard_normal(world.ground_truth.matrix.shape),
+                  trainer="least_squares", anchor=a, hyperparams={"lam": 10.0 ** -i},
+                  train_size=40 + i, final_loss=0.1 * i + 1 / 3)
+        for i, a in enumerate(anchors)
+    ]
+    entries = tuple(AtlasEntry(a, world.src_space.vector(a), m) for a, m in zip(anchors, maps))
+    fallback = LinearMap(world.ground_truth.matrix, trainer="least_squares", train_size=300)
+    save_atlas(MapAtlas(entries, fallback=fallback), directory)
+    return directory
+
+
 class TestAtlasPersistence:
     def test_save_load_round_trip(self, tmp_path, linear_world):
         world = linear_world
@@ -293,6 +315,64 @@ class TestAtlasPersistence:
         with pytest.raises(ValueError, match=f"bad map metadata in {re.escape(str(path))}: "):
             load_atlas(tmp_path)
 
+    def test_stack_serves_the_text_maps_bit_for_bit(self, tmp_path, linear_world, monkeypatch):
+        atlas_dir = _save_stacked_atlas(linear_world, tmp_path / "atlas")
+        manifest = json.loads((atlas_dir / "manifest.json").read_text())
+        files = [e["file"] for e in manifest["entries"]] + [manifest["fallback"]]
+        assert manifest["stack"]["file"] == "maps.npy" and len(manifest["stack"]["maps"]) == len(files)
+        texts = [load_map(atlas_dir / f) for f in files]
+
+        def no_body_parse(*args):
+            raise AssertionError("a map body was parsed although every digest holds")
+
+        monkeypatch.setattr(lexmap.mapper, "_parse_float_rows", no_body_parse)
+        back = load_atlas(atlas_dir)
+        for loaded, text in zip([*(e.linear_map for e in back.entries), back.fallback], texts, strict=True):
+            assert loaded.matrix.tobytes() == text.matrix.tobytes()
+            assert loaded.matrix.shape == text.matrix.shape
+            assert (loaded.trainer, loaded.anchor, loaded.hyperparams, loaded.train_size,
+                    loaded.final_loss) == (text.trainer, text.anchor, text.hyperparams,
+                                           text.train_size, text.final_loss)
+
+    def test_stacked_and_text_atlas_translate_to_the_same_bytes(self, tmp_path, linear_world):
+        export_world(linear_world, tmp_path / "world")
+        stacked = _save_stacked_atlas(linear_world, tmp_path / "stacked")
+        text = _save_stacked_atlas(linear_world, tmp_path / "text")
+        (text / "maps.npy").unlink()
+        outputs = []
+        for atlas_dir in (stacked, text):
+            out = tmp_path / f"out_{atlas_dir.name}"
+            code = run(["translate", "--atlas", str(atlas_dir),
+                        "--words", ",".join(linear_world.src_space.words[:60]),
+                        "--src-emb", str(tmp_path / "world" / "src.vec"),
+                        "--tgt-emb", str(tmp_path / "world" / "tgt.vec"),
+                        "--k", "3", "--floor", "0.6", "--out", str(out)])
+            assert code == 0
+            outputs.append((out / "translations.tsv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert b"\tglobal\t" in outputs[0]  # the fallback served some words
+
+    @pytest.mark.parametrize("change", ["flip stack byte", "delete stack", "edit text float"])
+    def test_changed_stack_or_text_serves_the_text(self, tmp_path, linear_world, change):
+        atlas_dir = _save_stacked_atlas(linear_world, tmp_path / "atlas")
+        stack, text = atlas_dir / "maps.npy", atlas_dir / "map_0001.txt"
+        if change == "flip stack byte":
+            data = bytearray(stack.read_bytes())
+            data[-1] ^= 1
+            stack.write_bytes(bytes(data))
+        elif change == "delete stack":
+            stack.unlink()
+        else:
+            lines = text.read_text().split("\n")
+            row = next(i for i, line in enumerate(lines) if i > 0 and not line.startswith("#"))
+            lines[row] = " ".join(["0.5"] + lines[row].split(" ")[1:])
+            text.write_text("\n".join(lines))
+        back = load_atlas(atlas_dir)
+        loaded = [*(e.linear_map for e in back.entries), back.fallback]
+        for m, file in zip(loaded, ["map_0000.txt", "map_0001.txt", "map_0002.txt", "map_global.txt"]):
+            assert np.array_equal(m.matrix, load_map(atlas_dir / file).matrix)
+        assert (loaded[1].matrix[0, 0] == 0.5) == (change == "edit text float")
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_atlas(tmp_path / "nowhere")
@@ -306,6 +386,17 @@ class TestAtlasPersistence:
         ('{"entries": [{"anchor": "a", "file": 7, "vector": [1.0]}]}', "must be strings"),
         ('{"entries": [{"anchor": "a", "file": "map_0000.txt", "vector": {}}]}', "float"),
         ('{"entries": [], "fallback": 3}', "must be strings"),
+        ('{"entries": [], "stack": []}', "stack must be an object"),
+        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0"}}', "missing key 'maps'"),
+        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0", "maps": "0"}}',
+         "stack must be an object"),
+        ('{"entries": [], "stack": {"file": 1, "sha256": "0", "maps": []}}', "must be strings"),
+        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": null, "maps": []}}',
+         "must be strings"),
+        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0", "maps": [0]}}',
+         "must be strings"),
+        ('{"entries": [], "fallback": "map_global.txt", "stack": {"file": "maps.npy", "sha256": "0", '
+         '"maps": []}}', "stack holds 0 map digests, expected 1"),
     ])
     def test_malformed_manifest_named_before_any_map_loads(self, tmp_path, capsys, text, reason):
         manifest = tmp_path / "atlas" / "manifest.json"
