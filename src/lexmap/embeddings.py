@@ -2,12 +2,16 @@
 
 The on-disk format is the common ``.vec`` convention: a header line
 ``<count> <dim>`` followed by one ``<token> <d floats>`` line per word,
-space-separated, UTF-8.
+space-separated, UTF-8. ``write_embeddings`` also leaves a binary companion,
+``<name>.vec.npz``, which ``load_embeddings`` serves in place of the text
+while its digests hold.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
+import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import islice
@@ -23,6 +27,10 @@ _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 _BLOCK_BYTES = 2 << 20
 # a raw row normed below this may have lost its squares' bits to underflow
 _TINY_NORM = 2.0**-450
+# bytes read per digest update
+_DIGEST_CHUNK = 1 << 20
+# a fixed member timestamp keeps a companion's bytes deterministic, unlike np.savez
+_ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 
 
 @dataclass
@@ -101,6 +109,13 @@ def load_embeddings(
 ) -> EmbeddingSpace:
     """Load a ``.vec`` file into an EmbeddingSpace.
 
+    The companion that write_embeddings leaves beside the file is served
+    instead of the text when it opens cleanly, its sha256 of the ``.vec``
+    and of its own payload both hold, it has one word per row and every
+    row norm is finite and nonzero. The text path would keep every such
+    row as written and count nothing, so the result is the same bit for
+    bit; in any other case the text is parsed.
+
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
@@ -128,7 +143,12 @@ def load_embeddings(
     path = Path(path)
     if not path.is_file():
         raise FileNotFoundError(f"embedding file not found: {path}")
+    served = _serve_companion(path, limit, normalize)
+    return served if served is not None else _parse_vec(path, limit, normalize)
 
+
+def _parse_vec(path: Path, limit: int | None, normalize: bool) -> EmbeddingSpace:
+    """load_embeddings of the .vec text itself."""
     stats = LoadStats()
     words: list[str] = []
     seen: set[str] = set()
@@ -395,9 +415,77 @@ def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tu
 
 
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
-    """Write a space back to ``.vec`` text, round-tripping float64 exactly."""
+    """Write a space back to ``.vec`` text, round-tripping float64 exactly.
+
+    Beside it goes ``<name>.vec.npz``, a zip of three ``.npy`` members
+    saved without pickle: ``words``, the UTF-8 words joined by newlines;
+    ``vectors``, the float64 matrix; and ``digests``, the sha256 of the
+    ``.vec`` and of the payload. It is written only when the text keeps
+    every word as written (no word is empty or holds whitespace); otherwise
+    any stale companion is removed.
+    """
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.words, space.vectors):
             fh.write(word + " " + _format_float_row(row) + "\n")
+    companion = _companion(path)
+    if not all(w and w.split() == [w] for w in space.words):
+        companion.unlink(missing_ok=True)
+        return
+    words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
+    vectors = np.ascontiguousarray(space.vectors)
+    digests = np.array([_sha256(path), _payload_digest(words, vectors)])
+    with zipfile.ZipFile(companion, "w") as zf:
+        for name, array in (("words", words), ("vectors", vectors), ("digests", digests)):
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, array, allow_pickle=False)
+
+
+def _companion(path: Path) -> Path:
+    """The binary companion of a .vec file: <name>.vec.npz."""
+    return path.with_name(path.name + ".npz")
+
+
+def _payload_digest(words: np.ndarray, vectors: np.ndarray) -> str:
+    """Hex sha256 of a companion's payload: its matrix shape, word bytes and matrix bytes."""
+    digest = hashlib.sha256(f"{vectors.shape}\n".encode())
+    digest.update(words)
+    digest.update(vectors)
+    return digest.hexdigest()
+
+
+def _serve_companion(path: Path, limit: int | None, normalize: bool) -> EmbeddingSpace | None:
+    """load_embeddings from the companion of a .vec, or None where the text must be parsed."""
+    try:
+        with np.load(_companion(path), allow_pickle=False) as npz:
+            words, vectors, digests = npz["words"], npz["vectors"], npz["digests"]
+        if (words.dtype != np.uint8 or vectors.dtype != np.float64 or vectors.ndim != 2
+                or digests.shape != (2,)):
+            return None
+        if digests[0] != _sha256(path) or digests[1] != _payload_digest(words, vectors):
+            return None
+        tokens = words.tobytes().decode("utf-8").split("\n") if words.size else []
+        with np.errstate(over="ignore"):
+            norms = np.sqrt(np.vecdot(vectors, vectors))
+    except Exception:  # a damaged companion of any kind: the text stays the authority
+        return None
+    # the text keeps each such row as written and counts nothing; an empty or
+    # zero-width matrix is left to the text's own header checks
+    usable = norms.size and np.all(np.isfinite(norms) & (norms != 0))
+    if len(tokens) != len(vectors) or not usable:
+        return None
+    n = len(tokens) if limit is None else min(len(tokens), limit)
+    vectors = vectors if n == len(vectors) else vectors[:n].copy()
+    if normalize:
+        vectors /= norms[:n, None]
+    return EmbeddingSpace(tokens[:n], vectors, normalized=normalize, stats=LoadStats())
+
+
+def _sha256(path: Path) -> str:
+    """Hex sha256 of a file, read in chunks (hashlib.file_digest needs Python 3.11)."""
+    digest = hashlib.sha256()
+    with path.open("rb") as fh:
+        while chunk := fh.read(_DIGEST_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()

@@ -250,9 +250,8 @@ def export_world(world: SyntheticWorld, directory: str | Path) -> None:
         "region_labels": world.region_labels,
         "params": world.params,
     }
-    with (directory / "world.json").open("w", encoding="utf-8") as fh:
-        json.dump(descriptor, fh)
-        fh.write("\n")
+    # json.dumps takes the C encoder, which json.dump to a file never does: same bytes
+    (directory / "world.json").write_text(json.dumps(descriptor) + "\n", encoding="utf-8")
 
 
 def load_world(directory: str | Path) -> SyntheticWorld:

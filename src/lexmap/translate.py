@@ -8,7 +8,6 @@ global fallback map handles queries far from every anchor.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -16,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, top_k_rows
+from .embeddings import EmbeddingSpace, _sha256, top_k_rows
 from .mapper import LinearMap, _read_map, save_map
 
 # the binary copy of an atlas's maps, which load_atlas serves while its digests hold
 _STACK_FILE = "maps.npy"
-# bytes read per digest update
-_DIGEST_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -137,15 +134,6 @@ def piecewise_translate(
 ) -> tuple[list[tuple[str, float]], str]:
     """Translate through the nearest-anchor map; returns (ranking, anchor used)."""
     return translate_words(atlas, [src_word], src_space, tgt_space, k, floor)[0]
-
-
-def _sha256(path: Path) -> str:
-    """Hex sha256 of a file, read in chunks (hashlib.file_digest needs Python 3.11)."""
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(_DIGEST_CHUNK):
-            digest.update(chunk)
-    return digest.hexdigest()
 
 
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:

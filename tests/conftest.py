@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from lexmap.embeddings import EmbeddingSpace
+from lexmap.embeddings import EmbeddingSpace, load_embeddings
 
 # CI runs each property test on the same examples every time, so a failure
 # there reproduces locally with CI=1 and prints the blob to replay it
@@ -39,3 +39,20 @@ def write_vec(path, entries, dim=None, header_count=None):
         lines.append(token + " " + " ".join(str(float(v)) for v in vec))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def load_every_way(path, n):
+    """Every load of a .vec of n words, for limits None, 1, n-1, n, n+1 and both normalize
+    values: the words, vector bytes, shape and stats, or the ValueError's message."""
+    results = []
+    for limit in (None, 1, n - 1, n, n + 1):
+        for normalize in (True, False):
+            if limit is not None and limit < 1:
+                continue
+            try:
+                space = load_embeddings(path, limit=limit, normalize=normalize)
+            except ValueError as exc:
+                results.append(str(exc))
+                continue
+            results.append((space.words, space.vectors.tobytes(), space.vectors.shape, space.stats))
+    return results

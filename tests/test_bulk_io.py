@@ -26,6 +26,8 @@ from lexmap.embeddings import (
 )
 from lexmap.mapper import LinearMap, load_map, save_map
 
+from conftest import load_every_way
+
 
 def reference_load_embeddings(path, limit=None, normalize=True):
     """The per-line loader that the chunked bulk parse replaced."""
@@ -270,6 +272,10 @@ def test_vec_write_read_round_trip_is_exact(tmp_path_factory, matrix):
     back = load_embeddings(path, normalize=False)
     assert back.words == tuple(words)
     assert back.vectors.tobytes() == matrix.tobytes()
+    # the companion serves what the text parse gives, for every limit and normalize
+    served = load_every_way(path, len(words))
+    path.with_name("e.vec.npz").unlink()
+    assert load_every_way(path, len(words)) == served
 
 
 # a few values drawn often give many exact ties, 0.0 against -0.0 included

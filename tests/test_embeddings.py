@@ -13,7 +13,7 @@ from lexmap.embeddings import (
     write_embeddings,
 )
 
-from conftest import random_space, write_vec
+from conftest import load_every_way, random_space, write_vec
 
 
 class TestLoadEmbeddings:
@@ -159,6 +159,9 @@ class TestLoadEmbeddings:
         back = load_embeddings(tmp_path / "out.vec", normalize=False)
         assert back.words == space.words
         assert np.array_equal(back.vectors, space.vectors)
+        served = load_every_way(tmp_path / "out.vec", len(space))
+        (tmp_path / "out.vec.npz").unlink()
+        assert load_every_way(tmp_path / "out.vec", len(space)) == served
 
     def test_vectors_immutable(self, toy_space):
         with pytest.raises(ValueError):
