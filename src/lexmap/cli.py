@@ -67,7 +67,9 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentParser:
-    """The lexmap parser; ``defaults`` replaces declared defaults, per subcommand."""
+    """The lexmap parser; ``defaults`` replaces declared defaults, per subcommand.
+
+    A default that no parse of its flag could give raises TypeError."""
     parser = argparse.ArgumentParser(
         prog="lexmap",
         description="Locally linear word-translation maps: training, diagnostics, serving.",
@@ -123,8 +125,22 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--out", help="output directory")
         sp.add_argument("--config", default=None, help="rerun from a config.json snapshot")
-        sp.set_defaults(**(defaults or {}).get(name, {}))
+        replaced = (defaults or {}).get(name, {})
+        for action in sp._actions:
+            if action.dest in replaced and not _parses_to(action, replaced[action.dest]):
+                raise TypeError(f"{action.dest}={replaced[action.dest]!r} is no value of "
+                                f"{action.option_strings[0]}")
+        sp.set_defaults(**replaced)
     return parser
+
+
+def _parses_to(action: argparse.Action, value) -> bool:
+    """Whether a parse of the action's flag could give value."""
+    if value is None or action.choices is not None:
+        return value == action.default or value in (action.choices or ())
+    if action.nargs == 0:  # store_true / store_false
+        return isinstance(value, bool)
+    return type(value) in {None: (str,), int: (int,), float: (int, float)}[action.type]
 
 
 # flags that must be present after any --config snapshot is applied
@@ -150,15 +166,20 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     args = build_parser().parse_args(argv)
     if args.config is None:
         return args
-    with open(args.config, "r", encoding="utf-8") as fh:
-        snapshot = json.load(fh)
-    if snapshot.get("subcommand") != args.subcommand:
-        raise ValueError(
-            f"snapshot is for subcommand {snapshot.get('subcommand')!r}, not {args.subcommand!r}"
-        )
-    recorded = {k: v for k, v in snapshot.get("args", {}).items()
-                if k in vars(args) and k not in _UNRECORDED}
-    return build_parser({args.subcommand: recorded}).parse_args(argv)
+    try:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            snapshot = json.load(fh)
+        if not (isinstance(snapshot, dict) and isinstance(snapshot.get("args", {}), dict)):
+            raise TypeError('expected an object with an "args" object')
+        if snapshot.get("subcommand") != args.subcommand:
+            raise ValueError(f"snapshot is for subcommand {snapshot.get('subcommand')!r}, "
+                             f"not {args.subcommand!r}")
+        recorded = {k: v for k, v in snapshot.get("args", {}).items()
+                    if k in vars(args) and k not in _UNRECORDED}
+        parser = build_parser({args.subcommand: recorded})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad config snapshot {args.config}: {exc}") from None
+    return parser.parse_args(argv)
 
 
 def _write_snapshot(args: argparse.Namespace, out: Path) -> None:

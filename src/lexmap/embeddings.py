@@ -110,11 +110,11 @@ def load_embeddings(
     """Load a ``.vec`` file into an EmbeddingSpace.
 
     The companion that write_embeddings leaves beside the file is served
-    instead of the text when it opens cleanly, its sha256 of the ``.vec``
-    and of its own payload both hold, it has one word per row and every
-    row norm is finite and nonzero. The text path would keep every such
-    row as written and count nothing, so the result is the same bit for
-    bit; in any other case the text is parsed.
+    instead of the text when no limit is below the header count, its
+    digests of the ``.vec`` and of its own payload hold, it has one word
+    per row and every row norm is finite and nonzero. The text path would
+    keep every such row as written and count nothing, so the result is the
+    same bit for bit; in any other case the text is parsed.
 
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
@@ -170,7 +170,7 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> EmbeddingSpace
         # so a header count larger than the file cannot size the array
         vectors = np.empty((min(target, path.stat().st_size // (2 * dim)), dim))
         while len(words) < target:
-            lines = [line.rstrip() for line in islice(fh, _CHUNK_LINES)]
+            lines = [line.rstrip() for line in islice(fh, min(_CHUNK_LINES, target))]
             if not lines:
                 break
             body_lines += len(lines)
@@ -417,69 +417,78 @@ def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tu
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     """Write a space back to ``.vec`` text, round-tripping float64 exactly.
 
-    Beside it goes ``<name>.vec.npz``, a zip of three ``.npy`` members
-    saved without pickle: ``words``, the UTF-8 words joined by newlines;
-    ``vectors``, the float64 matrix; and ``digests``, the sha256 of the
-    ``.vec`` and of the payload. It is written only when the text keeps
-    every word as written (no word is empty or holds whitespace); otherwise
-    any stale companion is removed.
+    Beside it goes the binary companion ``<name>.vec.npz`` of the ``.vec``:
+    ``words``, the UTF-8 words joined by newlines, and ``vectors``, the
+    float64 matrix. It is written only when the text keeps every word as
+    written (no word is empty or holds whitespace); otherwise any stale
+    companion is removed.
     """
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(space)} {space.dim}\n")
         for word, row in zip(space.words, space.vectors):
             fh.write(word + " " + _format_float_row(row) + "\n")
-    companion = _companion(path)
+    companion = path.with_name(path.name + ".npz")
     if not all(w and w.split() == [w] for w in space.words):
         companion.unlink(missing_ok=True)
         return
     words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
-    vectors = np.ascontiguousarray(space.vectors)
-    digests = np.array([_sha256(path), _payload_digest(words, vectors)])
-    with zipfile.ZipFile(companion, "w") as zf:
-        for name, array in (("words", words), ("vectors", vectors), ("digests", digests)):
-            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
-                np.lib.format.write_array(fh, array, allow_pickle=False)
-
-
-def _companion(path: Path) -> Path:
-    """The binary companion of a .vec file: <name>.vec.npz."""
-    return path.with_name(path.name + ".npz")
-
-
-def _payload_digest(words: np.ndarray, vectors: np.ndarray) -> str:
-    """Hex sha256 of a companion's payload: its matrix shape, word bytes and matrix bytes."""
-    digest = hashlib.sha256(f"{vectors.shape}\n".encode())
-    digest.update(words)
-    digest.update(vectors)
-    return digest.hexdigest()
+    _write_companion(companion, [path], {"words": words, "vectors": space.vectors})
 
 
 def _serve_companion(path: Path, limit: int | None, normalize: bool) -> EmbeddingSpace | None:
     """load_embeddings from the companion of a .vec, or None where the text must be parsed."""
-    try:
-        with np.load(_companion(path), allow_pickle=False) as npz:
-            words, vectors, digests = npz["words"], npz["vectors"], npz["digests"]
-        if (words.dtype != np.uint8 or vectors.dtype != np.float64 or vectors.ndim != 2
-                or digests.shape != (2,)):
+    if limit is not None:
+        with path.open("rb") as fh:
+            count = fh.readline().split()[:1]
+        # a limit below the row count is left to the text, which stops reading there
+        if not (count and count[0].isdigit() and limit >= int(count[0])):
             return None
-        if digests[0] != _sha256(path) or digests[1] != _payload_digest(words, vectors):
-            return None
-        tokens = words.tobytes().decode("utf-8").split("\n") if words.size else []
-        with np.errstate(over="ignore"):
-            norms = np.sqrt(np.vecdot(vectors, vectors))
-    except Exception:  # a damaged companion of any kind: the text stays the authority
+    if (arrays := _read_companion(path.with_name(path.name + ".npz"), [path])) is None:
         return None
+    words, vectors = arrays["words"], arrays["vectors"]
+    tokens = words.tobytes().decode("utf-8").split("\n") if words.size else []
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(vectors, vectors))
     # the text keeps each such row as written and counts nothing; an empty or
     # zero-width matrix is left to the text's own header checks
     usable = norms.size and np.all(np.isfinite(norms) & (norms != 0))
     if len(tokens) != len(vectors) or not usable:
         return None
-    n = len(tokens) if limit is None else min(len(tokens), limit)
-    vectors = vectors if n == len(vectors) else vectors[:n].copy()
     if normalize:
-        vectors /= norms[:n, None]
-    return EmbeddingSpace(tokens[:n], vectors, normalized=normalize, stats=LoadStats())
+        vectors /= norms[:, None]
+    return EmbeddingSpace(tokens, vectors, normalized=normalize, stats=LoadStats())
+
+
+def _write_companion(path: Path, sources: list[Path], arrays: dict[str, np.ndarray]) -> None:
+    """Write arrays to the .npz at path as a binary copy of the text files in sources,
+    with a ``digests`` member: the sha256 of each source, then the payload digest."""
+    digests = np.array([*map(_sha256, sources), _payload_digest(arrays)])
+    with zipfile.ZipFile(path, "w") as zf:
+        for name, array in {**arrays, "digests": digests}.items():
+            with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:
+                np.lib.format.write_array(fh, np.ascontiguousarray(array), allow_pickle=False)
+
+
+def _read_companion(path: Path, sources: list[Path]) -> dict[str, np.ndarray] | None:
+    """The arrays _write_companion wrote to path for these sources, in its order, or None
+    unless every digest holds: the caller then parses the sources' text."""
+    try:
+        with np.load(path, allow_pickle=False) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        digests = arrays.pop("digests").tolist()
+        return arrays if digests == [*map(_sha256, sources), _payload_digest(arrays)] else None
+    except Exception:  # a damaged companion of any kind: the text stays the authority
+        return None
+
+
+def _payload_digest(arrays: dict[str, np.ndarray]) -> str:
+    """Hex sha256 of arrays: each one's name, dtype, shape and bytes, by name."""
+    digest = hashlib.sha256()
+    for name, array in sorted(arrays.items()):
+        digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
+        digest.update(np.ascontiguousarray(array))
+    return digest.hexdigest()
 
 
 def _sha256(path: Path) -> str:

@@ -255,34 +255,36 @@ def export_world(world: SyntheticWorld, directory: str | Path) -> None:
 
 
 def load_world(directory: str | Path) -> SyntheticWorld:
-    """Reconstruct a world exported by export_world (bit-exact vectors)."""
+    """Reconstruct a world exported by export_world (bit-exact vectors).
+
+    A descriptor that is not JSON, lacks a key or holds a value of the
+    wrong type is rejected, naming world.json, before any .vec file loads.
+    """
     directory = Path(directory)
     descriptor_path = directory / "world.json"
     if not descriptor_path.is_file():
         raise FileNotFoundError(f"world descriptor not found: {descriptor_path}")
-    with descriptor_path.open("r", encoding="utf-8") as fh:
-        desc = json.load(fh)
+    try:
+        with descriptor_path.open("r", encoding="utf-8") as fh:
+            desc = json.load(fh)
+        ndims = {"matrix": 2, "axis": 1, "plane_p": 1, "plane_q": 1, "cluster_centers": 2}
+        arrays = {key: np.array(desc[key], dtype=np.float64) for key in ndims}
+        if wrong := [key for key, ndim in ndims.items() if arrays[key].ndim != ndim]:
+            raise ValueError(f"{wrong[0]} must be a {ndims[wrong[0]]}-D array of numbers")
+        gt = GroundTruth(variation_strength=float(desc["variation_strength"]), **arrays)
+        region_labels = {w: int(c) for w, c in desc["region_labels"].items()}
+        if not set(region_labels.values()) <= set(range(len(gt.cluster_centers))):
+            raise ValueError("region_labels must index the rows of cluster_centers")
+        noise_sigma, seed, params = float(desc["noise_sigma"]), int(desc["seed"]), desc["params"]
+    except KeyError as exc:
+        raise ValueError(f"bad world descriptor in {descriptor_path}: missing key {exc}") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad world descriptor in {descriptor_path}: {exc}") from None
 
     src = load_embeddings(directory / "src.vec", normalize=False)
     src_space = EmbeddingSpace(src.words, src.vectors, normalized=True)
     tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
     lexicon = load_lexicon(directory / "lexicon.txt")
-
-    gt = GroundTruth(
-        matrix=np.array(desc["matrix"], dtype=np.float64),
-        variation_strength=float(desc["variation_strength"]),
-        axis=np.array(desc["axis"], dtype=np.float64),
-        plane_p=np.array(desc["plane_p"], dtype=np.float64),
-        plane_q=np.array(desc["plane_q"], dtype=np.float64),
-        cluster_centers=np.array(desc["cluster_centers"], dtype=np.float64),
-    )
-    return SyntheticWorld(
-        src_space=src_space,
-        tgt_space=tgt_space,
-        lexicon=lexicon,
-        ground_truth=gt,
-        region_labels={w: int(c) for w, c in desc["region_labels"].items()},
-        noise_sigma=float(desc["noise_sigma"]),
-        seed=int(desc["seed"]),
-        params=desc["params"],
-    )
+    return SyntheticWorld(src_space=src_space, tgt_space=tgt_space, lexicon=lexicon,
+                          ground_truth=gt, region_labels=region_labels,
+                          noise_sigma=noise_sigma, seed=seed, params=params)

@@ -15,11 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _sha256, top_k_rows
+from .embeddings import EmbeddingSpace, _read_companion, _write_companion, top_k_rows
 from .mapper import LinearMap, _read_map, save_map
-
-# the binary copy of an atlas's maps, which load_atlas serves while its digests hold
-_STACK_FILE = "maps.npy"
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,11 @@ def piecewise_translate(
 
 
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
-    """Persist an atlas as one map file per anchor, a stack of the maps and a JSON manifest.
+    """Persist an atlas as one map file per anchor, a JSON manifest and a binary companion.
 
-    The text map files are the atlas. ``maps.npy`` stacks their matrices,
-    entries first and the fallback last, and the manifest's ``"stack"``
-    records its sha256 and that of every map file, in stack order.
+    The text map files are the atlas. ``maps.npz`` is their binary
+    companion: ``maps`` stacks their matrices, entries first and the
+    fallback last, under the digests of the map files in that order.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -162,45 +159,20 @@ def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
         manifest["fallback"] = "map_global.txt"
     for filename, m in maps.items():
         save_map(m, directory / filename)
-    matrices = [m.matrix for m in maps.values()]
-    stack = np.stack(matrices) if matrices else np.empty((0, 0, 0))
-    np.save(directory / _STACK_FILE, stack, allow_pickle=False)
-    manifest["stack"] = {
-        "file": _STACK_FILE,
-        "sha256": _sha256(directory / _STACK_FILE),
-        "maps": [_sha256(directory / filename) for filename in maps],
-    }
+    stack = np.array([m.matrix for m in maps.values()])  # the maps share one shape
+    _write_companion(directory / "maps.npz", [directory / f for f in maps], {"maps": stack})
     with (directory / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
-
-
-def _stacked_matrices(
-    directory: Path, stack: dict | None, files: list[str]
-) -> list[np.ndarray | None]:
-    """Per map file, its matrix from the stack, or None for all when a digest differs.
-
-    The stack is served only while its sha256 and that of every map file
-    equal the manifest's, so an edited, missing or added file sends every
-    map to the text parse.
-    """
-    unverified = [None] * len(files)
-    if stack is None:
-        return unverified
-    digests = zip([*files, stack["file"]], [*stack["maps"], stack["sha256"]])
-    if not all((directory / f).is_file() and _sha256(directory / f) == d for f, d in digests):
-        return unverified
-    matrices = np.load(directory / stack["file"], allow_pickle=False)
-    return list(matrices) if matrices.ndim == 3 and len(matrices) == len(files) else unverified
 
 
 def load_atlas(directory: str | Path) -> MapAtlas:
     """Load an atlas saved by save_atlas.
 
     A manifest that is not JSON, lacks a key or holds a value of the wrong
-    type or length is rejected, naming the manifest, before any map file
-    loads. Each map's header and metadata come from its text file; its
-    matrix comes from the stack when every digest holds, else from the text.
+    type is rejected, naming the manifest, before any map file loads. Each
+    map's header and metadata come from its text file; its matrix comes
+    from ``maps.npz`` while its digests hold, else from the text.
     """
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
@@ -212,20 +184,15 @@ def load_atlas(directory: str | Path) -> MapAtlas:
                  for item in manifest["entries"]]
         fallback = manifest.get("fallback")
         files = [file for _, file, _ in items] + ([fallback] if fallback else [])
-        stack = manifest.get("stack")
-        if stack is not None and not (isinstance(stack, dict) and isinstance(stack["maps"], list)):
-            raise TypeError("stack must be an object with a list of map digests")
-        digests = [stack["file"], stack["sha256"], *stack["maps"]] if stack is not None else []
-        if not all(isinstance(name, str) for name in [*(a for a, _, _ in items), *files, *digests]):
-            raise TypeError("anchor, file, fallback and stack entries must be strings")
-        if stack is not None and len(stack["maps"]) != len(files):
-            raise ValueError(f"stack holds {len(stack['maps'])} map digests, expected {len(files)}")
+        if not all(isinstance(name, str) for name in [*(a for a, _, _ in items), *files]):
+            raise TypeError("anchor, file and fallback entries must be strings")
     except KeyError as exc:
         raise ValueError(f"bad atlas manifest in {manifest_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"bad atlas manifest in {manifest_path}: {exc}") from None
-    matrices = _stacked_matrices(directory, stack, files)
-    maps = [_read_map(directory / file, matrix) for file, matrix in zip(files, matrices)]
+    paths = [directory / file for file in files]
+    served = _read_companion(directory / "maps.npz", paths) or {"maps": [None] * len(paths)}
+    maps = [_read_map(path, matrix) for path, matrix in zip(paths, served["maps"])]
     entries = tuple(
         AtlasEntry(anchor_word=anchor, anchor_vector=vector, linear_map=m)
         for (anchor, _, vector), m in zip(items, maps)

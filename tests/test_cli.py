@@ -420,6 +420,25 @@ class TestExperimentCommand:
         code = run(["synth", "--config", str(out / "config.json"), "--out", str(tmp_path / "x")])
         assert code == 1
 
+    @pytest.mark.parametrize("snapshot, reason", [
+        ("[]", 'expected an object with an "args" object'),
+        ('{"subcommand": "synth", "args": [1]}', 'expected an object with an "args" object'),
+        ('{"subcommand": "synth", "args": {"n": [1], "d": 6}}', "n=[1] is no value of --n"),
+        ('{"subcommand": "synth", "args": {"n": true}}', "n=True is no value of --n"),
+        ('{"subcommand": "synth", "args": {"kind": "cubic"}}', "kind='cubic' is no value of --kind"),
+        ('{"subcommand": "synth", "args": {"cluster_std": "0.3"}}',
+         "cluster_std='0.3' is no value of --cluster-std"),
+        ('{"subcommand": "synth", "args": {"seed": 1.5}}', "seed=1.5 is no value of --seed"),
+    ])
+    def test_malformed_snapshot_is_named(self, tmp_path, capsys, snapshot, reason):
+        """The first three used to exit with an AttributeError or TypeError traceback."""
+        config = tmp_path / "config.json"
+        config.write_text(snapshot, encoding="utf-8")
+        assert run(["synth", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: constraint: bad config snapshot {config}: {reason}\n"
+        assert not (tmp_path / "o").exists()
+
     def test_synth_snapshot_rerun_is_byte_identical(self, world_dir, tmp_path):
         out = tmp_path / "w2"
         code = run(["synth", "--config", str(world_dir / "config.json"), "--out", str(out)])

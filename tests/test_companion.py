@@ -1,22 +1,26 @@
-"""The binary companion that write_embeddings leaves beside a .vec file.
+"""The digest-verified binary companions of .vec files and atlases.
 
-``load_embeddings`` serves ``<name>.vec.npz`` only while its digests, word
-count and row norms hold, and parses the text in every other case; the
-loads here go through a spy on the text parser to tell the two apart.
+``write_embeddings`` leaves ``<name>.vec.npz`` beside a ``.vec`` and
+``save_atlas`` leaves ``maps.npz`` beside an atlas's map texts. Their
+loaders serve a companion only while its digests hold, and parse the text
+in every other case; the loads here go through a spy on the text parsers
+to tell the two apart. One damage table runs against both companions.
 """
 
+import hashlib
+import json
 import shutil
 import time
 
 import numpy as np
 import pytest
 
-from lexmap import embeddings
+from lexmap import embeddings, mapper
 from lexmap.cli import run
 from lexmap.embeddings import EmbeddingSpace, LoadStats, load_embeddings, write_embeddings
-from lexmap.mapper import load_map
+from lexmap.mapper import LinearMap, load_map
 from lexmap.synth import default_anchor_words, load_world
-from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
+from lexmap.translate import AtlasEntry, MapAtlas, load_atlas, save_atlas
 
 
 def raw_space(n=6, d=4, seed=3):
@@ -24,8 +28,95 @@ def raw_space(n=6, d=4, seed=3):
     return EmbeddingSpace([f"w{i}" for i in range(n)], rng.standard_normal((n, d)) * 3.0)
 
 
-def companion(path):
-    return path.with_name(path.name + ".npz")
+def provenance_atlas(seed, d=4):
+    """Three anchored maps and a fallback, each with its own matrix and provenance."""
+    rng = np.random.default_rng(seed)
+    entries = tuple(
+        AtlasEntry(f"a{i}", rng.standard_normal(d),
+                   LinearMap(rng.standard_normal((d, d)), trainer="least_squares", anchor=f"a{i}",
+                             hyperparams={"lam": 10.0 ** -i}, train_size=40 + i,
+                             final_loss=0.1 * i + 1 / 3))
+        for i in range(3)
+    )
+    fallback = LinearMap(rng.standard_normal((d, d)), trainer="least_squares", train_size=300)
+    return MapAtlas(entries, fallback=fallback)
+
+
+def _maps_record(maps):
+    return [(m.matrix.tobytes(), m.matrix.shape, m.trainer, m.anchor, m.hyperparams,
+             m.train_size, m.final_loss) for m in maps]
+
+
+class VecFile:
+    """A .vec file and its companion <name>.vec.npz."""
+
+    members = ["digests", "vectors", "words"]
+    payload = "vectors"
+    parser = (embeddings, "_parse_vec")
+
+    def write(self, directory, seed=3):
+        directory.mkdir(parents=True, exist_ok=True)
+        write_embeddings(raw_space(seed=seed), directory / "e.vec")
+        return directory / "e.vec"
+
+    def companion(self, target):
+        return target.with_name(target.name + ".npz")
+
+    def sources(self, target):
+        return [target]
+
+    def load(self, target):
+        space = load_embeddings(target, normalize=False)
+        return space.words, space.vectors.tobytes(), space.stats
+
+    def parse(self, target):
+        """The text alone."""
+        space = embeddings._parse_vec(target, None, False)
+        return space.words, space.vectors.tobytes(), space.stats
+
+
+class AtlasDir:
+    """An atlas directory and its companion maps.npz."""
+
+    members = ["digests", "maps"]
+    payload = "maps"
+    parser = (mapper, "_parse_float_rows")
+
+    def write(self, directory, seed=5):
+        save_atlas(provenance_atlas(seed), directory / "atlas")
+        return directory / "atlas"
+
+    def companion(self, target):
+        return target / "maps.npz"
+
+    def sources(self, target):
+        manifest = json.loads((target / "manifest.json").read_text())
+        return [target / e["file"] for e in manifest["entries"]] + [target / manifest["fallback"]]
+
+    def load(self, target):
+        atlas = load_atlas(target)
+        return _maps_record([*(e.linear_map for e in atlas.entries), atlas.fallback])
+
+    def parse(self, target):
+        """The text alone."""
+        return _maps_record([load_map(path) for path in self.sources(target)])
+
+
+CALLERS = [VecFile(), AtlasDir()]
+CALLER_IDS = ["vec", "atlas"]
+
+
+def spy_on_parser(monkeypatch, caller):
+    """The calls to the caller's text parser from now on."""
+    module, name = caller.parser
+    parse, calls = getattr(module, name), []
+
+    def spy(*args):
+        calls.append(args[0])
+        return parse(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 def flip_byte(path, offset):
@@ -34,114 +125,121 @@ def flip_byte(path, offset):
     path.write_bytes(bytes(data))
 
 
-@pytest.fixture
-def written(tmp_path):
-    space = raw_space()
-    path = tmp_path / "e.vec"
-    write_embeddings(space, path)
-    return path, space
-
-
-@pytest.fixture
-def text_parses(monkeypatch):
-    """The paths the text parser is called on."""
-    calls = []
-    parse = embeddings._parse_vec
-
-    def spy(path, limit, normalize):
-        calls.append(path)
-        return parse(path, limit, normalize)
-
-    monkeypatch.setattr(embeddings, "_parse_vec", spy)
-    return calls
-
-
-def test_clean_file_is_served_without_the_text_parser(written, monkeypatch):
-    path, space = written
-
-    def fail(*args):
-        raise AssertionError("the text parser ran")
-
-    monkeypatch.setattr(embeddings, "_parse_vec", fail)
-    back = load_embeddings(path, normalize=False)
-    assert back.words == space.words
-    assert back.vectors.tobytes() == space.vectors.tobytes()
-    assert back.stats == LoadStats()
-    unit = load_embeddings(path, limit=2)
-    assert unit.words == space.words[:2]
-    assert unit.normalized and unit.vectors.shape == (2, space.dim)
-
-
-def test_companion_bytes_hold_words_matrix_and_digests(written):
-    path, space = written
-    with np.load(companion(path), allow_pickle=False) as npz:
-        assert sorted(npz.files) == ["digests", "vectors", "words"]
-        assert npz["words"].tobytes().decode("utf-8").split("\n") == list(space.words)
-        assert npz["vectors"].tobytes() == space.vectors.tobytes()
-        assert npz["digests"][0] == embeddings._sha256(path)
-
-
-def _rewrite_companion(path, redigest):
-    """A well-formed companion with one word short, or with one changed entry under
-    its old digests; redigest gives the first with a payload digest of its own."""
-    with np.load(companion(path), allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    if redigest:
-        arrays["words"] = arrays["words"][: arrays["words"].tobytes().rindex(b"\n")]
-        arrays["digests"][1] = embeddings._payload_digest(arrays["words"], arrays["vectors"])
-    else:
-        arrays["vectors"][1, 2] += 1.0
-    np.savez(companion(path), **arrays)
-
-
-def _copy_from_other_vec(path):
-    other = path.with_name("other.vec")
-    write_embeddings(raw_space(seed=4), other)
-    shutil.copyfile(companion(other), companion(path))
-
-
 def _last_row_units_digit(path):
-    """Offset of the units digit of the last row's first entry, whose flip changes the value."""
+    """Offset of a units digit in the last row, whose flip changes one value."""
     data = path.read_bytes()
     return data.index(b".", data.rindex(b"\n", 0, len(data) - 1)) - 1
 
 
-def _flip_in_companion(path, needle):
-    raw = companion(path).read_bytes()
-    offset = raw.find(needle)
-    assert offset >= 0
-    flip_byte(companion(path), offset + 3)
+def _companion_arrays(caller, target):
+    with np.load(caller.companion(target), allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _flip_in_companion(caller, target, needle):
+    raw = caller.companion(target).read_bytes()
+    assert raw.count(needle) == 1
+    flip_byte(caller.companion(target), raw.index(needle))
+
+
+def _flip_digest(caller, target, which):
+    digest = _companion_arrays(caller, target)["digests"][which]
+    _flip_in_companion(caller, target, str(digest).encode("utf-32-le"))
+
+
+def _payload_with_old_digests(caller, target):
+    arrays = _companion_arrays(caller, target)
+    arrays[caller.payload].flat[5] += 1.0
+    np.savez(caller.companion(target), **arrays)
+
+
+def _foreign_companion(caller, target):
+    other = caller.write(target.parent / "other", seed=11)
+    shutil.copyfile(caller.companion(other), caller.companion(target))
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
 DAMAGE = {
-    "vec byte": lambda path, space: flip_byte(path, _last_row_units_digit(path)),
-    "payload byte": lambda path, space: _flip_in_companion(path, space.vectors[2].tobytes()),
-    "vec digest byte": lambda path, space: _flip_in_companion(
-        path, embeddings._sha256(path).encode("utf-32-le")),
-    "payload digest byte": lambda path, space: _flip_in_companion(
-        path, embeddings._payload_digest(
-            np.frombuffer("\n".join(space.words).encode(), dtype=np.uint8), space.vectors
-        ).encode("utf-32-le")),
-    "payload with old digests": lambda path, space: _rewrite_companion(path, redigest=False),
-    "one word short, digests recomputed": lambda path, space: _rewrite_companion(path, redigest=True),
-    "truncated companion": lambda path, space: companion(path).write_bytes(
-        companion(path).read_bytes()[: companion(path).stat().st_size // 2]),
-    "deleted companion": lambda path, space: companion(path).unlink(),
-    "companion of another vec": lambda path, space: _copy_from_other_vec(path),
+    "source byte": lambda c, t: flip_byte(c.sources(t)[-1], _last_row_units_digit(c.sources(t)[-1])),
+    "payload byte": lambda c, t: _flip_in_companion(
+        c, t, _companion_arrays(c, t)[c.payload][1].tobytes()),
+    "source digest byte": lambda c, t: _flip_digest(c, t, 0),
+    "payload digest byte": lambda c, t: _flip_digest(c, t, -1),
+    "payload with old digests": _payload_with_old_digests,
+    "truncated companion": lambda c, t: _truncate(c.companion(t)),
+    "deleted companion": lambda c, t: c.companion(t).unlink(),
+    "foreign companion": _foreign_companion,
 }
 
 
+@pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
+def test_clean_companion_is_served_without_the_text_parser(caller, tmp_path, monkeypatch):
+    target = caller.write(tmp_path)
+    expected = caller.parse(target)
+
+    def fail(*args):
+        raise AssertionError("the text parser ran")
+
+    monkeypatch.setattr(*caller.parser, fail)
+    assert caller.load(target) == expected
+
+
+@pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
+def test_companion_holds_the_payload_and_the_source_digests(caller, tmp_path):
+    target = caller.write(tmp_path)
+    arrays = _companion_arrays(caller, target)
+    assert sorted(arrays) == caller.members
+    digests = arrays["digests"].tolist()
+    assert digests[:-1] == [hashlib.sha256(p.read_bytes()).hexdigest() for p in caller.sources(target)]
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
-def test_damage_sends_the_load_to_the_text(written, text_parses, damage):
+@pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
+def test_damage_sends_the_load_to_the_text(caller, damage, tmp_path, monkeypatch):
+    target = caller.write(tmp_path)
+    original = caller.load(target)
+    DAMAGE[damage](caller, target)
+    expected = caller.parse(target)
+    parses = spy_on_parser(monkeypatch, caller)
+    assert caller.load(target) == expected
+    assert parses
+    # an edited text is served as edited
+    assert (expected != original) == (damage == "source byte")
+
+
+@pytest.fixture
+def written(tmp_path):
+    return VecFile().write(tmp_path), raw_space()
+
+
+@pytest.fixture
+def text_parses(monkeypatch):
+    """The calls to the .vec text parser."""
+    return spy_on_parser(monkeypatch, VecFile())
+
+
+@pytest.mark.parametrize("limit", [None, 1, 5, 6, 7])
+@pytest.mark.parametrize("normalize", [True, False])
+def test_limit_below_the_rows_parses_the_text(written, text_parses, limit, normalize):
+    """A limited load of the companion used to read and hash the whole matrix."""
     path, space = written
-    DAMAGE[damage](path, space)
+    back = load_embeddings(path, limit=limit, normalize=normalize)
+    assert back.words == space.words[:limit]
+    assert back.normalized == normalize and back.stats == LoadStats()
+    assert (text_parses == []) == (limit is None or limit >= len(space))
+
+
+def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parses):
+    path, space = written
+    words = np.frombuffer("\n".join(space.words[:-1]).encode(), dtype=np.uint8)
+    embeddings._write_companion(VecFile().companion(path), [path],
+                                {"words": words, "vectors": space.vectors})
     back = load_embeddings(path, normalize=False)
     assert text_parses == [path]
-    if damage == "vec byte":  # the edited .vec is served as edited
-        assert back.vectors[-1, 0] != space.vectors[-1, 0]
-        assert back.vectors[:-1].tobytes() == space.vectors[:-1].tobytes()
-    else:
-        assert back.vectors.tobytes() == space.vectors.tobytes()
+    assert back.words == space.words
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -161,7 +259,7 @@ def test_zero_or_non_finite_row_is_parsed_and_counted(tmp_path, text_parses, val
     vectors[2] = value
     path = tmp_path / "e.vec"
     write_embeddings(EmbeddingSpace(space.words, vectors), path)
-    assert companion(path).is_file()
+    assert VecFile().companion(path).is_file()
     back = load_embeddings(path, normalize=normalize)
     assert text_parses == [path]
     assert back.stats == counted
@@ -169,12 +267,11 @@ def test_zero_or_non_finite_row_is_parsed_and_counted(tmp_path, text_parses, val
 
 @pytest.mark.parametrize("word", ["a b", "a\tb", "a\x1cb", "a\xa0b", "a\u2028b", ""])
 def test_word_the_text_would_not_keep_gets_no_companion(tmp_path, word):
-    path = tmp_path / "e.vec"
-    write_embeddings(raw_space(), path)
-    assert companion(path).is_file()
+    path = VecFile().write(tmp_path)
+    assert VecFile().companion(path).is_file()
     space = raw_space()
     write_embeddings(EmbeddingSpace(["x", word, *space.words[2:]], space.vectors), path)
-    assert not companion(path).exists()  # the stale one is removed too
+    assert not VecFile().companion(path).exists()  # the stale one is removed too
 
 
 def test_synth_writes_byte_identical_companions(tmp_path, monkeypatch):
@@ -185,7 +282,10 @@ def test_synth_writes_byte_identical_companions(tmp_path, monkeypatch):
     now = time.time
     monkeypatch.setattr(time, "time", lambda: now() + 86400.0)
     assert run([*argv, "--out", str(tmp_path / "two")]) == 0
-    for name in ("src.vec.npz", "tgt.vec.npz"):
+    save_atlas(provenance_atlas(5), tmp_path / "two" / "atlas")
+    monkeypatch.setattr(time, "time", now)
+    save_atlas(provenance_atlas(5), tmp_path / "one" / "atlas")
+    for name in ("src.vec.npz", "tgt.vec.npz", "atlas/maps.npz"):
         assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes()
 
 
@@ -227,15 +327,16 @@ def test_cli_outputs_are_byte_identical_without_companions(world_and_atlas, tmp_
         "translate": ["translate", *vecs, "--atlas", str(atlas), "--words", "w00001,w00002,w00003",
                       "--k", "3"],
     }
-    assert sorted(p.name for p in world_dir.glob("*.npz")) == ["src.vec.npz", "tgt.vec.npz"]
+    companions = [*world_dir.glob("*.npz"), *atlas.glob("*.npz")]
+    assert sorted(p.name for p in companions) == ["maps.npz", "src.vec.npz", "tgt.vec.npz"]
     outputs = []
     for _ in range(2):
         for name, argv in commands.items():
             assert run([*argv, "--out", str(out / name)]) == 0
         outputs.append(_outputs(out))
         shutil.rmtree(out)
-        for path in world_dir.glob("*.npz"):
-            path.unlink()
+        for path in companions:
+            path.unlink(missing_ok=True)
     assert outputs[0] == outputs[1]
     assert {str(p) for p in outputs[0]} >= {"diagnose/report.tsv", "experiment/report.tsv",
                                             "translate/translations.tsv"}

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from lexmap.cli import run
 from lexmap.analysis import pairwise_to_tsv, precision_at_k, run_experiment, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -200,6 +203,33 @@ class TestWorldExport:
     def test_missing_descriptor(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_world(tmp_path / "absent")
+
+    @pytest.mark.parametrize("edit, reason", [
+        (lambda desc: [], "list indices must be integers"),
+        (lambda desc: {}, "missing key 'matrix'"),
+        (lambda desc: {**desc, "axis": None}, "axis must be a 1-D array of numbers"),
+        (lambda desc: {**desc, "matrix": [[1.0], ["x"]]}, "could not convert string to float"),
+        (lambda desc: {**desc, "plane_q": {}}, "float() argument must be"),
+        (lambda desc: {**desc, "region_labels": {"w00000": 2}}, "must index the rows"),
+        (lambda desc: {**desc, "region_labels": []}, "has no attribute 'items'"),
+        (lambda desc: {**desc, "seed": "seven"}, "invalid literal for int()"),
+        (lambda desc: {k: v for k, v in desc.items() if k != "params"}, "missing key 'params'"),
+    ])
+    def test_malformed_descriptor_named_before_any_vec_loads(self, tmp_path, capsys, edit, reason):
+        """A descriptor of [] used to exit with a TypeError traceback, and one of {}
+        with only 'error: constraint: matrix', after both .vec files had loaded."""
+        world = generate_linear_world(40, 5, seed=0, n_clusters=2)
+        export_world(world, tmp_path / "w")
+        descriptor = tmp_path / "w" / "world.json"
+        descriptor.write_text(json.dumps(edit(json.loads(descriptor.read_text()))))
+        for name in ("src.vec", "tgt.vec"):  # loading one would now be a data error
+            (tmp_path / "w" / name).unlink()
+        message = f"bad world descriptor in {descriptor}: "
+        with pytest.raises(ValueError, match=re.escape(message) + ".*" + re.escape(reason)):
+            load_world(tmp_path / "w")
+        assert run(["diagnose", "--world", str(tmp_path / "w"), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: constraint: {message}") and err.count("\n") == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.dictionaries(LEX_TOKENS, st.lists(LEX_TOKENS, min_size=1, max_size=4, unique=True),

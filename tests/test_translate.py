@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -218,7 +219,7 @@ class TestMapAtlasType:
         assert atlas.anchors.dim == 3
 
 
-def _save_stacked_atlas(world, directory):
+def _save_provenance_atlas(world, directory):
     """Three anchored maps and a fallback, each with its own matrix and provenance."""
     rng = np.random.default_rng(5)
     anchors = default_anchor_words(world)[:3]
@@ -232,6 +233,19 @@ def _save_stacked_atlas(world, directory):
     fallback = LinearMap(world.ground_truth.matrix, trainer="least_squares", train_size=300)
     save_atlas(MapAtlas(entries, fallback=fallback), directory)
     return directory
+
+
+def _to_older_layout(directory):
+    """Rewrite a saved atlas as save_atlas wrote it before maps.npz: maps.npy, the float64
+    stack of its maps, and a manifest "stack" with its sha256 and those of the map files."""
+    manifest = json.loads((directory / "manifest.json").read_text())
+    files = [e["file"] for e in manifest["entries"]] + [manifest["fallback"]]
+    np.save(directory / "maps.npy", np.stack([load_map(directory / f).matrix for f in files]),
+            allow_pickle=False)
+    sha256 = [hashlib.sha256((directory / f).read_bytes()).hexdigest() for f in ["maps.npy", *files]]
+    manifest["stack"] = {"file": "maps.npy", "sha256": sha256[0], "maps": sha256[1:]}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (directory / "maps.npz").unlink()
 
 
 class TestAtlasPersistence:
@@ -248,6 +262,8 @@ class TestAtlasPersistence:
         )
         atlas = MapAtlas(entries, fallback=LinearMap(np.eye(12), anchor="global"))
         save_atlas(atlas, tmp_path / "atlas")
+        manifest = json.loads((tmp_path / "atlas" / "manifest.json").read_text())
+        assert sorted(manifest) == ["entries", "fallback"]  # no digests: they live in maps.npz
         back = load_atlas(tmp_path / "atlas")
         assert [e.anchor_word for e in back.entries] == anchors
         for orig, loaded in zip(atlas.entries, back.entries):
@@ -315,63 +331,38 @@ class TestAtlasPersistence:
         with pytest.raises(ValueError, match=f"bad map metadata in {re.escape(str(path))}: "):
             load_atlas(tmp_path)
 
-    def test_stack_serves_the_text_maps_bit_for_bit(self, tmp_path, linear_world, monkeypatch):
-        atlas_dir = _save_stacked_atlas(linear_world, tmp_path / "atlas")
-        manifest = json.loads((atlas_dir / "manifest.json").read_text())
-        files = [e["file"] for e in manifest["entries"]] + [manifest["fallback"]]
-        assert manifest["stack"]["file"] == "maps.npy" and len(manifest["stack"]["maps"]) == len(files)
-        texts = [load_map(atlas_dir / f) for f in files]
-
-        def no_body_parse(*args):
-            raise AssertionError("a map body was parsed although every digest holds")
-
-        monkeypatch.setattr(lexmap.mapper, "_parse_float_rows", no_body_parse)
-        back = load_atlas(atlas_dir)
-        for loaded, text in zip([*(e.linear_map for e in back.entries), back.fallback], texts, strict=True):
-            assert loaded.matrix.tobytes() == text.matrix.tobytes()
-            assert loaded.matrix.shape == text.matrix.shape
-            assert (loaded.trainer, loaded.anchor, loaded.hyperparams, loaded.train_size,
-                    loaded.final_loss) == (text.trainer, text.anchor, text.hyperparams,
-                                           text.train_size, text.final_loss)
-
-    def test_stacked_and_text_atlas_translate_to_the_same_bytes(self, tmp_path, linear_world):
+    def test_companion_text_and_older_layout_translate_to_the_same_bytes(
+        self, tmp_path, linear_world, monkeypatch
+    ):
+        """An atlas as save_atlas wrote it before maps.npz (a maps.npy and a manifest
+        "stack" of digests) loads through its text to the same maps and translations."""
         export_world(linear_world, tmp_path / "world")
-        stacked = _save_stacked_atlas(linear_world, tmp_path / "stacked")
-        text = _save_stacked_atlas(linear_world, tmp_path / "text")
-        (text / "maps.npy").unlink()
-        outputs = []
-        for atlas_dir in (stacked, text):
-            out = tmp_path / f"out_{atlas_dir.name}"
+        layouts = {name: _save_provenance_atlas(linear_world, tmp_path / name)
+                   for name in ("companion", "text", "older")}
+        (layouts["text"] / "maps.npz").unlink()
+        _to_older_layout(layouts["older"])
+        parse = lexmap.mapper._parse_float_rows
+        parses = []
+        monkeypatch.setattr(lexmap.mapper, "_parse_float_rows",
+                            lambda *args: parses.append(args) or parse(*args))
+        loads, outputs = {}, {}
+        for name, atlas_dir in layouts.items():
+            parses.clear()
+            atlas = load_atlas(atlas_dir)
+            loads[name] = [m.matrix.tobytes() for m in
+                           [*(e.linear_map for e in atlas.entries), atlas.fallback]]
+            assert len(parses) == (0 if name == "companion" else 4)
+            out = tmp_path / f"out_{name}"
             code = run(["translate", "--atlas", str(atlas_dir),
                         "--words", ",".join(linear_world.src_space.words[:60]),
                         "--src-emb", str(tmp_path / "world" / "src.vec"),
                         "--tgt-emb", str(tmp_path / "world" / "tgt.vec"),
                         "--k", "3", "--floor", "0.6", "--out", str(out)])
             assert code == 0
-            outputs.append((out / "translations.tsv").read_bytes())
-        assert outputs[0] == outputs[1]
-        assert b"\tglobal\t" in outputs[0]  # the fallback served some words
-
-    @pytest.mark.parametrize("change", ["flip stack byte", "delete stack", "edit text float"])
-    def test_changed_stack_or_text_serves_the_text(self, tmp_path, linear_world, change):
-        atlas_dir = _save_stacked_atlas(linear_world, tmp_path / "atlas")
-        stack, text = atlas_dir / "maps.npy", atlas_dir / "map_0001.txt"
-        if change == "flip stack byte":
-            data = bytearray(stack.read_bytes())
-            data[-1] ^= 1
-            stack.write_bytes(bytes(data))
-        elif change == "delete stack":
-            stack.unlink()
-        else:
-            lines = text.read_text().split("\n")
-            row = next(i for i, line in enumerate(lines) if i > 0 and not line.startswith("#"))
-            lines[row] = " ".join(["0.5"] + lines[row].split(" ")[1:])
-            text.write_text("\n".join(lines))
-        back = load_atlas(atlas_dir)
-        loaded = [*(e.linear_map for e in back.entries), back.fallback]
-        for m, file in zip(loaded, ["map_0000.txt", "map_0001.txt", "map_0002.txt", "map_global.txt"]):
-            assert np.array_equal(m.matrix, load_map(atlas_dir / file).matrix)
-        assert (loaded[1].matrix[0, 0] == 0.5) == (change == "edit text float")
+            outputs[name] = (out / "translations.tsv").read_bytes()
+        assert loads["companion"] == loads["text"] == loads["older"]
+        assert outputs["companion"] == outputs["text"] == outputs["older"]
+        assert b"\tglobal\t" in outputs["companion"]  # the fallback served some words
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -386,17 +377,6 @@ class TestAtlasPersistence:
         ('{"entries": [{"anchor": "a", "file": 7, "vector": [1.0]}]}', "must be strings"),
         ('{"entries": [{"anchor": "a", "file": "map_0000.txt", "vector": {}}]}', "float"),
         ('{"entries": [], "fallback": 3}', "must be strings"),
-        ('{"entries": [], "stack": []}', "stack must be an object"),
-        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0"}}', "missing key 'maps'"),
-        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0", "maps": "0"}}',
-         "stack must be an object"),
-        ('{"entries": [], "stack": {"file": 1, "sha256": "0", "maps": []}}', "must be strings"),
-        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": null, "maps": []}}',
-         "must be strings"),
-        ('{"entries": [], "stack": {"file": "maps.npy", "sha256": "0", "maps": [0]}}',
-         "must be strings"),
-        ('{"entries": [], "fallback": "map_global.txt", "stack": {"file": "maps.npy", "sha256": "0", '
-         '"maps": []}}', "stack holds 0 map digests, expected 1"),
     ])
     def test_malformed_manifest_named_before_any_map_loads(self, tmp_path, capsys, text, reason):
         manifest = tmp_path / "atlas" / "manifest.json"

@@ -1,0 +1,94 @@
+"""Print the sha256 of every file a seeded end-to-end lexmap run writes.
+
+The run builds a synthetic world (n=2000, d=300) and runs ``diagnose
+--trainer lsq``, ``experiment --trainer maxmargin``, ``train``,
+``translate --map`` and ``translate --atlas`` on it, each in its own
+subprocess under ``OPENBLAS_NUM_THREADS=1``. The atlas holds diagnose's
+local maps, keyed by their anchors' source vectors, with its global map as
+fallback, as in ``tests/test_golden.py``. Every command runs in the work
+directory with relative paths, so config.json does not depend on where it
+is, and imports lexmap from the ``src`` directory beside this script:
+running the script from two checkouts and diffing the output shows which
+output bytes a change moves.
+
+Usage: python tools/output_digests.py [WORKDIR]
+
+Without WORKDIR the outputs go to a temporary directory that is removed
+afterwards. Lines are ``<sha256>  <path under WORKDIR>``, sorted by path.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+ENV = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+SEED = "3"
+WORDS = ",".join(f"w{i:05d}" for i in range(0, 2000, 40))
+
+# save_atlas of diagnose's maps, run like the commands under the same environment
+BUILD_ATLAS = """
+import json
+from pathlib import Path
+from lexmap.embeddings import load_embeddings
+from lexmap.mapper import load_map
+from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
+maps = Path("diagnose", "maps")
+src = load_embeddings("world/src.vec", normalize=False)
+records = Path("diagnose", "report.jsonl").read_text().splitlines()[:-1]
+anchors = [json.loads(line)["anchor_word"] for line in records]
+entries = tuple(AtlasEntry(a, src.vector(a), load_map(maps / f"local_{a}.txt")) for a in anchors)
+save_atlas(MapAtlas(entries, fallback=load_map(maps / "global.txt")), "atlas")
+"""
+
+
+def run_all(work: Path) -> None:
+    def python(*argv: str) -> None:
+        subprocess.run([sys.executable, *argv], cwd=work, env=ENV, check=True,
+                       stdout=subprocess.DEVNULL)
+
+    def lexmap(*argv: str) -> None:
+        python("-m", "lexmap.cli", *argv)
+
+    vecs = ["--src-emb", "world/src.vec", "--tgt-emb", "world/tgt.vec"]
+    lexicon = ["--lexicon", "world/lexicon.txt"]
+    lexmap("synth", "--kind", "nonlinear", "--n", "2000", "--d", "300", "--clusters", "8",
+           "--cluster-std", "0.03", "--seed", SEED, "--out", "world")
+    lexmap("diagnose", "--world", "world", "--trainer", "lsq", "--lam", "1e-6",
+           "--test-size", "100", "--seed", SEED, "--out", "diagnose")
+    records = (work / "diagnose" / "report.jsonl").read_text().splitlines()[:-1]
+    anchors = ",".join(json.loads(line)["anchor_word"] for line in records)
+    lexmap("experiment", *vecs, *lexicon, "--anchors", anchors, "--trainer", "maxmargin",
+           "--epochs", "3", "--test-size", "100", "--seed", SEED, "--out", "experiment")
+    lexmap("train", *vecs, *lexicon, "--trainer", "maxmargin", "--epochs", "3", "--seed", SEED,
+           "--out", "train")
+    lexmap("translate", *vecs, "--map", "train/map.txt", "--words", WORDS, "--k", "5",
+           "--out", "translate_map")
+    python("-c", BUILD_ATLAS)
+    lexmap("translate", *vecs, "--atlas", "atlas", "--words", WORDS, "--k", "5",
+           "--floor", "0.81", "--out", "translate_atlas")
+
+
+def digests(work: Path) -> list[str]:
+    files = sorted(p for p in work.rglob("*") if p.is_file())
+    return [f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.relative_to(work)}" for p in files]
+
+
+def main(argv: list[str]) -> None:
+    if len(argv) > 1:
+        sys.exit(__doc__.split("\n\n")[2])
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(argv[0]) if argv else Path(tmp)
+        work.mkdir(parents=True, exist_ok=True)
+        run_all(work)
+        print("\n".join(digests(work)))
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])
