@@ -31,6 +31,19 @@ _TINY_NORM = 2.0**-450
 _DIGEST_CHUNK = 1 << 20
 # a fixed member timestamp keeps a companion's bytes deterministic, unlike np.savez
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
+# entries per _format_float_rows block: bounds its (block, 32) byte layout
+_FORMAT_BLOCK = 1 << 14
+# 2**27 + 1 splits a double into two halves whose products are exact (Dekker)
+_SPLIT = 134217729.0
+# the exact doubles 10**0 .. 10**22, their Dekker halves, and int64 10**0 .. 10**17
+_POW10 = np.array([float(10**k) for k in range(23)])
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_INT10 = np.array([10**k for k in range(18)], dtype=np.int64)
+_MANTISSA = np.uint64((1 << 52) - 1)
+# "00" .. "99", and "0000" .. "9999" as little-endian uint32, so one gather writes four digits
+_PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype="<u2")
+_DIGITS4 = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view("<u4").ravel()
 
 
 @dataclass
@@ -249,9 +262,139 @@ def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.
     return block if block.shape == (len(rows), width) else None
 
 
-def _format_float_row(row: np.ndarray) -> str:
-    """A row as " "-separated shortest reprs, which float() reads back exactly."""
-    return " ".join(map(repr, row.tolist()))
+def _format_float_rows(matrix: np.ndarray) -> bytes:
+    """The rows of a float64 matrix as text, each ended by "\n", its entries joined by " ".
+
+    Byte for byte ``(" ".join(map(repr, row.tolist())) + "\n" for row in
+    matrix)`` joined: each entry is its shortest round-trip repr, which
+    float() reads back exactly. Entries with 1e-6 <= |x| < 10 that are not
+    powers of two are formatted in numpy (_shortest_digits, _FIELDS), in
+    blocks of whole rows of at most _FORMAT_BLOCK entries, or of one row;
+    every other entry (zero, non-finite, subnormal, a power of two, or out
+    of that range) takes its repr one at a time.
+    """
+    matrix = np.asarray(matrix, dtype=np.float64)
+    rows = len(matrix)
+    if not matrix.size:
+        return b"\n" * rows
+    step = max(1, _FORMAT_BLOCK // matrix.shape[1])
+    return b"".join(_format_block(matrix[i:i + step]) for i in range(0, rows, step))
+
+
+def _format_block(block: np.ndarray) -> bytes:
+    """_format_float_rows of a block of rows: each entry is laid out in a row of
+    _FIELDS and its kept bytes are joined in order."""
+    x = block.ravel()
+    a = np.abs(x)
+    decade = np.searchsorted(_DECADES, a, side="right") - 7  # floor(log10(a)), exactly
+    # 1e-6 <= a < 10 (so normal and finite), and no power of two, whose rounding
+    # interval is narrower below than above
+    fast = (decade >= -6) & (decade <= 0) & ((a.view(np.uint64) & _MANTISSA) != 0)
+    code = np.full(x.size, len(_FIELDS) - 1)
+    fi = slice(None) if fast.all() else np.flatnonzero(fast)
+    digits, p, decade = _shortest_digits(a[fi], decade[fi])
+    code[fi] = (np.signbit(x[fi]) * 7 + decade + 6) * 17 + p - 1
+    text, keep = _FIELDS[code], _FIELDS_KEPT[code]
+    digits *= _INT10[17 - p]  # 17 digits, the first p of them significant
+    lead, rest = np.divmod(digits, _INT10[16])
+    high, low = np.divmod(rest, _INT10[8])
+    text[fi, 6] = lead + ord("0")
+    text.view("<u4")[fi, 2:6] = _DIGITS4[np.stack([high // 10**4, high % 10**4,
+                                                   low // 10**4, low % 10**4], axis=1)]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        reprs = np.array([repr(v) for v in x[slow].tolist()], dtype="S24")
+        text[slow, :24] = reprs[:, None].view(np.uint8)
+        keep[slow, :24] = text[slow, :24] != 0
+    text[:, 31] = ord(" ")
+    text[block.shape[1] - 1::block.shape[1], 31] = ord("\n")
+    return text[keep].tobytes()
+
+
+def _shortest_digits(a: np.ndarray, decade: np.ndarray):
+    """(N, p, E): the shortest decimal N * 10**(E+1-p) of p digits that reads back as
+    each a, nearest a among those, an exact half to even N. E is the decade of the
+    digits, floor(log10(a)) unless the nearest was 10**(floor(log10(a)) + 1).
+
+    The nearest p-digit decimal reads back for every p at or above the
+    shortest (a's rounding interval is symmetric), so p = 16 is tried, then
+    15, then a binary search of 1..14; where 16 fails, 17 always reads back.
+    """
+    a_hi = a * _SPLIT
+    a_hi -= a_hi - a
+    parts = (a, a_hi, a - a_hi, np.ldexp(1.0, np.frexp(a)[1] - 54))  # the last is half an ulp
+    digits, ok16 = _nearest_decimal(*parts, 15 - decade)
+    more, ok = _nearest_decimal(*parts, np.where(ok16, 14, 16) - decade)
+    p = np.where(ok16, 15 + ~ok, 17)
+    digits = np.where(ok16 & ~ok, digits, more)
+    idx = np.flatnonzero(ok16 & ok)
+    lo, hi = np.ones(idx.size, np.int64), np.full(idx.size, 15)
+    while idx.size:
+        mid = (lo + hi) // 2
+        found, ok = _nearest_decimal(*(part[idx] for part in parts), mid - 1 - decade[idx])
+        digits[idx[ok]], p[idx[ok]] = found[ok], mid[ok]
+        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
+        idx, lo, hi = idx[lo < hi], lo[lo < hi], hi[lo < hi]
+    up = digits == _INT10[p]  # rounded up to 10**p: the one digit 1, a decade higher
+    digits[up], p[up] = 1, 1
+    return digits, p, decade + up
+
+
+def _nearest_decimal(a, a_hi, a_lo, half_ulp, s):
+    """The integer N nearest each a * 10**s, and whether N * 10**-s reads back as a.
+
+    a * 10**s is hi + lo exactly, Dekker's two-product against the exact
+    power of ten: with a = m * 2**q (m < 2**53), a multiple of 2**(q+s),
+    q + s < 0. The decimal reads back when its distance from a, scaled by
+    10**s, is below half an ulp of a: 5**s * 2**(q+s-1), an odd multiple of
+    2**(q+s-1) with at most 52 bits and at most hi * 2**-53. So the distance
+    never equals that bound nor rounds onto it, and its one rounding keeps
+    the comparison. From a bound of 1/2 on, hi >= 2**52 is an integer, even
+    under a half in lo, and rint takes lo half to even; below it, a half
+    rounded the wrong way is no nearer than 1/2 - 2**-54, and neither
+    neighbour reads back.
+    """
+    power, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
+    hi = a * power
+    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
+    whole = np.floor(hi)
+    frac = hi - whole  # exact
+    step = np.rint(frac + lo)
+    ok = np.abs((frac - step) + lo) < half_ulp * power
+    return whole.astype(np.int64) + step.astype(np.int64), ok
+
+
+def _least_double_at_least(k: int) -> float:
+    """The smallest double >= 10**k."""
+    d = float(f"1e{k}")
+    num, den = d.as_integer_ratio()
+    return d if num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0) else math.nextafter(d, math.inf)
+
+
+def _field_layouts() -> tuple[np.ndarray, np.ndarray]:
+    """Per code (sign * 7 + E + 6) * 17 + p - 1, the 32 bytes of a repr of p digits in
+    decade E, -6 <= E <= 0, and which of them it keeps.
+
+    Columns: 0 "-", 1-2 "0.", 3-5 zeros, 6 the first digit, 7 ".", 8-23 the
+    other digits, 24 the "0" of "d.0", 25-28 "e-0X", 31 the separator. The
+    last code keeps only the separator, for a repr written over columns 0-23.
+    """
+    text, keep = [], []
+    for sign in (0, 1):
+        for decade in range(-6, 1):
+            exp = decade <= -5  # repr's exponent form below 1e-4
+            fixed = not exp and decade < 0  # "0.", then -decade - 1 zeros
+            for p in range(1, 18):
+                text.append(b"-0.000d.dddddddddddddddd0e-0%c\0\0\0" % (ord("0") - decade))
+                keep.append(bytes([
+                    sign, fixed, fixed, *(fixed and decade <= z for z in (-2, -3, -4)),
+                    True, decade == 0 or (exp and p > 1), *(i < p for i in range(1, 17)),
+                    decade == 0 and p == 1, exp, exp, exp, exp, False, False, True,
+                ]))
+    text.append(bytes(32))
+    keep.append(bytes(31) + b"\1")
+    return (np.frombuffer(b"".join(text), np.uint8).reshape(-1, 32),
+            np.frombuffer(b"".join(keep), bool).reshape(-1, 32))
 
 
 def _float_fields(body: str, dim: int) -> list[float]:
@@ -260,6 +403,11 @@ def _float_fields(body: str, dim: int) -> list[float]:
         return [float(x) for x in body.split(" ")]
     except ValueError:
         return [math.nan] * dim
+
+
+# a double is >= _DECADES[j] exactly when it is >= 10**(j - 6)
+_DECADES = np.array([_least_double_at_least(k) for k in range(-6, 2)])
+_FIELDS, _FIELDS_KEPT = _field_layouts()
 
 
 def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
@@ -417,23 +565,33 @@ def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tu
 def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     """Write a space back to ``.vec`` text, round-tripping float64 exactly.
 
-    Beside it goes the binary companion ``<name>.vec.npz`` of the ``.vec``:
-    ``words``, the UTF-8 words joined by newlines, and ``vectors``, the
-    float64 matrix. It is written only when the text keeps every word as
-    written (no word is empty or holds whitespace); otherwise any stale
-    companion is removed.
+    Each entry is its shortest round-trip float repr, formatted in one
+    vectorized pass per block of rows (_format_float_rows). Beside the file
+    goes its binary companion ``<name>.vec.npz``: ``words``, the UTF-8
+    words joined by newlines, and ``vectors``, the float64 matrix, under
+    the sha256 of the text as written. It is written only when the text
+    keeps every word as written (no word is empty or holds whitespace);
+    otherwise any stale companion is removed.
     """
     path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
-        for word, row in zip(space.words, space.vectors):
-            fh.write(word + " " + _format_float_row(row) + "\n")
+    digest = hashlib.sha256()
+    step = max(1, _FORMAT_BLOCK // max(space.dim, 1))
+    with path.open("wb") as fh:
+        def write(text: bytes) -> None:
+            fh.write(text)
+            digest.update(text)
+
+        write(f"{len(space)} {space.dim}\n".encode())
+        for start in range(0, len(space), step):
+            rows = _format_float_rows(space.vectors[start:start + step]).split(b"\n")
+            write(b"".join(w.encode("utf-8") + b" " + row + b"\n"
+                           for w, row in zip(space.words[start:start + step], rows)))
     companion = path.with_name(path.name + ".npz")
     if not all(w and w.split() == [w] for w in space.words):
         companion.unlink(missing_ok=True)
         return
     words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
-    _write_companion(companion, [path], {"words": words, "vectors": space.vectors})
+    _write_companion(companion, [digest.hexdigest()], {"words": words, "vectors": space.vectors})
 
 
 def _serve_companion(path: Path, limit: int | None, normalize: bool) -> EmbeddingSpace | None:
@@ -460,10 +618,10 @@ def _serve_companion(path: Path, limit: int | None, normalize: bool) -> Embeddin
     return EmbeddingSpace(tokens, vectors, normalized=normalize, stats=LoadStats())
 
 
-def _write_companion(path: Path, sources: list[Path], arrays: dict[str, np.ndarray]) -> None:
-    """Write arrays to the .npz at path as a binary copy of the text files in sources,
-    with a ``digests`` member: the sha256 of each source, then the payload digest."""
-    digests = np.array([*map(_sha256, sources), _payload_digest(arrays)])
+def _write_companion(path: Path, sources: list[str], arrays: dict[str, np.ndarray]) -> None:
+    """Write arrays to the .npz at path as a binary copy of text files whose hex sha256
+    digests are sources, with a ``digests`` member: sources, then the payload digest."""
+    digests = np.array([*sources, _payload_digest(arrays)])
     with zipfile.ZipFile(path, "w") as zf:
         for name, array in {**arrays, "digests": digests}.items():
             with zf.open(zipfile.ZipInfo(f"{name}.npy", _ZIP_TIME), "w", force_zip64=True) as fh:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _format_float_row, _parse_float_rows
+from .embeddings import EmbeddingSpace, _format_float_rows, _parse_float_rows
 from .lexicon import TranslationDataset
 from .seeds import spawn_rng
 
@@ -353,21 +353,21 @@ def orthogonality_penalty(m: LinearMap | np.ndarray) -> float:
 def save_map(m: LinearMap, path: str | Path) -> None:
     """Serialize a map as text: header 'd_tgt d_src', '#' provenance, rows.
 
-    Entries are written with shortest round-trip float repr, so load_map
-    restores them exactly.
+    Entries are written as their shortest round-trip float repr, one
+    vectorized pass over the matrix (embeddings._format_float_rows), so
+    load_map restores them exactly.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{m.d_tgt} {m.d_src}\n")
-        fh.write(f"# trainer={m.trainer}\n")
-        fh.write(f"# anchor={m.anchor}\n")
-        fh.write(f"# train_size={m.train_size}\n")
-        if m.final_loss is not None:
-            fh.write(f"# final_loss={m.final_loss!r}\n")
-        for key, value in sorted(m.hyperparams.items()):
-            fh.write(f"# {key}={value!r}\n")
-        for row in m.matrix:
-            fh.write(_format_float_row(row) + "\n")
+    Path(path).write_bytes(_map_text(m))
+
+
+def _map_text(m: LinearMap) -> bytes:
+    """The bytes save_map writes for a map."""
+    lines = [f"{m.d_tgt} {m.d_src}", f"# trainer={m.trainer}", f"# anchor={m.anchor}",
+             f"# train_size={m.train_size}"]
+    if m.final_loss is not None:
+        lines.append(f"# final_loss={m.final_loss!r}")
+    lines += [f"# {key}={value!r}" for key, value in sorted(m.hyperparams.items())]
+    return "".join(line + "\n" for line in lines).encode("utf-8") + _format_float_rows(m.matrix)
 
 
 def _literal(text: str):

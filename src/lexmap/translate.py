@@ -8,6 +8,7 @@ global fallback map handles queries far from every anchor.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -16,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSpace, _read_companion, _write_companion, top_k_rows
-from .mapper import LinearMap, _read_map, save_map
+from .mapper import LinearMap, _map_text, _read_map
 
 
 @dataclass(frozen=True)
@@ -136,12 +137,16 @@ def piecewise_translate(
 def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
     """Persist an atlas as one map file per anchor, a JSON manifest and a binary companion.
 
-    The text map files are the atlas. ``maps.npz`` is their binary
-    companion: ``maps`` stacks their matrices, entries first and the
-    fallback last, under the digests of the map files in that order.
+    The text map files, written as save_map writes them, are the atlas.
+    ``maps.npz`` is their binary companion: ``maps`` stacks their matrices,
+    entries first and the fallback last, under the digests of the map
+    files in that order. The map files of an atlas saved earlier into the
+    directory are removed first, so only the files the manifest names remain.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    for stale in [*directory.glob("map_[0-9][0-9][0-9][0-9]*.txt"), directory / "map_global.txt"]:
+        stale.unlink(missing_ok=True)
     manifest: dict = {"entries": [], "fallback": None}
     maps: dict[str, LinearMap] = {}  # file -> map, in stack order
     for i, entry in enumerate(atlas.entries):
@@ -157,10 +162,13 @@ def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
     if atlas.fallback is not None:
         maps["map_global.txt"] = atlas.fallback
         manifest["fallback"] = "map_global.txt"
+    digests = []
     for filename, m in maps.items():
-        save_map(m, directory / filename)
+        text = _map_text(m)
+        (directory / filename).write_bytes(text)
+        digests.append(hashlib.sha256(text).hexdigest())
     stack = np.array([m.matrix for m in maps.values()])  # the maps share one shape
-    _write_companion(directory / "maps.npz", [directory / f for f in maps], {"maps": stack})
+    _write_companion(directory / "maps.npz", digests, {"maps": stack})
     with (directory / "manifest.json").open("w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -2,8 +2,10 @@
 
 ``load_embeddings`` and ``load_map`` parse float rows a block at a time and
 fall back to one ``float()`` per entry where numpy's parser could read a
-block differently. The writers format a row at a time. Each is compared here
-with the per-line or per-element code it replaced, kept in this file as the
+block differently. The writers format whole blocks of floats in numpy
+(``_format_float_rows``), and fall back to one ``repr`` per entry where the
+vectorized path does not settle it. Each is compared here with the
+per-line or per-element code it replaced, kept in this file as the
 reference, on inputs full of the quirks real files have. Spearman's rho is
 compared bit for bit with scipy's.
 """
@@ -20,6 +22,7 @@ from lexmap.analysis import spearman_correlation
 from lexmap.embeddings import (
     EmbeddingSpace,
     LoadStats,
+    _format_float_rows,
     _parse_float_rows,
     load_embeddings,
     write_embeddings,
@@ -276,6 +279,85 @@ def test_vec_write_read_round_trip_is_exact(tmp_path_factory, matrix):
     served = load_every_way(path, len(words))
     path.with_name("e.vec.npz").unlink()
     assert load_every_way(path, len(words)) == served
+
+
+def per_element_rows(matrix):
+    """The float rows as the writers formatted them before the vectorized pass: one
+    repr per entry, joined by " ", each row ended by a newline."""
+    return "".join(" ".join(map(repr, row.tolist())) + "\n" for row in matrix).encode()
+
+
+def with_neighbours(values):
+    return [v for x in values for v in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf))]
+
+
+# where the vectorized path starts and stops, and its hardest digits
+FORMAT_EDGES = [
+    [0.0, -0.0, 1e-6, 9.999999999999999e-07, *with_neighbours([1e-6, 1e-4, 10.0])],
+    with_neighbours([2.0**k for k in range(-21, 4)]),  # a lopsided rounding interval
+    with_neighbours([10.0**k for k in range(-7, 2)]),
+    # a 17-digit half (...187|5), which goes to the even digit
+    [0.234661102294921875, -0.234661102294921875, 0.1, 1 / 3, 2 / 3],
+    # 16 digits above 2**53, where the decimal itself is no double
+    [9.007199254740993 * 10.0**e for e in range(-6, 1)] + [9.999999999999999, 9.999999999999998],
+    [5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, float("nan"), -float("inf")],
+]
+
+
+def float_blocks(elements):
+    shapes = st.tuples(st.integers(1, 5), st.integers(1, 8))
+    return shapes.flatmap(lambda shape: arrays(np.float64, shape, elements=elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_blocks(st.floats(width=64)))
+@example(np.array(FORMAT_EDGES[0]).reshape(1, -1))
+@example(np.array(FORMAT_EDGES[1]).reshape(3, -1))
+@example(np.array(FORMAT_EDGES[2]).reshape(3, -1))
+@example(np.array(FORMAT_EDGES[3]).reshape(1, -1))
+@example(np.array(FORMAT_EDGES[4]).reshape(1, -1))
+@example(np.array(FORMAT_EDGES[5]).reshape(1, -1))
+def test_format_float_rows_equals_per_element_repr(matrix):
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.integers(1, 5), st.integers(1, 8)).flatmap(
+    lambda shape: arrays(np.uint64, shape, elements=st.integers(0, 2**64 - 1))))
+def test_format_float_rows_equals_per_element_repr_on_raw_bits(bits):
+    matrix = bits.view(np.float64)
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])
+def test_format_float_rows_of_no_entries(shape):
+    assert _format_float_rows(np.zeros(shape)) == per_element_rows(np.zeros(shape))
+
+
+def test_format_float_rows_on_a_million_seeded_values():
+    """Eight classes of 125000 values each, shuffled, half as rows of 250 and half as
+    rows of 5, which split rows across blocks differently."""
+    rng = np.random.default_rng(20181)
+    n = 125000
+    scale = 10.0 ** rng.integers(-7, 2, n)
+    decades = 10.0 ** rng.integers(-7, 2, n)
+    sign = rng.choice([-1.0, 1.0], n)
+    classes = [
+        rng.standard_normal(n) * scale,  # normals at many scales
+        rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64),  # raw mantissa bits
+        # short decimals: the quotient of two exact doubles is the nearest double
+        sign * rng.integers(1, 10**7, n) / 10.0 ** rng.integers(1, 13, n),
+        sign * np.nextafter(decades, decades * rng.choice([0.0, 1.0, 2.0], n)),  # 10**k, ±1 ulp
+        sign * rng.uniform(9.007, 9.999, n) * 10.0 ** rng.integers(-6, 1, n),  # leading 9.007-9.999
+        rng.integers(1, 2**53, n) / 2.0 ** rng.integers(1, 75, n),  # dyadic, many 17-digit halves
+        (rng.standard_normal(n) * scale).astype(np.float32).astype(np.float64),  # widened float32
+        sign * rng.integers(1, 2**20, n) / 2.0 ** rng.integers(1, 30, n),  # short dyadic halves
+    ]
+    values = rng.permutation(np.concatenate(classes))
+    half = values.size // 2
+    for width, part in ((250, values[:half]), (5, values[half:])):  # 10**6 values in all
+        matrix = part.reshape(-1, width)
+        assert _format_float_rows(matrix) == per_element_rows(matrix)
 
 
 # a few values drawn often give many exact ties, 0.0 against -0.0 included

@@ -7,7 +7,9 @@ in every other case; the loads here go through a spy on the text parsers
 to tell the two apart. One damage table runs against both companions.
 """
 
+import builtins
 import hashlib
+import io
 import json
 import shutil
 import time
@@ -196,6 +198,30 @@ def test_companion_holds_the_payload_and_the_source_digests(caller, tmp_path):
     assert digests[:-1] == [hashlib.sha256(p.read_bytes()).hexdigest() for p in caller.sources(target)]
 
 
+@pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
+def test_write_opens_each_file_once_and_reads_none(caller, tmp_path, monkeypatch):
+    """The companion's digests of the text come from the bytes as written: no file
+    is opened twice or for reading, as hashing a written file back would."""
+    opened = []
+
+    def spy(open_):
+        def wrapper(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode))
+            return open_(file, mode, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(io, "open", spy(io.open))
+    monkeypatch.setattr(builtins, "open", spy(builtins.open))
+    target = caller.write(tmp_path)
+    monkeypatch.undo()
+    paths = [path for path, _ in opened]
+    assert str(caller.companion(target)) in paths
+    assert {str(source) for source in caller.sources(target)} <= set(paths)
+    assert len(paths) == len(set(paths))
+    assert all(mode[0] in "wx" for _, mode in opened)
+    assert caller.load(target) == caller.parse(target)
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 @pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
 def test_damage_sends_the_load_to_the_text(caller, damage, tmp_path, monkeypatch):
@@ -235,7 +261,7 @@ def test_limit_below_the_rows_parses_the_text(written, text_parses, limit, norma
 def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parses):
     path, space = written
     words = np.frombuffer("\n".join(space.words[:-1]).encode(), dtype=np.uint8)
-    embeddings._write_companion(VecFile().companion(path), [path],
+    embeddings._write_companion(VecFile().companion(path), [embeddings._sha256(path)],
                                 {"words": words, "vectors": space.vectors})
     back = load_embeddings(path, normalize=False)
     assert text_parses == [path]

@@ -1,0 +1,32 @@
+"""The d=300 outputs of every lexmap subcommand, pinned by their sha256.
+
+``tools/output_digests.py`` builds a seeded world (n=2000, d=300) and runs
+``diagnose`` with both trainers, ``neighborhood``, ``experiment``,
+``train``, ``translate --map`` and ``translate --atlas`` on it, each under
+``OPENBLAS_NUM_THREADS=1``, and prints the sha256 of every file they write.
+``output_digests.txt`` is its output as recorded at commit 9cc57df, before
+the float writers became one vectorized pass.
+
+The least-squares maps, and every output derived from them, depend on the
+BLAS kernels' summation order. The list was recorded with numpy 2.4.6 and
+its bundled OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build), which
+ran its SkylakeX core on one thread. Another core may move those digests
+without any change to lexmap. A change that means to move a pin
+re-records only that line, with the reason in CHANGES.md.
+"""
+
+import difflib
+import subprocess
+import sys
+from pathlib import Path
+
+TESTS = Path(__file__).resolve().parent
+TOOL = TESTS.parent / "tools" / "output_digests.py"
+
+
+def test_every_output_digest_is_unchanged():
+    result = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
+                            check=True, timeout=600)
+    expected = (TESTS / "output_digests.txt").read_text().splitlines()
+    got = result.stdout.splitlines()
+    assert got == expected, "\n".join(difflib.unified_diff(expected, got, lineterm=""))

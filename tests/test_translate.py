@@ -272,6 +272,18 @@ class TestAtlasPersistence:
         assert back.fallback is not None
         assert np.array_equal(back.fallback.matrix, np.eye(12))
 
+    def test_save_over_an_atlas_leaves_only_the_new_files(self, tmp_path):
+        """A smaller atlas saved over a larger one used to leave the older map files."""
+        maps = [LinearMap(np.eye(2) * (i + 1), anchor=f"a{i}") for i in range(4)]
+        entries = tuple(AtlasEntry(f"a{i}", np.array([1.0, i]), maps[i]) for i in range(3))
+        save_atlas(MapAtlas(entries, fallback=maps[3]), tmp_path)
+        assert len(list(tmp_path.glob("map_*.txt"))) == 4
+        save_atlas(MapAtlas(entries[:1]), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "manifest.json", "map_0000.txt", "maps.npz"]
+        back = load_atlas(tmp_path)
+        assert [e.anchor_word for e in back.entries] == ["a0"] and back.fallback is None
+
     @pytest.mark.parametrize("bad", [float("nan"), 0.0])
     def test_bad_anchor_vector_in_manifest_rejected_at_load(self, tmp_path, bad):
         """A NaN first entry used to capture every query; a zero one failed at dispatch."""

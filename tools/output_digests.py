@@ -1,9 +1,10 @@
 """Print the sha256 of every file a seeded end-to-end lexmap run writes.
 
 The run builds a synthetic world (n=2000, d=300) and runs ``diagnose
---trainer lsq``, ``experiment --trainer maxmargin``, ``train``,
-``translate --map`` and ``translate --atlas`` on it, each in its own
-subprocess under ``OPENBLAS_NUM_THREADS=1``. The atlas holds diagnose's
+--trainer lsq``, ``diagnose --trainer maxmargin``, ``neighborhood``,
+``experiment --trainer maxmargin``, ``train``, ``translate --map`` and
+``translate --atlas`` on it, each in its own subprocess under
+``OPENBLAS_NUM_THREADS=1``. The atlas holds diagnose's
 local maps, keyed by their anchors' source vectors, with its global map as
 fallback, as in ``tests/test_golden.py``. Every command runs in the work
 directory with relative paths, so config.json does not depend on where it
@@ -62,8 +63,12 @@ def run_all(work: Path) -> None:
            "--cluster-std", "0.03", "--seed", SEED, "--out", "world")
     lexmap("diagnose", "--world", "world", "--trainer", "lsq", "--lam", "1e-6",
            "--test-size", "100", "--seed", SEED, "--out", "diagnose")
+    lexmap("diagnose", "--world", "world", "--trainer", "maxmargin", "--epochs", "3",
+           "--test-size", "100", "--seed", SEED, "--out", "diagnose_maxmargin")
     records = (work / "diagnose" / "report.jsonl").read_text().splitlines()[:-1]
     anchors = ",".join(json.loads(line)["anchor_word"] for line in records)
+    lexmap("neighborhood", "--src-emb", "world/src.vec", "--anchors", anchors, "--seed", SEED,
+           "--out", "neighborhood")
     lexmap("experiment", *vecs, *lexicon, "--anchors", anchors, "--trainer", "maxmargin",
            "--epochs", "3", "--test-size", "100", "--seed", SEED, "--out", "experiment")
     lexmap("train", *vecs, *lexicon, "--trainer", "maxmargin", "--epochs", "3", "--seed", SEED,
