@@ -19,7 +19,7 @@ import numpy as np
 from . import analysis, synth
 from .embeddings import EmbeddingSpace, load_embeddings
 from .lexicon import build_dataset, build_full_dataset, load_lexicon
-from .mapper import _INITS, TrainConfig, get_trainer, load_map, save_map
+from .mapper import INITS, TrainConfig, get_trainer, load_map, save_map
 from .neighborhoods import build_neighborhood, growth_profile, profile_to_tsv
 from .translate import MapAtlas, load_atlas, translate_words
 
@@ -48,7 +48,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--epochs", type=int, default=50)
     parser.add_argument("--lr", type=float, default=0.1)
     parser.add_argument("--lr-decay", type=float, default=0.99)
-    parser.add_argument("--init", choices=_INITS, default="identity")
+    parser.add_argument("--init", choices=INITS, default="identity")
     parser.add_argument("--ortho-weight", type=float, default=0.0)
     parser.add_argument("--lam", type=float, default=0.0, help="ridge weight for --trainer lsq")
 

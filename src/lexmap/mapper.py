@@ -9,18 +9,18 @@ experiment reports can be audited.
 
 from __future__ import annotations
 
-import ast
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _format_float_rows, _parse_float_rows
+from .embeddings import EmbeddingSpace
+from .formats import read_map, write_map
 from .lexicon import TranslationDataset
 from .seeds import spawn_rng
 
-_INITS = ("identity", "zeros", "scaled-random")
+INITS = ("identity", "zeros", "scaled-random")
 # max-margin SGD steps held back and folded into the map at once
 _RANK = 32
 
@@ -87,8 +87,8 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.init not in _INITS:
-            raise ValueError(f"init must be one of {_INITS}, got {self.init!r}")
+        if self.init not in INITS:
+            raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
         if self.ortho_weight < 0:
             raise ValueError(f"ortho_weight must be >= 0, got {self.ortho_weight}")
 
@@ -354,28 +354,10 @@ def save_map(m: LinearMap, path: str | Path) -> None:
     """Serialize a map as text: header 'd_tgt d_src', '#' provenance, rows.
 
     Entries are written as their shortest round-trip float repr, one
-    vectorized pass over the matrix (embeddings._format_float_rows), so
+    vectorized pass over the matrix (formats._format_float_rows), so
     load_map restores them exactly.
     """
-    Path(path).write_bytes(_map_text(m))
-
-
-def _map_text(m: LinearMap) -> bytes:
-    """The bytes save_map writes for a map."""
-    lines = [f"{m.d_tgt} {m.d_src}", f"# trainer={m.trainer}", f"# anchor={m.anchor}",
-             f"# train_size={m.train_size}"]
-    if m.final_loss is not None:
-        lines.append(f"# final_loss={m.final_loss!r}")
-    lines += [f"# {key}={value!r}" for key, value in sorted(m.hyperparams.items())]
-    return "".join(line + "\n" for line in lines).encode("utf-8") + _format_float_rows(m.matrix)
-
-
-def _literal(text: str):
-    """The value whose repr save_map wrote, or text itself if it is no literal."""
-    try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError, TypeError):
-        return text
+    write_map(m, Path(path))
 
 
 def load_map(path: str | Path) -> LinearMap:
@@ -384,55 +366,4 @@ def load_map(path: str | Path) -> LinearMap:
     Hyperparameter values come back as the Python literals save_map wrote
     with repr, so a loaded map saves to the same bytes.
     """
-    return _read_map(Path(path))
-
-
-def _read_map(path: Path, matrix: np.ndarray | None = None) -> LinearMap:
-    """load_map of path; a given matrix stands in for the rows, which go unparsed.
-
-    The header, its shape check against the matrix and the '#' metadata are
-    read from the file either way.
-    """
-    if not path.is_file():
-        raise FileNotFoundError(f"map file not found: {path}")
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or not all(x.isdecimal() and int(x) > 0 for x in header):
-            raise ValueError(f"bad map header in {path}: expected two positive integers")
-        d_tgt, d_src = int(header[0]), int(header[1])
-        meta: dict[str, str] = {}
-        rows: list[str] = []
-        for line in fh:
-            line = line.strip()
-            if line.startswith("#"):
-                key, _, value = line[1:].strip().partition("=")
-                meta[key.strip()] = value
-            elif line and matrix is None:
-                rows.append(line)
-    if matrix is None:
-        # save_map's single spaces; other spacing fails the bulk parse and is split per entry
-        matrix = _parse_float_rows(rows, d_src, " ")
-        try:
-            if matrix is None:
-                matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)
-        except ValueError as exc:  # a non-numeric entry, or rows of unequal length
-            raise ValueError(f"bad map body in {path}: {exc}") from None
-    if matrix.shape != (d_tgt, d_src):
-        raise ValueError(f"bad map body in {path}: shape {matrix.shape} != header ({d_tgt}, {d_src})")
-
-    trainer = meta.pop("trainer", "unspecified")
-    anchor = meta.pop("anchor", "global")
-    try:
-        train_size = int(meta.pop("train_size", "0"))
-        final_loss_raw = meta.pop("final_loss", None)
-        final_loss = float(final_loss_raw) if final_loss_raw is not None else None
-    except ValueError as exc:
-        raise ValueError(f"bad map metadata in {path}: {exc}") from None
-    return LinearMap(
-        matrix,
-        trainer=trainer,
-        anchor=anchor,
-        hyperparams={key: _literal(value) for key, value in meta.items()},
-        train_size=train_size,
-        final_loss=final_loss,
-    )
+    return LinearMap(**read_map(Path(path)))

@@ -148,15 +148,20 @@ def generate_nonlinear_world(
     theta = variation_strength * (X @ axis)
     px = X @ p
     qx = X @ q
-    X_rot = (
-        X
-        + (np.cos(theta) - 1.0)[:, None] * (px[:, None] * p + qx[:, None] * q)
-        + np.sin(theta)[:, None] * (px[:, None] * q - qx[:, None] * p)
-    )
+    # X + (cos - 1) (px p + qx q) + sin (px q - qx p), in place: the same bits in fewer n x d
+    X_rot = px[:, None] * p
+    X_rot += qx[:, None] * q
+    X_rot *= (np.cos(theta) - 1.0)[:, None]
+    turn = px[:, None] * q
+    turn -= qx[:, None] * p
+    turn *= np.sin(theta)[:, None]
+    X_rot += X
+    X_rot += turn
+    del turn
     Y = X_rot @ G.T
-    noise = rng.standard_normal((n, d))
-    if noise_sigma > 0:
-        Y = Y + noise_sigma * noise
+    del X_rot
+    if noise_sigma > 0:  # the stream's last draw, so skipping it changes no other value
+        Y = Y + noise_sigma * rng.standard_normal((n, d))
 
     width = max(5, len(str(n - 1)))
     src_words = [f"w{i:0{width}d}" for i in range(n)]
@@ -211,14 +216,30 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
 
     Ordered by cluster index, which follows the center positions along the
     variation axis, so the first anchor sits at one end of the swept range.
+    Each cluster's members are scored with one product, and those within its
+    rounding margin of the best are scored again with cosine_similarity, in
+    order, the first of equal scores winning: the choice of a loop over all.
     """
-    centers = world.ground_truth.cluster_centers
-    best: dict[int, tuple[float, str]] = {}
+    space, centers = world.src_space, world.ground_truth.cluster_centers
+    members: dict[int, list[int]] = {}
     for word, label in world.region_labels.items():
-        score = cosine_similarity(world.src_space.vector(word), centers[label])
-        if label not in best or score > best[label][0]:
-            best[label] = (score, word)
-    return [best[label][1] for label in sorted(best)]
+        members.setdefault(label, []).append(space.index(word))
+    # for unit rows and a center of moderate norm, a product and cosine_similarity differ by
+    # at most 2 gamma_m (m = 2d+4, as in top_k_rows): the best cosine's product lies within
+    # twice that of the best product
+    mu = (2 * space.dim + 4) * 2.0**-53
+    margin = 4.0 * mu / (1.0 - mu)
+    anchors = []
+    for label in sorted(members):
+        rows, center = np.array(members[label]), centers[label]
+        norm = np.linalg.norm(center)
+        if space.normalized and center.shape == (space.dim,) and 2.0**-300 < norm < 2.0**300:
+            scores = space.vectors[rows] @ center / (space.row_norms[rows] * norm)
+            rows = rows[scores >= scores.max() - margin]
+        # max keeps the first of equal keys, and the first key until one is greater
+        best = max(rows, key=lambda row: cosine_similarity(space.vectors[row], center))
+        anchors.append(space.words[best])
+    return anchors
 
 
 def export_world(world: SyntheticWorld, directory: str | Path) -> None:

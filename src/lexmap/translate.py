@@ -8,16 +8,15 @@ global fallback map handles queries far from every anchor.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _read_companion, _write_companion, top_k_rows
-from .mapper import LinearMap, _map_text, _read_map
+from .embeddings import EmbeddingSpace, top_k_rows
+from .formats import read_atlas, write_atlas
+from .mapper import LinearMap
 
 
 @dataclass(frozen=True)
@@ -143,35 +142,7 @@ def save_atlas(atlas: MapAtlas, directory: str | Path) -> None:
     files in that order. The map files of an atlas saved earlier into the
     directory are removed first, so only the files the manifest names remain.
     """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    for stale in [*directory.glob("map_[0-9][0-9][0-9][0-9]*.txt"), directory / "map_global.txt"]:
-        stale.unlink(missing_ok=True)
-    manifest: dict = {"entries": [], "fallback": None}
-    maps: dict[str, LinearMap] = {}  # file -> map, in stack order
-    for i, entry in enumerate(atlas.entries):
-        filename = f"map_{i:04d}.txt"
-        maps[filename] = entry.linear_map
-        manifest["entries"].append(
-            {
-                "anchor": entry.anchor_word,
-                "file": filename,
-                "vector": [float(v) for v in entry.anchor_vector],
-            }
-        )
-    if atlas.fallback is not None:
-        maps["map_global.txt"] = atlas.fallback
-        manifest["fallback"] = "map_global.txt"
-    digests = []
-    for filename, m in maps.items():
-        text = _map_text(m)
-        (directory / filename).write_bytes(text)
-        digests.append(hashlib.sha256(text).hexdigest())
-    stack = np.array([m.matrix for m in maps.values()])  # the maps share one shape
-    _write_companion(directory / "maps.npz", digests, {"maps": stack})
-    with (directory / "manifest.json").open("w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    write_atlas(atlas, Path(directory))
 
 
 def load_atlas(directory: str | Path) -> MapAtlas:
@@ -182,27 +153,7 @@ def load_atlas(directory: str | Path) -> MapAtlas:
     map's header and metadata come from its text file; its matrix comes
     from ``maps.npz`` while its digests hold, else from the text.
     """
-    directory = Path(directory)
-    manifest_path = directory / "manifest.json"
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"atlas manifest not found: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        items = [(item["anchor"], item["file"], np.array(item["vector"], dtype=np.float64))
-                 for item in manifest["entries"]]
-        fallback = manifest.get("fallback")
-        files = [file for _, file, _ in items] + ([fallback] if fallback else [])
-        if not all(isinstance(name, str) for name in [*(a for a, _, _ in items), *files]):
-            raise TypeError("anchor, file and fallback entries must be strings")
-    except KeyError as exc:
-        raise ValueError(f"bad atlas manifest in {manifest_path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad atlas manifest in {manifest_path}: {exc}") from None
-    paths = [directory / file for file in files]
-    served = _read_companion(directory / "maps.npz", paths) or {"maps": [None] * len(paths)}
-    maps = [_read_map(path, matrix) for path, matrix in zip(paths, served["maps"])]
-    entries = tuple(
-        AtlasEntry(anchor_word=anchor, anchor_vector=vector, linear_map=m)
-        for (anchor, _, vector), m in zip(items, maps)
-    )
-    return MapAtlas(entries, fallback=maps[-1] if fallback else None)
+    entries, fallback = read_atlas(Path(directory))
+    return MapAtlas(tuple(AtlasEntry(anchor, vector, LinearMap(**fields))
+                          for anchor, vector, fields in entries),
+                    fallback=LinearMap(**fallback) if fallback else None)

@@ -19,14 +19,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from lexmap.analysis import spearman_correlation
-from lexmap.embeddings import (
-    EmbeddingSpace,
-    LoadStats,
-    _format_float_rows,
-    _parse_float_rows,
-    load_embeddings,
-    write_embeddings,
-)
+from lexmap.embeddings import EmbeddingSpace, LoadStats, load_embeddings, write_embeddings
+from lexmap.formats import _format_float_rows, _parse_float_rows
 from lexmap.mapper import LinearMap, load_map, save_map
 
 from conftest import load_every_way

@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from lexmap import embeddings, mapper
+from lexmap import formats
 from lexmap.cli import run
 from lexmap.embeddings import EmbeddingSpace, LoadStats, load_embeddings, write_embeddings
 from lexmap.mapper import LinearMap, load_map
@@ -54,7 +54,7 @@ class VecFile:
 
     members = ["digests", "vectors", "words"]
     payload = "vectors"
-    parser = (embeddings, "_parse_vec")
+    parser = (formats, "_parse_vec")
 
     def write(self, directory, seed=3):
         directory.mkdir(parents=True, exist_ok=True)
@@ -67,13 +67,17 @@ class VecFile:
     def sources(self, target):
         return [target]
 
+    def read_files(self, target):
+        """The files a clean load reads."""
+        return [target, self.companion(target)]
+
     def load(self, target):
         space = load_embeddings(target, normalize=False)
         return space.words, space.vectors.tobytes(), space.stats
 
     def parse(self, target):
         """The text alone."""
-        space = embeddings._parse_vec(target, None, False)
+        space = formats._parse_vec(target, None, False)
         return space.words, space.vectors.tobytes(), space.stats
 
 
@@ -82,7 +86,7 @@ class AtlasDir:
 
     members = ["digests", "maps"]
     payload = "maps"
-    parser = (mapper, "_parse_float_rows")
+    parser = (formats, "_parse_float_rows")
 
     def write(self, directory, seed=5):
         save_atlas(provenance_atlas(seed), directory / "atlas")
@@ -94,6 +98,10 @@ class AtlasDir:
     def sources(self, target):
         manifest = json.loads((target / "manifest.json").read_text())
         return [target / e["file"] for e in manifest["entries"]] + [target / manifest["fallback"]]
+
+    def read_files(self, target):
+        """The files a clean load reads."""
+        return [target / "manifest.json", *self.sources(target), self.companion(target)]
 
     def load(self, target):
         atlas = load_atlas(target)
@@ -119,6 +127,21 @@ def spy_on_parser(monkeypatch, caller):
 
     monkeypatch.setattr(module, name, spy)
     return calls
+
+
+def spy_on_open(monkeypatch):
+    """The (file, mode) of every open from now on."""
+    opened = []
+
+    def spy(open_):
+        def wrapper(file, mode="r", *args, **kwargs):
+            opened.append((str(file), mode))
+            return open_(file, mode, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(io, "open", spy(io.open))
+    monkeypatch.setattr(builtins, "open", spy(builtins.open))
+    return opened
 
 
 def flip_byte(path, offset):
@@ -202,16 +225,7 @@ def test_companion_holds_the_payload_and_the_source_digests(caller, tmp_path):
 def test_write_opens_each_file_once_and_reads_none(caller, tmp_path, monkeypatch):
     """The companion's digests of the text come from the bytes as written: no file
     is opened twice or for reading, as hashing a written file back would."""
-    opened = []
-
-    def spy(open_):
-        def wrapper(file, mode="r", *args, **kwargs):
-            opened.append((str(file), mode))
-            return open_(file, mode, *args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(io, "open", spy(io.open))
-    monkeypatch.setattr(builtins, "open", spy(builtins.open))
+    opened = spy_on_open(monkeypatch)
     target = caller.write(tmp_path)
     monkeypatch.undo()
     paths = [path for path, _ in opened]
@@ -220,6 +234,20 @@ def test_write_opens_each_file_once_and_reads_none(caller, tmp_path, monkeypatch
     assert len(paths) == len(set(paths))
     assert all(mode[0] in "wx" for _, mode in opened)
     assert caller.load(target) == caller.parse(target)
+
+
+@pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
+def test_clean_load_opens_each_file_once(caller, tmp_path, monkeypatch):
+    """A clean load reads each file once: a map text gives its digest, header and metadata
+    from one read, where a digest pass and then a header pass would open it twice."""
+    target = caller.write(tmp_path)
+    expected = caller.parse(target)
+    opened = spy_on_open(monkeypatch)
+    loaded = caller.load(target)
+    monkeypatch.undo()
+    assert sorted(path for path, _ in opened) == sorted(map(str, caller.read_files(target)))
+    assert all(mode[0] == "r" for _, mode in opened)
+    assert loaded == expected
 
 
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -261,8 +289,8 @@ def test_limit_below_the_rows_parses_the_text(written, text_parses, limit, norma
 def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parses):
     path, space = written
     words = np.frombuffer("\n".join(space.words[:-1]).encode(), dtype=np.uint8)
-    embeddings._write_companion(VecFile().companion(path), [embeddings._sha256(path)],
-                                {"words": words, "vectors": space.vectors})
+    formats._write_companion(VecFile().companion(path), [formats._sha256(path)],
+                             {"words": words, "vectors": space.vectors})
     back = load_embeddings(path, normalize=False)
     assert text_parses == [path]
     assert back.words == space.words

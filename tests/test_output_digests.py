@@ -11,7 +11,8 @@ The least-squares maps, and every output derived from them, depend on the
 BLAS kernels' summation order. The list was recorded with numpy 2.4.6 and
 its bundled OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build), which
 ran its SkylakeX core on one thread. Another core may move those digests
-without any change to lexmap. A change that means to move a pin
+without any change to lexmap; the tool names the core on stderr, and a
+failure here repeats that line. A change that means to move a pin
 re-records only that line, with the reason in CHANGES.md.
 """
 
@@ -29,4 +30,6 @@ def test_every_output_digest_is_unchanged():
                             check=True, timeout=600)
     expected = (TESTS / "output_digests.txt").read_text().splitlines()
     got = result.stdout.splitlines()
-    assert got == expected, "\n".join(difflib.unified_diff(expected, got, lineterm=""))
+    core = [line for line in result.stderr.splitlines() if line.startswith("blas core:")]
+    diff = difflib.unified_diff(expected, got, lineterm="")
+    assert got == expected, "\n".join([*core, *diff])

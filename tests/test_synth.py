@@ -4,11 +4,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lexmap.cli import run
+from lexmap.embeddings import EmbeddingSpace, cosine_similarity
 from lexmap.analysis import pairwise_to_tsv, precision_at_k, run_experiment, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -101,6 +102,49 @@ class TestGeneration:
             generate_nonlinear_world(100, 8, variation_strength=-0.5)
         with pytest.raises(ValueError):
             generate_linear_world(100, 6, n_clusters=8)  # too few dimensions
+
+
+def reference_anchor_words(world):
+    """The per-word loop that default_anchor_words replaced."""
+    centers = world.ground_truth.cluster_centers
+    best = {}
+    for word, label in world.region_labels.items():
+        score = cosine_similarity(world.src_space.vector(word), centers[label])
+        if label not in best or score > best[label][0]:
+            best[label] = (score, word)
+    return [best[label][1] for label in sorted(best)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 120),
+    extra_d=st.integers(0, 40),
+    clusters=st.integers(1, 6),
+    std=st.sampled_from([1e-13, 1e-7, 0.03, 0.5]),
+    seed=st.integers(0, 2**16),
+    copies=st.lists(st.tuples(st.sampled_from([0, -1]), st.integers(0, 4), st.integers(0, 3)),
+                    max_size=4),
+    normalized=st.booleans(),
+)
+@example(n=60, extra_d=2, clusters=3, std=0.03, seed=1, copies=[(0, 0, 0)], normalized=True)
+def test_default_anchor_words_is_the_per_word_loop(n, extra_d, clusters, std, seed, copies,
+                                                   normalized):
+    """Equal to the loop it replaced on near and exact ties. Each copy (mate, ulps, axis)
+    writes each cluster's best member over its first or last member, that axis moved by
+    that many ulps, so the copies score within a few ulps of the best or equal to it."""
+    d = clusters + 3 + extra_d
+    world = generate_nonlinear_world(n, d, seed=seed, n_clusters=clusters, cluster_std=std)
+    space = world.src_space
+    vectors = space.vectors.copy()
+    for mate, ulps, axis in copies:
+        for anchor in reference_anchor_words(world):
+            label = world.region_labels[anchor]
+            row = [space.index(w) for w, c in world.region_labels.items() if c == label][mate]
+            vectors[row] = vectors[space.index(anchor)]
+            for _ in range(ulps):
+                vectors[row, axis] = np.nextafter(vectors[row, axis], np.inf)
+    world = dataclasses.replace(world, src_space=EmbeddingSpace(space.words, vectors, normalized))
+    assert default_anchor_words(world) == reference_anchor_words(world)
 
 
 class TestOracleChecks:

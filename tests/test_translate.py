@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-import lexmap.mapper
+import lexmap.formats
 from lexmap.cli import run
 from lexmap.embeddings import top_k_by_cosine
 from lexmap.mapper import LinearMap, load_map
@@ -353,9 +353,9 @@ class TestAtlasPersistence:
                    for name in ("companion", "text", "older")}
         (layouts["text"] / "maps.npz").unlink()
         _to_older_layout(layouts["older"])
-        parse = lexmap.mapper._parse_float_rows
+        parse = lexmap.formats._parse_float_rows
         parses = []
-        monkeypatch.setattr(lexmap.mapper, "_parse_float_rows",
+        monkeypatch.setattr(lexmap.formats, "_parse_float_rows",
                             lambda *args: parses.append(args) or parse(*args))
         loads, outputs = {}, {}
         for name, atlas_dir in layouts.items():

@@ -16,6 +16,9 @@ Usage: python tools/output_digests.py [WORKDIR]
 
 Without WORKDIR the outputs go to a temporary directory that is removed
 afterwards. Lines are ``<sha256>  <path under WORKDIR>``, sorted by path.
+One more line, on stderr, names the OpenBLAS core and build that numpy
+loads under the same environment (``unknown`` where the library does not
+say), since the least-squares digests depend on it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,35 @@ anchors = [json.loads(line)["anchor_word"] for line in records]
 entries = tuple(AtlasEntry(a, src.vector(a), load_map(maps / f"local_{a}.txt")) for a in anchors)
 save_atlas(MapAtlas(entries, fallback=load_map(maps / "global.txt")), "atlas")
 """
+
+# the core and config of the OpenBLAS that numpy loads, asked of the library itself, as
+# perfbench/envinfo.py asks it for its thread count
+BLAS_CORE = """
+import ctypes
+import numpy
+
+def ask(lib, kind):
+    for symbol in (f"scipy_openblas_get_{kind}64_", f"openblas_get_{kind}64_",
+                   f"openblas_get_{kind}"):
+        fn = getattr(lib, symbol, None)
+        if fn is not None:
+            fn.argtypes, fn.restype = [], ctypes.c_char_p
+            return fn().decode()
+    return None
+
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+for lib in map(ctypes.CDLL, libs):
+    if core := ask(lib, "corename"):
+        print(f"{core} ({ask(lib, 'config')})")
+        break
+"""
+
+
+def blas_core() -> str:
+    result = subprocess.run([sys.executable, "-c", BLAS_CORE], env=ENV, capture_output=True,
+                            text=True)
+    return result.stdout.strip() or "unknown"
 
 
 def run_all(work: Path) -> None:
@@ -91,6 +123,7 @@ def main(argv: list[str]) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(argv[0]) if argv else Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
+        print(f"blas core: {blas_core()}", file=sys.stderr)
         run_all(work)
         print("\n".join(digests(work)))
 
