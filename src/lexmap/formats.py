@@ -33,12 +33,6 @@ _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 _FORMAT_BLOCK = 1 << 14
 # 2**27 + 1 splits a double into two halves whose products are exact (Dekker)
 _SPLIT = 134217729.0
-# the exact doubles 10**0 .. 10**22, their Dekker halves, and int64 10**0 .. 10**17
-_POW10 = np.array([float(10**k) for k in range(23)])
-_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
-_POW10_LO = _POW10 - _POW10_HI
-_INT10 = np.array([10**k for k in range(18)], dtype=np.int64)
-_MANTISSA = np.uint64((1 << 52) - 1)
 # "00" .. "99", and "0000" .. "9999" as little-endian uint32, so one gather writes four digits
 _PAIRS = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype="<u2")
 _DIGITS4 = np.stack(np.broadcast_arrays(_PAIRS[:, None], _PAIRS), axis=-1).view("<u4").ravel()
@@ -175,11 +169,11 @@ def _format_float_rows(matrix: np.ndarray) -> bytes:
 
     Byte for byte ``(" ".join(map(repr, row.tolist())) + "\n" for row in
     matrix)`` joined: each entry is its shortest round-trip repr, which
-    float() reads back exactly. Entries with 1e-6 <= |x| < 10 that are not
-    powers of two are formatted in numpy (_shortest_digits, _FIELDS), in
-    blocks of whole rows of at most _FORMAT_BLOCK entries, or of one row;
-    every other entry (zero, non-finite, subnormal, a power of two, or out
-    of that range) takes its repr one at a time.
+    float() reads back exactly. Entries with 1e-6 <= |x| < 10 are formatted
+    in numpy (_shortest_digits, _LAYOUT), in blocks of whole rows of at most
+    _FORMAT_BLOCK entries, or of one row; every other entry (zero,
+    non-finite, subnormal, or out of that range) takes its repr one at a
+    time.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     rows = len(matrix)
@@ -190,86 +184,119 @@ def _format_float_rows(matrix: np.ndarray) -> bytes:
 
 
 def _format_block(block: np.ndarray) -> bytes:
-    """_format_float_rows of a block of rows: each entry is laid out in a row of
-    _FIELDS and its kept bytes are joined in order."""
+    """_format_float_rows of a block of rows: each entry is laid out in a 32-byte row
+    of _LAYOUT, whose dropped bytes are 0, and the other bytes are joined in order."""
     x = block.ravel()
     a = np.abs(x)
-    decade = np.searchsorted(_DECADES, a, side="right") - 7  # floor(log10(a)), exactly
-    # 1e-6 <= a < 10 (so normal and finite), and no power of two, whose rounding
-    # interval is narrower below than above
-    fast = (decade >= -6) & (decade <= 0) & ((a.view(np.uint64) & _MANTISSA) != 0)
-    code = np.full(x.size, len(_FIELDS) - 1)
-    fi = slice(None) if fast.all() else np.flatnonzero(fast)
-    digits, p, decade = _shortest_digits(a[fi], decade[fi])
-    code[fi] = (np.signbit(x[fi]) * 7 + decade + 6) * 17 + p - 1
-    text, keep = _FIELDS[code], _FIELDS_KEPT[code]
-    digits *= _INT10[17 - p]  # 17 digits, the first p of them significant
-    lead, rest = np.divmod(digits, _INT10[16])
-    high, low = np.divmod(rest, _INT10[8])
-    text[fi, 6] = lead + ord("0")
-    text.view("<u4")[fi, 2:6] = _DIGITS4[np.stack([high // 10**4, high % 10**4,
-                                                   low // 10**4, low % 10**4], axis=1)]
-    slow = np.flatnonzero(~fast)
+    # j = 2 * (sign and exponent bits) + 1 where |x| reaches the binade's second decade
+    j = x.view(np.uint64) >> 52
+    above = a >= _NEXT_DECADE.take(j)
+    j += j
+    j |= above
+    base = _CODE.take(j)
+    slow = np.flatnonzero(base < 0)  # outside 1e-6 <= a < 10, so zero, subnormal or not finite
+    if slow.size:  # a stand-in from the fast range keeps the digit search finite
+        a[slow], j[slow] = 1.5, 2 * 1023
+    digits, p = _shortest_digits(a, j)
+    code = base + p
+    code[slow] = len(_LAYOUT) - 1
+    text = _LAYOUT.take(code, axis=0)
+    # the first digit, then the other 16 as four groups of four, each one gather of _DIGITS4
+    halves = np.empty((2, len(x)), np.int32)
+    np.floor_divide(digits, 10**8, out=halves[0], casting="unsafe")
+    halves[1] = digits - halves[0] * np.int64(10**8)
+    lead = halves[0] // 10**8
+    halves[0] -= lead * 10**8
+    text[:, 6] |= lead.astype(np.uint8)
+    fours = halves // 10**4
+    halves -= fours * 10**4
+    columns = text.view(np.uint32)
+    for column, group in enumerate((fours[0], halves[0], fours[1], halves[1]), start=2):
+        columns[:, column] &= _DIGITS4.take(group)  # the layout masks the digits past the p-th
     if slow.size:
         reprs = np.array([repr(v) for v in x[slow].tolist()], dtype="S24")
         text[slow, :24] = reprs[:, None].view(np.uint8)
-        keep[slow, :24] = text[slow, :24] != 0
-    text[:, 31] = ord(" ")
     text[block.shape[1] - 1::block.shape[1], 31] = ord("\n")
-    return text[keep].tobytes()
+    return text.tobytes().translate(None, b"\0")
 
 
-def _shortest_digits(a: np.ndarray, decade: np.ndarray):
-    """(N, p, E): the shortest decimal N * 10**(E+1-p) of p digits that reads back as
-    each a, nearest a among those, an exact half to even N. E is the decade of the
-    digits, floor(log10(a)) unless the nearest was 10**(floor(log10(a)) + 1).
+def _shortest_digits(a: np.ndarray, j: np.ndarray):
+    """(D, p): the shortest decimal N * 10**(E+1-p) of p digits that reads back as each
+    a, nearest a among those, an exact half to even N, as D = N * 10**(17-p); E =
+    floor(log10(a)) is the decade j gives.
 
-    The nearest p-digit decimal reads back for every p at or above the
-    shortest (a's rounding interval is symmetric), so p = 16 is tried, then
-    15, then a binary search of 1..14; where 16 fails, 17 always reads back.
+    One exact product gives V = a * 10**(16-E) = hi + lo, in [10**16, 10**17),
+    and from it N17, the nearest integer, and r = V - N17; _nearest_decimal
+    derives the 16- and 15-digit candidates from N17 mod 100 and r. The
+    nearest p-digit decimal reads back for every p at or above the shortest
+    (a's rounding interval is symmetric), and 17 digits always do. From 15
+    digits down, multiples of 10**(17-p) lie farther apart than the interval
+    is wide, so where N15 reads back, the shortest is N15 without its
+    trailing zeros. No N is 10**p, a decade up: that would take a double
+    below 10**(E+1) that reads back as it, and the doubles nearest 1e-5,
+    1e-4, ..., 1 are at or above their powers of ten. Powers of two, whose
+    interval is narrower below than above, are exact decimals of at most
+    14 digits here (2**-19 .. 2**3), each N15 at distance 0.
     """
+    power, power_hi, power_lo = _POW.take(j), _POW_HI.take(j), _POW_LO.take(j)
+    hi = a * power
     a_hi = a * _SPLIT
     a_hi -= a_hi - a
-    parts = (a, a_hi, a - a_hi, np.ldexp(1.0, np.frexp(a)[1] - 54))  # the last is half an ulp
-    digits, ok16 = _nearest_decimal(*parts, 15 - decade)
-    more, ok = _nearest_decimal(*parts, np.where(ok16, 14, 16) - decade)
-    p = np.where(ok16, 15 + ~ok, 17)
-    digits = np.where(ok16 & ~ok, digits, more)
-    idx = np.flatnonzero(ok16 & ok)
-    lo, hi = np.ones(idx.size, np.int64), np.full(idx.size, 15)
-    while idx.size:
-        mid = (lo + hi) // 2
-        found, ok = _nearest_decimal(*(part[idx] for part in parts), mid - 1 - decade[idx])
-        digits[idx[ok]], p[idx[ok]] = found[ok], mid[ok]
-        hi, lo = np.where(ok, mid, hi), np.where(ok, lo, mid + 1)
-        idx, lo, hi = idx[lo < hi], lo[lo < hi], hi[lo < hi]
-    up = digits == _INT10[p]  # rounded up to 10**p: the one digit 1, a decade higher
-    digits[up], p[up] = 1, 1
-    return digits, p, decade + up
+    a_lo = a - a_hi
+    # Dekker's two-product: hi + lo is a * power exactly
+    lo = a_hi * power_hi
+    lo -= hi
+    part = a_hi * power_lo
+    lo += part
+    np.multiply(a_lo, power_hi, out=part)
+    lo += part
+    np.multiply(a_lo, power_lo, out=part)
+    lo += part
+    # hi >= 10**16 > 2**53 is an even integer, so rint of lo takes V half to even
+    whole = np.rint(lo)
+    n17 = hi.astype(np.int64)
+    n17 += whole.astype(np.int64)
+    lo -= whole  # r, exactly: lo - rint(lo) is a multiple of lo's ulp and no larger than lo
+    half = _HALF_ULP.take(j)
+    hundreds = n17 // 100
+    last2 = (n17 - hundreds * 100).astype(np.float64)
+    tens = np.floor(last2 * 0.1)  # exactly last2 // 10 below 100
+    units = last2 - tens * 10
+    off16, ok16 = _nearest_decimal(units, lo, half, 10)
+    # an exact half (r = 0, units 5) goes to the even N16, by the tens digit; from
+    # 100 on, a half is 50 away, beyond any half ulp (below 11.1 here)
+    tie = (lo == 0) & (units == 5)
+    if tie.any():
+        off16[tie & (tens % 2 == 1)] -= 10
+    off15, ok15 = _nearest_decimal(last2, lo, half, 100)
+    digits = n17 - np.where(ok15, off15, off16 * ok16).astype(np.int64)
+    p = 17 - ok16.view(np.int8) - ok15.view(np.int8)
+    at = np.flatnonzero(ok15)
+    rest = digits[at] // 100
+    while at.size:  # strip N15's trailing zeros, one digit a pass
+        shorter = rest // 10
+        zero = rest == shorter * 10
+        at, rest = at[zero], shorter[zero]
+        p[at] -= 1
+    return digits, p
 
 
-def _nearest_decimal(a, a_hi, a_lo, half_ulp, s):
-    """The integer N nearest each a * 10**s, and whether N * 10**-s reads back as a.
+def _nearest_decimal(d, r, half, k):
+    """(e, ok) for V = n17 + r, d = n17 mod k: the multiple of k nearest V (an exact
+    half down) is n17 - e, and ok is whether it reads back.
 
-    a * 10**s is hi + lo exactly, Dekker's two-product against the exact
-    power of ten: with a = m * 2**q (m < 2**53), a multiple of 2**(q+s),
-    q + s < 0. The decimal reads back when its distance from a, scaled by
-    10**s, is below half an ulp of a: 5**s * 2**(q+s-1), an odd multiple of
-    2**(q+s-1) with at most 52 bits and at most hi * 2**-53. So the distance
-    never equals that bound nor rounds onto it, and its one rounding keeps
-    the comparison. From a bound of 1/2 on, hi >= 2**52 is an integer, even
-    under a half in lo, and rint takes lo half to even; below it, a half
-    rounded the wrong way is no nearer than 1/2 - 2**-54, and neither
-    neighbour reads back.
+    With a = m * 2**q (m < 2**53), V is a multiple of g = 2**(q+16-E) <
+    2**-32, and so is the distance D = V - (n17 - e) = e + r. The decimal
+    reads back when |D| is below half an ulp of a, scaled to V: half =
+    5**(16-E) * g / 2, an odd multiple of g / 2 below 2**52 * g. e, an
+    integer below k in size, and r are exact, so D is one rounded sum:
+    where |D| < 2**53 * g, D is a double and the sum is exact; elsewhere
+    the rounded sum is at least 2**53 * g, above half. So the comparison
+    is exact, and D never equals half. Whether the multiple above is
+    nearer compares r with the integer k / 2 - d, exactly too.
     """
-    power, p_hi, p_lo = _POW10[s], _POW10_HI[s], _POW10_LO[s]
-    hi = a * power
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    whole = np.floor(hi)
-    frac = hi - whole  # exact
-    step = np.rint(frac + lo)
-    ok = np.abs((frac - step) + lo) < half_ulp * power
-    return whole.astype(np.int64) + step.astype(np.int64), ok
+    e = d - k * (r > k / 2 - d)
+    return e, np.abs(e + r) < half
 
 
 def _least_double_at_least(k: int) -> float:
@@ -279,30 +306,58 @@ def _least_double_at_least(k: int) -> float:
     return d if num * 10 ** max(-k, 0) >= den * 10 ** max(k, 0) else math.nextafter(d, math.inf)
 
 
-def _field_layouts() -> tuple[np.ndarray, np.ndarray]:
-    """Per code (sign * 7 + E + 6) * 17 + p - 1, the 32 bytes of a repr of p digits in
-    decade E, -6 <= E <= 0, and which of them it keeps.
+def _decade_tables():
+    """The tables _format_block reads by a double's sign and exponent bits t, and by
+    j = 2 * t + 1 where |x| >= _NEXT_DECADE[t], else 2 * t.
 
-    Columns: 0 "-", 1-2 "0.", 3-5 zeros, 6 the first digit, 7 ".", 8-23 the
-    other digits, 24 the "0" of "d.0", 25-28 "e-0X", 31 the separator. The
-    last code keeps only the separator, for a repr written over columns 0-23.
+    A binade spans a factor of 2, so it meets at most two decades:
+    _NEXT_DECADE[t] is the least double at or above the power of ten that
+    begins the second, and j gives the decade E of |x|. Per j: _CODE is
+    the first _LAYOUT code of (sign, E), or -1 outside -6 <= E <= 0, and for
+    those E, _POW is 10**(16-E) (exact up to 10**22) and _HALF_ULP half an
+    ulp of the binade times it, exactly too.
     """
-    text, keep = [], []
+    next_decade, code = np.full(1 << 12, math.inf), np.full(1 << 13, -1)
+    power, half_ulp = np.zeros(1 << 13), np.zeros(1 << 13)
+    for biased in range(1003, 1027):  # the binades of 2**-20 .. 2**3 meet 1e-6 <= |x| < 10
+        first = max(k for k in range(-8, 2) if 2.0 ** (biased - 1023) >= _least_double_at_least(k))
+        for t in (biased, 1 << 11 | biased):
+            next_decade[t] = _least_double_at_least(first + 1)
+            for above in (0, 1):
+                decade = first + above
+                if -6 <= decade <= 0:
+                    code[2 * t + above] = ((t >> 11) * 7 + decade + 6) * 18
+                    power[2 * t + above] = float(10 ** (16 - decade))
+                    half_ulp[2 * t + above] = math.ldexp(power[2 * t + above], biased - 1076)
+    return next_decade, code, power, half_ulp
+
+
+def _layout() -> np.ndarray:
+    """Per code (sign * 7 + E + 6) * 18 + p, the 32 bytes of a repr of p digits in
+    decade E, -6 <= E <= 0, with 0 for each byte it drops and 0xff for each digit
+    it keeps (a mask for the digits).
+
+    Columns: 0 "-", 1-2 "0.", 3-5 zeros, 6 the "0" the first digit is added
+    to, 7 ".", 8-23 the other 16 digits (the "0" of "d.0" is the second
+    digit), 24-27 "e-0X", 31 the separator. The last code keeps only the
+    separator, for a repr written over columns 0-23.
+    """
+    rows = np.zeros((14 * 18 + 1, 32), np.uint8)
+    rows[-1, 31] = ord(" ")
     for sign in (0, 1):
         for decade in range(-6, 1):
             exp = decade <= -5  # repr's exponent form below 1e-4
             fixed = not exp and decade < 0  # "0.", then -decade - 1 zeros
             for p in range(1, 18):
-                text.append(b"-0.000d.dddddddddddddddd0e-0%c\0\0\0" % (ord("0") - decade))
-                keep.append(bytes([
+                text = b"-0.0000." + b"\xff" * 16 + b"e-0%c\0\0\0 " % (ord("0") - decade)
+                keep = [
                     sign, fixed, fixed, *(fixed and decade <= z for z in (-2, -3, -4)),
-                    True, decade == 0 or (exp and p > 1), *(i < p for i in range(1, 17)),
-                    decade == 0 and p == 1, exp, exp, exp, exp, False, False, True,
-                ]))
-    text.append(bytes(32))
-    keep.append(bytes(31) + b"\1")
-    return (np.frombuffer(b"".join(text), np.uint8).reshape(-1, 32),
-            np.frombuffer(b"".join(keep), bool).reshape(-1, 32))
+                    True, decade == 0 or (exp and p > 1),
+                    *(i < p or (decade == 0 and p == 1 == i) for i in range(1, 17)),
+                    exp, exp, exp, exp, False, False, False, True,
+                ]
+                rows[(sign * 7 + decade + 6) * 18 + p] = [c if k else 0 for c, k in zip(text, keep)]
+    return rows
 
 
 def _float_fields(body: str, dim: int) -> list[float]:
@@ -313,9 +368,10 @@ def _float_fields(body: str, dim: int) -> list[float]:
         return [math.nan] * dim
 
 
-# a double is >= _DECADES[j] exactly when it is >= 10**(j - 6)
-_DECADES = np.array([_least_double_at_least(k) for k in range(-6, 2)])
-_FIELDS, _FIELDS_KEPT = _field_layouts()
+_NEXT_DECADE, _CODE, _POW, _HALF_ULP = _decade_tables()
+_POW_HI = _POW * _SPLIT - (_POW * _SPLIT - _POW)
+_POW_LO = _POW - _POW_HI
+_LAYOUT = _layout()
 
 
 def write_vec(space, path: Path) -> None:
@@ -351,15 +407,17 @@ def _write_hashed(path: Path, chunks: Iterable[bytes]) -> str:
 
 def _serve_companion(path: Path, limit: int | None, normalize: bool) -> VecParts | None:
     """read_vec from the companion of a .vec, or None where the text must be parsed."""
-    if limit is not None:
-        with path.open("rb") as fh:
-            count = fh.readline().split()[:1]
-        # a limit below the row count is left to the text, which stops reading there
-        if not (count and count[0].isdigit() and limit >= int(count[0])):
-            return None
     companion = path.with_name(path.name + ".npz")
-    # a .vec is hashed only when a companion may serve it: a real one runs to hundreds of MB
-    if not companion.is_file() or (arrays := _read_companion(companion, [_sha256(path)])) is None:
+    if not companion.is_file():
+        return None
+    with path.open("rb") as fh:
+        count = fh.readline().split()[:1]
+        # a limit below the row count is left to the text, which stops reading there
+        if limit is not None and not (count and count[0].isdigit() and limit >= int(count[0])):
+            return None
+        # a .vec is hashed only when a companion may serve it: a real one runs to hundreds of MB
+        digest = _sha256(fh)
+    if (arrays := _read_companion(companion, [digest])) is None:
         return None
     words, vectors = arrays["words"], arrays["vectors"]
     tokens = words.tobytes().decode("utf-8").split("\n") if words.size else []
@@ -407,12 +465,13 @@ def _payload_digest(arrays: dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _sha256(path: Path) -> str:
-    """Hex sha256 of a file, read in chunks (hashlib.file_digest needs Python 3.11)."""
+def _sha256(fh) -> str:
+    """Hex sha256 of a binary file from its start, read in chunks (hashlib.file_digest
+    needs Python 3.11)."""
+    fh.seek(0)
     digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        while chunk := fh.read(_DIGEST_CHUNK):
-            digest.update(chunk)
+    while chunk := fh.read(_DIGEST_CHUNK):
+        digest.update(chunk)
     return digest.hexdigest()
 
 

@@ -36,6 +36,7 @@ from .seeds import spawn_rng
 
 CENTER_SPREAD = 0.8  # largest |axis coordinate| of a cluster center
 SINGULAR_RANGE = (0.8, 2.0)  # bounds of G's singular values
+_ROTATE_ROWS = 1024  # rows per block of the rotation's n x d temporaries
 
 
 @dataclass(frozen=True)
@@ -87,6 +88,26 @@ def local_map_at(world: SyntheticWorld, x: np.ndarray) -> np.ndarray:
     gt = world.ground_truth
     theta = gt.variation_strength * float(gt.axis @ x)
     return gt.matrix @ rotation_matrix(gt.plane_p, gt.plane_q, theta)
+
+
+def _turned(X: np.ndarray, p: np.ndarray, q: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """X + (cos - 1) (px p + qx q) + sin (px q - qx p), px = X @ p and qx = X @ q: each row
+    turned by its theta in the plane of p and q. Built a block of rows at a time: the
+    same bits in each entry as whole-matrix steps, with only X and the result n x d."""
+    px, qx = X @ p, X @ q
+    shrink, sin = (np.cos(theta) - 1.0)[:, None], np.sin(theta)[:, None]
+    X_rot = np.empty_like(X)
+    for start in range(0, len(X), _ROTATE_ROWS):
+        rows = slice(start, start + _ROTATE_ROWS)
+        block = np.multiply(px[rows, None], p, out=X_rot[rows])
+        block += qx[rows, None] * q
+        block *= shrink[rows]
+        turn = px[rows, None] * q
+        turn -= qx[rows, None] * p
+        turn *= sin[rows]
+        block += X[rows]
+        block += turn
+    return X_rot
 
 
 def generate_nonlinear_world(
@@ -142,26 +163,17 @@ def generate_nonlinear_world(
         centers[j] = alpha * axis + math.sqrt(1.0 - alpha * alpha) * w
 
     labels = rng.integers(n_clusters, size=n)
-    X = centers[labels] + cluster_std * rng.standard_normal((n, d))
-    X = X / np.linalg.norm(X, axis=1, keepdims=True)
+    X = rng.standard_normal((n, d))
+    X *= cluster_std
+    X += centers[labels]
+    X /= np.linalg.norm(X, axis=1, keepdims=True)
 
-    theta = variation_strength * (X @ axis)
-    px = X @ p
-    qx = X @ q
-    # X + (cos - 1) (px p + qx q) + sin (px q - qx p), in place: the same bits in fewer n x d
-    X_rot = px[:, None] * p
-    X_rot += qx[:, None] * q
-    X_rot *= (np.cos(theta) - 1.0)[:, None]
-    turn = px[:, None] * q
-    turn -= qx[:, None] * p
-    turn *= np.sin(theta)[:, None]
-    X_rot += X
-    X_rot += turn
-    del turn
-    Y = X_rot @ G.T
-    del X_rot
+    Y = _turned(X, p, q, variation_strength * (X @ axis)) @ G.T
     if noise_sigma > 0:  # the stream's last draw, so skipping it changes no other value
-        Y = Y + noise_sigma * rng.standard_normal((n, d))
+        noise = rng.standard_normal((n, d))
+        noise *= noise_sigma
+        Y += noise
+        del noise
 
     width = max(5, len(str(n - 1)))
     src_words = [f"w{i:0{width}d}" for i in range(n)]

@@ -20,6 +20,7 @@ from hypothesis.extra.numpy import arrays
 
 from lexmap.analysis import spearman_correlation
 from lexmap.embeddings import EmbeddingSpace, LoadStats, load_embeddings, write_embeddings
+from lexmap import formats
 from lexmap.formats import _format_float_rows, _parse_float_rows
 from lexmap.mapper import LinearMap, load_map, save_map
 
@@ -352,6 +353,69 @@ def test_format_float_rows_on_a_million_seeded_values():
     for width, part in ((250, values[:half]), (5, values[half:])):  # 10**6 values in all
         matrix = part.reshape(-1, width)
         assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+def significant_digits(value):
+    """How many significant digits repr(value) writes."""
+    mantissa = repr(abs(value)).split("e")[0].replace(".", "")
+    return len(mantissa.strip("0"))
+
+
+def with_digits(decade, count, rng):
+    """Seeded values in [10**decade, 10**(decade + 1)) whose repr has count significant
+    digits, of both signs: decimals with a nonzero last digit up to 15 digits, which
+    every double reads back as written, and drawn doubles kept by their repr beyond."""
+    if count <= 15:
+        digits = rng.integers(10 ** (count - 1), 10**count, 40)
+        digits = digits[digits % 10 != 0][:8]
+        return [float(f"{sign}{d}e{decade - count + 1}") for d in digits for sign in "+-"]
+    drawn = rng.uniform(1.0, 10.0, 400) * 10.0**decade
+    found = [v for v in drawn.tolist()
+             if significant_digits(v) == count and 10.0**decade <= v < 10.0 ** (decade + 1)]
+    return [v * sign for v in found[:8] for sign in (1, -1)]
+
+
+@pytest.mark.parametrize("count", [1, 14, 15, 16, 17])
+@pytest.mark.parametrize("decade", range(-6, 1))
+def test_format_float_rows_at_each_digit_count_in_each_decade(decade, count):
+    values = with_digits(decade, count, np.random.default_rng(100 * (decade + 6) + count))
+    assert len(values) >= 8 and all(significant_digits(v) == count for v in values)
+    matrix = np.array(values).reshape(2, -1)
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+def test_format_float_rows_one_ulp_around_the_decade_table_edges():
+    """Every power of two that bounds a binade the exponent-to-decade table reads, and
+    every power of ten it compares with, with the doubles one ulp either side."""
+    thresholds = formats._NEXT_DECADE[np.isfinite(formats._NEXT_DECADE)]
+    edges = [*(2.0**e for e in range(-21, 5)), *(10.0**k for k in range(-7, 2)), *thresholds]
+    values = np.array(with_neighbours(edges))
+    matrix = np.concatenate([values, -values]).reshape(2, -1)
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+def test_format_float_rows_writes_every_nan_as_nan():
+    """repr writes "nan" whatever the sign and payload bits."""
+    bits = np.array([0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001,
+                     0xFFF0000000000001, 0x7FFFFFFFFFFFFFFF, 0xFFF8DEADBEEF0000], dtype=np.uint64)
+    matrix = np.concatenate([bits.view(np.float64), [0.5, -0.25, 1e-3]]).reshape(3, 3)
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
+    assert _format_float_rows(matrix).count(b"nan") == 6
+
+
+@pytest.mark.parametrize("shape", [
+    (2 * (formats._FORMAT_BLOCK // 300) + 1, 300),  # three blocks, the last of one row
+    (3, formats._FORMAT_BLOCK + 3),  # rows longer than a block: a block each
+    (2, formats._FORMAT_BLOCK),  # a block each, exactly
+    (formats._FORMAT_BLOCK // 7 + 5, 7),  # a block of whole rows, short of _FORMAT_BLOCK
+])
+def test_format_float_rows_across_block_edges(shape):
+    rng = np.random.default_rng(shape[1])
+    matrix = rng.standard_normal(shape) * 10.0 ** rng.integers(-7, 2, shape)
+    # entries that take repr, among them the first and last of each block's rows
+    matrix.flat[rng.integers(0, matrix.size, 50)] = [0.0, np.nan, 2.0**-3, 1e300, -5e-324] * 10
+    matrix[:, 0], matrix[:, -1] = 0.0, -np.inf
+    assert _format_float_rows(matrix) == per_element_rows(matrix)
 
 
 # a few values drawn often give many exact ties, 0.0 against -0.0 included

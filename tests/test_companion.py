@@ -250,6 +250,20 @@ def test_clean_load_opens_each_file_once(caller, tmp_path, monkeypatch):
     assert loaded == expected
 
 
+@pytest.mark.parametrize("extra", [0, 5])
+def test_load_with_a_limit_at_the_count_opens_the_vec_once(tmp_path, monkeypatch, extra):
+    """A limit at or above the header count is served from one read of the .vec, for
+    its count and its digest, and then the companion."""
+    vec = VecFile()
+    target = vec.write(tmp_path)
+    expected = vec.load(target)
+    opened = spy_on_open(monkeypatch)
+    space = load_embeddings(target, limit=len(raw_space()) + extra, normalize=False)
+    monkeypatch.undo()
+    assert [path for path, _ in opened] == [str(target), str(vec.companion(target))]
+    assert (space.words, space.vectors.tobytes(), space.stats) == expected
+
+
 @pytest.mark.parametrize("damage", sorted(DAMAGE))
 @pytest.mark.parametrize("caller", CALLERS, ids=CALLER_IDS)
 def test_damage_sends_the_load_to_the_text(caller, damage, tmp_path, monkeypatch):
@@ -289,7 +303,9 @@ def test_limit_below_the_rows_parses_the_text(written, text_parses, limit, norma
 def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parses):
     path, space = written
     words = np.frombuffer("\n".join(space.words[:-1]).encode(), dtype=np.uint8)
-    formats._write_companion(VecFile().companion(path), [formats._sha256(path)],
+    with path.open("rb") as fh:
+        digest = formats._sha256(fh)
+    formats._write_companion(VecFile().companion(path), [digest],
                              {"words": words, "vectors": space.vectors})
     back = load_embeddings(path, normalize=False)
     assert text_parses == [path]

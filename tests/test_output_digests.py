@@ -2,10 +2,12 @@
 
 ``tools/output_digests.py`` builds a seeded world (n=2000, d=300) and runs
 ``diagnose`` with both trainers, ``neighborhood``, ``experiment``,
-``train``, ``translate --map`` and ``translate --atlas`` on it, each under
+``train``, ``translate --map`` and ``translate --atlas`` on it, then
+``diagnose`` and ``experiment`` again from their config.json, each under
 ``OPENBLAS_NUM_THREADS=1``, and prints the sha256 of every file they write.
-``output_digests.txt`` is its output as recorded at commit 9cc57df, before
-the float writers became one vectorized pass.
+``output_digests.txt`` is its output: the first runs' 75 lines as recorded
+at commit 9cc57df, before the float writers became one vectorized pass,
+and the reruns' 28 lines, added when the tool began to rerun.
 
 The least-squares maps, and every output derived from them, depend on the
 BLAS kernels' summation order. The list was recorded with numpy 2.4.6 and
@@ -21,15 +23,37 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TESTS = Path(__file__).resolve().parent
 TOOL = TESTS.parent / "tools" / "output_digests.py"
 
 
-def test_every_output_digest_is_unchanged():
-    result = subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
-                            check=True, timeout=600)
+@pytest.fixture(scope="module")
+def result():
+    """The tool's run: digests on stdout, the BLAS core on stderr."""
+    return subprocess.run([sys.executable, str(TOOL)], capture_output=True, text=True,
+                          check=True, timeout=600)
+
+
+def test_every_output_digest_is_unchanged(result):
     expected = (TESTS / "output_digests.txt").read_text().splitlines()
     got = result.stdout.splitlines()
     core = [line for line in result.stderr.splitlines() if line.startswith("blas core:")]
     diff = difflib.unified_diff(expected, got, lineterm="")
     assert got == expected, "\n".join([*core, *diff])
+
+
+@pytest.mark.parametrize("command", ["diagnose", "experiment"])
+def test_a_config_rerun_writes_the_same_outputs(result, command):
+    """``<command> --config <command>/config.json --out <command>_rerun`` writes every
+    file of the first run byte for byte; only config.json records the new --out."""
+    digests = dict(reversed(line.split("  ", 1)) for line in result.stdout.splitlines())
+
+    def outputs(directory):
+        return {path.removeprefix(directory + "/"): digest for path, digest in digests.items()
+                if path.startswith(directory + "/") and path != f"{directory}/config.json"}
+
+    first, rerun = outputs(command), outputs(f"{command}_rerun")
+    assert first and rerun == first
+    assert f"{command}_rerun/config.json" in digests

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,19 @@ from lexmap.synth import (
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_nonlinear_world_holds_three_n_by_d_arrays_at_most(self, noise):
+        """X, its turned rows and Y are the only n x d float64 arrays alive at once; the
+        d x d matrices, the words and the lexicon add under half of one more here."""
+        n, d = 4000, 300
+        tracemalloc.start()
+        try:
+            generate_nonlinear_world(n, d, noise_sigma=noise, seed=7, cluster_std=0.03)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * d * 8
+
     def test_same_seed_same_world(self):
         a = generate_linear_world(200, 8, seed=3, n_clusters=4)
         b = generate_linear_world(200, 8, seed=3, n_clusters=4)

@@ -6,11 +6,14 @@ The run builds a synthetic world (n=2000, d=300) and runs ``diagnose
 ``translate --atlas`` on it, each in its own subprocess under
 ``OPENBLAS_NUM_THREADS=1``. The atlas holds diagnose's
 local maps, keyed by their anchors' source vectors, with its global map as
-fallback, as in ``tests/test_golden.py``. Every command runs in the work
-directory with relative paths, so config.json does not depend on where it
-is, and imports lexmap from the ``src`` directory beside this script:
-running the script from two checkouts and diffing the output shows which
-output bytes a change moves.
+fallback, as in ``tests/test_golden.py``. Then ``diagnose`` (lsq) and
+``experiment`` run again from their ``config.json`` (``--config``) into
+``diagnose_rerun`` and ``experiment_rerun``: a rerun writes the same
+bytes, config.json aside. Every command runs in the work directory with
+relative paths, so config.json does not depend on where it is, and imports
+lexmap from the ``src`` directory beside this script: running the script
+from two checkouts and diffing the output shows which output bytes a
+change moves.
 
 Usage: python tools/output_digests.py [WORKDIR]
 
@@ -35,6 +38,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
 SEED = "3"
 WORDS = ",".join(f"w{i:05d}" for i in range(0, 2000, 40))
+# the runs repeated from their config.json, each into <command>_rerun
+RERUNS = ("diagnose", "experiment")
 
 # save_atlas of diagnose's maps, run like the commands under the same environment
 BUILD_ATLAS = """
@@ -110,6 +115,8 @@ def run_all(work: Path) -> None:
     python("-c", BUILD_ATLAS)
     lexmap("translate", *vecs, "--atlas", "atlas", "--words", WORDS, "--k", "5",
            "--floor", "0.81", "--out", "translate_atlas")
+    for command in RERUNS:
+        lexmap(command, "--config", f"{command}/config.json", "--out", f"{command}_rerun")
 
 
 def digests(work: Path) -> list[str]:
