@@ -319,10 +319,11 @@ def _decade_tables():
     """
     next_decade, code = np.full(1 << 12, math.inf), np.full(1 << 13, -1)
     power, half_ulp = np.zeros(1 << 13), np.zeros(1 << 13)
+    least = {k: _least_double_at_least(k) for k in range(-7, 2)}
     for biased in range(1003, 1027):  # the binades of 2**-20 .. 2**3 meet 1e-6 <= |x| < 10
-        first = max(k for k in range(-8, 2) if 2.0 ** (biased - 1023) >= _least_double_at_least(k))
+        first = max(k for k, bound in least.items() if 2.0 ** (biased - 1023) >= bound)
         for t in (biased, 1 << 11 | biased):
-            next_decade[t] = _least_double_at_least(first + 1)
+            next_decade[t] = least[first + 1]
             for above in (0, 1):
                 decade = first + above
                 if -6 <= decade <= 0:
@@ -342,22 +343,23 @@ def _layout() -> np.ndarray:
     digit), 24-27 "e-0X", 31 the separator. The last code keeps only the
     separator, for a repr written over columns 0-23.
     """
-    rows = np.zeros((14 * 18 + 1, 32), np.uint8)
-    rows[-1, 31] = ord(" ")
+    rows = []
     for sign in (0, 1):
         for decade in range(-6, 1):
             exp = decade <= -5  # repr's exponent form below 1e-4
             fixed = not exp and decade < 0  # "0.", then -decade - 1 zeros
+            text = b"-0.0000." + b"\xff" * 16 + b"e-0%c\0\0\0 " % (ord("0") - decade)
+            rows.append(bytes(32))  # no code has p = 0
             for p in range(1, 18):
-                text = b"-0.0000." + b"\xff" * 16 + b"e-0%c\0\0\0 " % (ord("0") - decade)
                 keep = [
                     sign, fixed, fixed, *(fixed and decade <= z for z in (-2, -3, -4)),
                     True, decade == 0 or (exp and p > 1),
                     *(i < p or (decade == 0 and p == 1 == i) for i in range(1, 17)),
                     exp, exp, exp, exp, False, False, False, True,
                 ]
-                rows[(sign * 7 + decade + 6) * 18 + p] = [c if k else 0 for c, k in zip(text, keep)]
-    return rows
+                rows.append(bytes(c if k else 0 for c, k in zip(text, keep)))
+    rows.append(bytes(31) + b" ")
+    return np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 32)
 
 
 def _float_fields(body: str, dim: int) -> list[float]:
