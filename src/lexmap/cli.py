@@ -143,16 +143,6 @@ def _parses_to(action: argparse.Action, value) -> bool:
     return type(value) in {None: (str,), int: (int,), float: (int, float)}[action.type]
 
 
-# flags that must be present after any --config snapshot is applied
-_REQUIRED = {
-    "neighborhood": ("src_emb", "anchors", "out"),
-    "train": ("src_emb", "tgt_emb", "lexicon", "out"),
-    "experiment": ("src_emb", "tgt_emb", "lexicon", "anchors", "out"),
-    "translate": ("src_emb", "tgt_emb", "out"),
-    "synth": ("out",),
-    "diagnose": ("world", "out"),
-}
-
 # namespace entries that config.json does not record
 _UNRECORDED = ("subcommand", "config")
 
@@ -301,7 +291,9 @@ def _cmd_translate(args, out: Path) -> None:
     if args.words:
         words = _comma_list(args.words)
     elif args.input:
-        words = [w.strip() for w in Path(args.input).read_text(encoding="utf-8").splitlines() if w.strip()]
+        # read_text ends every line with \n; splitlines would also split at U+2028 and kin
+        entries = Path(args.input).read_text(encoding="utf-8").split("\n")
+        words = [w.strip() for w in entries if w.strip()]
     else:
         raise ValueError("pass --words or --input")
 
@@ -325,13 +317,14 @@ def _cmd_synth(args, out: Path) -> None:
     print(f"wrote {args.kind} world (n={args.n}, d={args.d}) to {out}")
 
 
+# each subcommand's handler and the dests that must be set after any --config snapshot
 _COMMANDS = {
-    "neighborhood": _cmd_neighborhood,
-    "train": _cmd_train,
-    "experiment": _cmd_experiment,
-    "translate": _cmd_translate,
-    "synth": _cmd_synth,
-    "diagnose": _cmd_diagnose,
+    "neighborhood": (_cmd_neighborhood, ("src_emb", "anchors", "out")),
+    "train": (_cmd_train, ("src_emb", "tgt_emb", "lexicon", "out")),
+    "experiment": (_cmd_experiment, ("src_emb", "tgt_emb", "lexicon", "anchors", "out")),
+    "translate": (_cmd_translate, ("src_emb", "tgt_emb", "out")),
+    "synth": (_cmd_synth, ("out",)),
+    "diagnose": (_cmd_diagnose, ("world", "out")),
 }
 
 
@@ -339,14 +332,15 @@ def run(argv: list[str]) -> int:
     """Parse and execute; returns the process exit code."""
     try:
         args = _parse(argv)
-        missing = [f for f in _REQUIRED[args.subcommand] if getattr(args, f) is None]
+        command, required = _COMMANDS[args.subcommand]
+        missing = [f for f in required if getattr(args, f) is None]
         if missing:
             flags = ", ".join("--" + f.replace("_", "-") for f in missing)
             print(f"error: usage: missing required arguments: {flags}", file=sys.stderr)
             return 2
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        _COMMANDS[args.subcommand](args, out)
+        command(args, out)
         _write_snapshot(args, out)
         return 0
     except SystemExit as exc:  # argparse handles usage errors (exit code 2)

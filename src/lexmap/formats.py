@@ -93,7 +93,7 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
             formed = [line.count(" ") == dim and not line.startswith(" ") for line in lines]
             split = [line.partition(" ") for line, ok in zip(lines, formed) if ok]
             bodies = [body for _, _, body in split]
-            block = _parse_float_rows(bodies, dim, " ")
+            block = _parse_float_rows(bodies, dim)
             if block is None:
                 block = np.array([_float_fields(body, dim) for body in bodies]).reshape(-1, dim)
             with np.errstate(over="ignore"):
@@ -143,8 +143,8 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
     return VecParts(tuple(words), vectors, stats)
 
 
-def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.ndarray | None:
-    """Parse rows of ``width`` floats in one go, or None where float() might differ.
+def _parse_float_rows(rows: list[str], width: int) -> np.ndarray | None:
+    """Parse rows of ``width`` " "-joined floats at once, or None where float() might differ.
 
     ``np.loadtxt`` rounds exactly as ``float()`` does, but it rejects ``1_0``
     and non-ASCII digits, which ``float()`` reads, and strips the separators
@@ -158,7 +158,7 @@ def _parse_float_rows(rows: list[str], width: int, delimiter: str | None) -> np.
     if any(sep in text for sep in _LOADTXT_ONLY_SPACE):  # a memchr each, unlike a regex
         return None
     try:
-        block = np.loadtxt(rows, dtype=np.float64, delimiter=delimiter, comments=None, ndmin=2)
+        block = np.loadtxt(rows, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
     except ValueError:
         return None
     return block if block.shape == (len(rows), width) else None
@@ -528,7 +528,7 @@ def read_map(path: Path, data: bytes | None = None, matrix: np.ndarray | None = 
                 rows.append(line)
     if matrix is None:
         # save_map's single spaces; other spacing fails the bulk parse and is split per entry
-        matrix = _parse_float_rows(rows, d_src, " ")
+        matrix = _parse_float_rows(rows, d_src)
         try:
             if matrix is None:
                 matrix = np.array([[float(v) for v in line.split()] for line in rows], dtype=np.float64)

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, cosine_similarity, load_embeddings, write_embeddings
+from .embeddings import EmbeddingSpace, load_embeddings, top_k_rows, write_embeddings
 from .lexicon import BilingualLexicon, load_lexicon
 from .seeds import spawn_rng
 
@@ -228,29 +228,20 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
 
     Ordered by cluster index, which follows the center positions along the
     variation axis, so the first anchor sits at one end of the swept range.
-    Each cluster's members are scored with one product, and those within its
-    rounding margin of the best are scored again with cosine_similarity, in
-    order, the first of equal scores winning: the choice of a loop over all.
+    Each cluster's members, in vocabulary order, are ranked against its
+    center with top_k_rows: the highest cosine wins, ties to the first member.
     """
     space, centers = world.src_space, world.ground_truth.cluster_centers
     members: dict[int, list[int]] = {}
     for word, label in world.region_labels.items():
         members.setdefault(label, []).append(space.index(word))
-    # for unit rows and a center of moderate norm, a product and cosine_similarity differ by
-    # at most 2 gamma_m (m = 2d+4, as in top_k_rows): the best cosine's product lies within
-    # twice that of the best product
-    mu = (2 * space.dim + 4) * 2.0**-53
-    margin = 4.0 * mu / (1.0 - mu)
     anchors = []
     for label in sorted(members):
-        rows, center = np.array(members[label]), centers[label]
-        norm = np.linalg.norm(center)
-        if space.normalized and center.shape == (space.dim,) and 2.0**-300 < norm < 2.0**300:
-            scores = space.vectors[rows] @ center / (space.row_norms[rows] * norm)
-            rows = rows[scores >= scores.max() - margin]
-        # max keeps the first of equal keys, and the first key until one is greater
-        best = max(rows, key=lambda row: cosine_similarity(space.vectors[row], center))
-        anchors.append(space.words[best])
+        rows = sorted(members[label])
+        cluster = EmbeddingSpace([space.words[row] for row in rows], space.vectors[rows],
+                                 normalized=space.normalized)
+        best = top_k_rows(cluster, [centers[label]], 1)[0][0, 0]
+        anchors.append(cluster.words[best])
     return anchors
 
 
@@ -315,7 +306,7 @@ def load_world(directory: str | Path) -> SyntheticWorld:
         raise ValueError(f"bad world descriptor in {descriptor_path}: {exc}") from None
 
     src = load_embeddings(directory / "src.vec", normalize=False)
-    src_space = EmbeddingSpace(src.words, src.vectors, normalized=True)
+    src_space = EmbeddingSpace(src.words, src.vectors, normalized=True, stats=src.stats)
     tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
     lexicon = load_lexicon(directory / "lexicon.txt")
     return SyntheticWorld(src_space=src_space, tgt_space=tgt_space, lexicon=lexicon,

@@ -168,18 +168,18 @@ def test_load_embeddings_matches_per_line_reference(tmp_path_factory, case):
 
 
 def test_parse_float_rows_reads_a_plain_block():
-    assert _parse_float_rows(["1 2", "3 4"], 2, " ").tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert _parse_float_rows(["1 2", "3 4"], 2).tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
-@pytest.mark.parametrize("rows, delimiter", [
-    (["1 2", "3"], None),  # ragged
-    (["1 2 3", "4 5 6"], None),  # another width
-    (["1_0 2", "3 4"], " "),  # only float() reads 1_0
-    (["1\x1c 2", "3 4"], " "),  # only numpy reads 1\x1c
-    ([], None),
+@pytest.mark.parametrize("rows", [
+    ["1 2", "3"],  # ragged
+    ["1 2 3", "4 5 6"],  # another width
+    ["1_0 2", "3 4"],  # only float() reads 1_0
+    ["1\x1c 2", "3 4"],  # only numpy reads 1\x1c
+    [],
 ])
-def test_parse_float_rows_declines_what_float_may_read_otherwise(rows, delimiter):
-    assert _parse_float_rows(rows, 2, delimiter) is None
+def test_parse_float_rows_declines_what_float_may_read_otherwise(rows):
+    assert _parse_float_rows(rows, 2) is None
 
 
 MAP_FIELDS = st.one_of(

@@ -616,6 +616,25 @@ class TestTrainAndTranslate:
         assert code == 1
         assert capsys.readouterr().err == "error: constraint: k must be >= 1, got 0\n"
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
+                                           "\x1d", "\x1e"])
+    def test_input_splits_words_only_at_line_endings(self, separator, tmp_path):
+        """A .vec token may hold a Unicode line separator; --input keeps it in the word,
+        splits at \\n, \\r\\n and \\r and skips blank lines."""
+        token = f"a{separator}b"
+        entries = [(token, [1.0, 0.0]), ("c", [0.0, 1.0]), ("d", [0.6, 0.8])]
+        write_vec(tmp_path / "e.vec", entries)
+        assert load_embeddings(tmp_path / "e.vec").words == (token, "c", "d")
+        save_map(LinearMap(np.eye(2)), tmp_path / "map.txt")
+        (tmp_path / "words.txt").write_bytes(f"{token}\r\n\r\n d \rc\n".encode("utf-8"))
+        vec = str(tmp_path / "e.vec")
+        argv = ["translate", "--src-emb", vec, "--tgt-emb", vec, "--map", str(tmp_path / "map.txt"),
+                "--input", str(tmp_path / "words.txt"), "--k", "1", "--out", str(tmp_path / "o")]
+        assert run(argv) == 0
+        rows = (tmp_path / "o" / "translations.tsv").read_text(encoding="utf-8").split("\n")[1:-1]
+        assert [row.split("\t")[:4] for row in rows] == [
+            [token, "global", "1", token], ["d", "global", "1", "d"], ["c", "global", "1", "c"]]
+
     def test_translate_requires_exactly_one_source_of_maps(self, world_dir, tmp_path, capsys):
         code = run(
             [

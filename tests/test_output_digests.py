@@ -9,13 +9,13 @@
 at commit 9cc57df, before the float writers became one vectorized pass,
 and the reruns' 28 lines, added when the tool began to rerun.
 
-The least-squares maps, and every output derived from them, depend on the
-BLAS kernels' summation order. The list was recorded with numpy 2.4.6 and
-its bundled OpenBLAS 0.3.31 (scipy-openblas64, a DYNAMIC_ARCH build), which
-ran its SkylakeX core on one thread. Another core may move those digests
-without any change to lexmap; the tool names the core on stderr, and a
-failure here repeats that line. A change that means to move a pin
-re-records only that line, with the reason in CHANGES.md.
+The synth world, the least-squares and max-margin maps, and every output
+derived from them depend on the BLAS kernels' summation order. The list was
+recorded with numpy 2.4.6 and its bundled OpenBLAS 0.3.31 (scipy-openblas64,
+a DYNAMIC_ARCH build), which ran its SkylakeX core on one thread. Another
+core may move those digests without any change to lexmap; the tool names the
+core on stderr, and a failure here repeats that line. A change that means to
+move a pin re-records only that line, with the reason in CHANGES.md.
 """
 
 import difflib

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lexmap.cli import run
-from lexmap.embeddings import EmbeddingSpace, cosine_similarity
+from lexmap.embeddings import EmbeddingSpace, cosines_to_all, load_embeddings
 from lexmap.analysis import pairwise_to_tsv, precision_at_k, run_experiment, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -119,11 +119,11 @@ class TestGeneration:
 
 
 def reference_anchor_words(world):
-    """The per-word loop that default_anchor_words replaced."""
+    """A per-word loop over the cosines_to_all score of each member: the first maximum wins."""
     centers = world.ground_truth.cluster_centers
     best = {}
     for word, label in world.region_labels.items():
-        score = cosine_similarity(world.src_space.vector(word), centers[label])
+        score = cosines_to_all(world.src_space, centers[label])[world.src_space.index(word)]
         if label not in best or score > best[label][0]:
             best[label] = (score, word)
     return [best[label][1] for label in sorted(best)]
@@ -143,7 +143,7 @@ def reference_anchor_words(world):
 @example(n=60, extra_d=2, clusters=3, std=0.03, seed=1, copies=[(0, 0, 0)], normalized=True)
 def test_default_anchor_words_is_the_per_word_loop(n, extra_d, clusters, std, seed, copies,
                                                    normalized):
-    """Equal to the loop it replaced on near and exact ties. Each copy (mate, ulps, axis)
+    """Equal to the per-word loop on near and exact ties. Each copy (mate, ulps, axis)
     writes each cluster's best member over its first or last member, that axis moved by
     that many ulps, so the copies score within a few ulps of the best or equal to it."""
     d = clusters + 3 + extra_d
@@ -257,6 +257,17 @@ class TestWorldExport:
         assert back.region_labels == world.region_labels
         assert back.lexicon.pairs == world.lexicon.pairs
         assert back.ground_truth.variation_strength == 1.0
+
+    def test_source_space_keeps_its_load_stats(self, tmp_path):
+        """load_world once rebuilt the source space without the stats of its load."""
+        world = generate_linear_world(40, 5, seed=0, n_clusters=2)
+        export_world(world, tmp_path / "w")
+        src = tmp_path / "w" / "src.vec"
+        body = src.read_text(encoding="utf-8").split("\n", 1)[1]
+        src.write_text(f"{len(world.src_space) + 1} 5\n{body}", encoding="utf-8")
+        stats = load_world(tmp_path / "w").src_space.stats
+        assert stats == load_embeddings(src, normalize=False).stats
+        assert stats.header_mismatch == 1
 
     def test_missing_descriptor(self, tmp_path):
         with pytest.raises(FileNotFoundError):

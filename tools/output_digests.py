@@ -21,7 +21,7 @@ Without WORKDIR the outputs go to a temporary directory that is removed
 afterwards. Lines are ``<sha256>  <path under WORKDIR>``, sorted by path.
 One more line, on stderr, names the OpenBLAS core and build that numpy
 loads under the same environment (``unknown`` where the library does not
-say), since the least-squares digests depend on it.
+say), since the synth, least-squares and max-margin digests depend on it.
 """
 
 from __future__ import annotations
