@@ -74,14 +74,22 @@ def precision_at_k(
     return 100.0 * hits / len(test)
 
 
-def pearson_correlation(xs: list[float], ys: list[float]) -> float:
-    """Sample Pearson coefficient; errors on zero variance."""
+def _paired(xs: list[float], ys: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both correlations' inputs as float64: equal-length 1-D, at least 2 points."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("inputs must be equal-length 1-D sequences")
     if len(xs) < 2:
-        raise ValueError("need at least 2 points")
+        raise ValueError("correlation undefined under zero variance: fewer than 2 points")
+    return xs, ys
+
+
+def pearson_correlation(xs: list[float], ys: list[float]) -> float:
+    """Sample Pearson coefficient; errors on zero variance or non-finite input."""
+    xs, ys = _paired(xs, ys)
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("correlation undefined for non-finite input")
     dx = xs - xs.mean()
     dy = ys - ys.mean()
     sx = float(np.sqrt(np.sum(dx * dx)))
@@ -104,17 +112,8 @@ def spearman_correlation(xs: list[float], ys: list[float]) -> float:
     Pearson's r of the average ranks, taken by ``np.corrcoef`` over the two
     rank columns; constant or NaN input has no correlation and raises.
     """
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys, dtype=np.float64)
-    if xs.shape != ys.shape or xs.ndim != 1:
-        raise ValueError("inputs must be equal-length 1-D sequences")
-    if (
-        len(xs) < 2
-        or np.isnan(xs).any()
-        or np.isnan(ys).any()
-        or (xs == xs[0]).all()
-        or (ys == ys[0]).all()
-    ):
+    xs, ys = _paired(xs, ys)
+    if np.isnan(xs).any() or np.isnan(ys).any() or (xs == xs[0]).all() or (ys == ys[0]).all():
         raise ValueError("correlation undefined under zero variance")
     ranks = np.column_stack([_average_ranks(xs), _average_ranks(ys)])
     return float(np.corrcoef(ranks, rowvar=False)[1, 0])

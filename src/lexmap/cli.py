@@ -291,9 +291,10 @@ def _cmd_translate(args, out: Path) -> None:
     if args.words:
         words = _comma_list(args.words)
     elif args.input:
-        # read_text ends every line with \n; splitlines would also split at U+2028 and kin
+        # read_text ends every line with \n; splitlines would also split at U+2028 and kin,
+        # and str.strip() would cut them off a word, though a .vec token keeps them
         entries = Path(args.input).read_text(encoding="utf-8").split("\n")
-        words = [w.strip() for w in entries if w.strip()]
+        words = [w.strip(" ") for w in entries if w.strip(" ")]
     else:
         raise ValueError("pass --words or --input")
 
@@ -349,10 +350,10 @@ def run(argv: list[str]) -> int:
         print(f"error: data: {exc}", file=sys.stderr)
     except KeyError as exc:  # str() of a KeyError is the repr of its message
         print(f"error: constraint: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+    except (ArithmeticError, np.linalg.LinAlgError) as exc:  # before ValueError, LinAlgError's base
+        print(f"error: numeric: {exc}", file=sys.stderr)
     except ValueError as exc:
         print(f"error: constraint: {exc}", file=sys.stderr)
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: numeric: {exc}", file=sys.stderr)
     return 1
 
 

@@ -138,6 +138,9 @@ def _unit_query(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     if query.shape != (space.dim,):
         raise ValueError(f"query dimension {query.shape} != space dim {space.dim}")
     qnorm = np.linalg.norm(query)
+    if qnorm < _TINY_NORM:  # its squares may have underflowed: scale by a power of two, exactly
+        query = query * 2.0**600
+        qnorm = np.linalg.norm(query)
     if qnorm == 0.0:
         raise ValueError("cosine similarity undefined for zero query")
     return query / qnorm
@@ -162,21 +165,14 @@ def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k highest scores, ties by ascending index.
+    """Indices of the k highest scores, ties by ascending index, NaN last.
 
-    The one ranking rule of lexmap, exactly ``np.argsort(-scores,
-    kind="stable")[:k]``: a partition finds the k-th best score and only
-    the candidates tied with or above it are sorted. Fewer than k scores
-    give all of them.
+    The one ranking rule of lexmap: ``np.argsort(-scores, kind="stable")[:k]``.
+    Fewer than k scores give all of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    neg = -np.asarray(scores, dtype=np.float64)
-    if k >= neg.size:
-        return np.argsort(neg, kind="stable")
-    kth = np.partition(neg, k - 1)[k - 1]
-    candidates = np.flatnonzero(~(neg > kth))  # NaN stays a candidate and sorts last
-    return candidates[np.argsort(neg[candidates], kind="stable")[:k]]
+    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k]
 
 
 def top_k_rows(
@@ -186,16 +182,20 @@ def top_k_rows(
 
     Equal, bit for bit, to ranking ``cosines_to_all`` of each query with
     ``top_k_indices``, whatever the block size or BLAS thread count. Blocks
-    of unit queries are scored with one GEMM, which only selects candidates:
-    two summation orders of one d-term dot product differ by at most
-    2 gamma_d |q| |v|, so every row whose GEMM cosine lies within twice
-    that margin of the query's k-th best GEMM cosine is rescored with
-    ``cosines_to_all``'s row products and ranked with ``top_k_indices``.
-    The margin holds for rows whose norm is finite and not tiny; in a raw
-    space any other nonzero row is always a candidate, and a query whose
-    unit vector is not finite is rescored over every row. Queries are read
-    lazily, one block at a time. A space of fewer than k rows gives all of
-    them.
+    of unit queries are scored with one GEMM, which only selects candidates.
+    Two summation orders of one d-term dot product differ by at most
+    2 gamma_d |q| |v|, with gamma_m = m u / (1 - m u) and u = 2^-53. Every
+    row whose GEMM cosine lies within 4 gamma_{2d+4} of the query's k-th
+    best GEMM cosine is rescored with ``cosines_to_all``'s row products and
+    ranked with ``top_k_indices``. That one margin holds for every space:
+    a unit query's norm is within gamma_d of 1 (``_unit_query`` scales a
+    query whose squares could underflow), a normalized row's within 1.1e-5
+    (the constructor's check), and the d+4 spare terms cover both factors,
+    a raw space's norms and division, and the margin's own rounding. Rows
+    it does not cover, nonzero with a tiny or inf norm, are always
+    candidates, and a query whose unit vector is not finite is rescored
+    over every row. Queries are read lazily, one block at a time. A space
+    of fewer than k rows gives all of them, an empty space none.
 
     Returns:
         (indices, scores), each of shape (queries, min(k, len(space))).
@@ -203,16 +203,10 @@ def top_k_rows(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(space)
-    width = min(k, n)
     block = _block_queries(space)
     forced = _forced_candidates(space)
-    # delta = 2 gamma_m |q| max|v|, gamma_m = m u / (1 - m u) with u = 2^-53, bounds
-    # how far two summation orders of one cosine differ; m = 2d+4 in place of d
-    # also covers the norms it uses, a raw space's division and its own rounding
     mu = (2 * space.dim + 4) * 2.0**-53
-    scale = 2.0 * mu / (1.0 - mu)
-    if space.normalized and n:
-        scale *= float(space.row_norms.max())
+    margin = 4.0 * mu / (1.0 - mu)
     indices: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     it = iter(queries)
@@ -227,17 +221,16 @@ def top_k_rows(
             np.clip(gemm, -1.0, 1.0, out=gemm)
             gemm[:, forced] = -np.inf
             kth = np.partition(gemm, n - k, axis=1)[:, n - k]
-            margin = 2.0 * scale * np.sqrt(np.vecdot(unit, unit))
             finite = np.isfinite(unit).all(axis=1)
             np.greater_equal(gemm, (kth - margin)[:, None], out=candidates, where=finite[:, None])
             candidates[:, forced] = True
         for row, mask in zip(unit, candidates):
             rows = np.flatnonzero(mask)
             cos = _cosines(space, rows, row)
-            top = top_k_indices(cos, width)
+            top = top_k_indices(cos, k)
             indices.append(rows[top])
             scores.append(cos[top])
-    shape = (len(indices), width)
+    shape = (len(indices), min(k, n))
     return (np.array(indices, dtype=np.intp).reshape(shape),
             np.array(scores, dtype=np.float64).reshape(shape))
 
@@ -254,9 +247,7 @@ def _block_queries(space: EmbeddingSpace) -> int:
 
 
 def _forced_candidates(space: EmbeddingSpace) -> np.ndarray:
-    """Rows of a raw space outside the margin's reach: nonzero with a tiny or inf norm."""
-    if space.normalized:
-        return np.empty(0, dtype=np.intp)
+    """Rows outside the margin's reach: nonzero with a tiny or inf norm (raw spaces only)."""
     norms = space.row_norms
     odd = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
     return odd[space.vectors[odd].any(axis=1)]  # a zero row scores 0 in any order

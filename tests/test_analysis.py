@@ -191,6 +191,24 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson_correlation([1.0], [2.0])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_input_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_correlation([1.0, bad, 3.0], [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            pearson_correlation([1.0, 2.0, 3.0], [bad, 2.0, 3.0])
+
+    @pytest.mark.parametrize("correlation", [pearson_correlation, spearman_correlation])
+    @pytest.mark.parametrize("xs, ys, message", [
+        ([1.0, 2.0], [1.0, 2.0, 3.0], "equal-length 1-D"),
+        ([[1.0, 2.0], [3.0, 4.0]], [[1.0, 2.0], [3.0, 5.0]], "equal-length 1-D"),
+        ([1.0], [2.0], "fewer than 2 points"),
+        ([], [], "fewer than 2 points"),
+    ])
+    def test_both_correlations_check_their_inputs_alike(self, correlation, xs, ys, message):
+        with pytest.raises(ValueError, match=message):
+            correlation(xs, ys)
+
     def test_spearman_monotone_is_one(self):
         assert spearman_correlation([1, 2, 3, 4], [10, 20, 25, 90]) == pytest.approx(1.0)
 

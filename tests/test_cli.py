@@ -220,6 +220,19 @@ class TestUsage:
         assert capsys.readouterr().err == "error: constraint: anchor word not in vocabulary: 'ghost'\n"
 
 
+    def test_singular_least_squares_is_numeric_error(self, tmp_path, capsys):
+        """LinAlgError is a ValueError; it must still be reported as numeric."""
+        world = tmp_path / "w"
+        assert run(["synth", "--n", "300", "--d", "40", "--clusters", "4",
+                    "--cluster-std", "0.05", "--seed", "1", "--out", str(world)]) == 0
+        capsys.readouterr()
+        code = run(["train", "--src-emb", str(world / "src.vec"), "--tgt-emb", str(world / "tgt.vec"),
+                    "--lexicon", str(world / "lexicon.txt"), "--anchor", "w00000", "--s", "0.99",
+                    "--trainer", "lsq", "--lam", "0", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: numeric: X X^T is singular; pass a positive lam to regularize\n")
+
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_is_constraint_error(self, tmp_path, capsys, limit):
         vec = write_vec(tmp_path / "t.vec", [("a", [1, 0]), ("b", [0, 1])])
@@ -617,23 +630,34 @@ class TestTrainAndTranslate:
         assert capsys.readouterr().err == "error: constraint: k must be >= 1, got 0\n"
 
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c",
-                                           "\x1d", "\x1e"])
+                                           "\x1d", "\x1e", "\xa0", "\u3000"])
     def test_input_splits_words_only_at_line_endings(self, separator, tmp_path):
-        """A .vec token may hold a Unicode line separator; --input keeps it in the word,
-        splits at \\n, \\r\\n and \\r and skips blank lines."""
-        token = f"a{separator}b"
-        entries = [(token, [1.0, 0.0]), ("c", [0.0, 1.0]), ("d", [0.6, 0.8])]
+        """A .vec token may hold Unicode whitespace, at its ends too; --input keeps it in
+        the word, splits at \\n, \\r\\n and \\r, strips ASCII spaces and skips blank lines."""
+        token, lead, trail = f"a{separator}b", f"{separator}a", f"a{separator}"
+        entries = [(token, [1.0, 0.0]), ("c", [0.0, 1.0]), ("d", [0.6, 0.8]),
+                   (lead, [0.8, 0.6]), (trail, [-0.6, 0.8])]
         write_vec(tmp_path / "e.vec", entries)
-        assert load_embeddings(tmp_path / "e.vec").words == (token, "c", "d")
+        assert load_embeddings(tmp_path / "e.vec").words == (token, "c", "d", lead, trail)
         save_map(LinearMap(np.eye(2)), tmp_path / "map.txt")
-        (tmp_path / "words.txt").write_bytes(f"{token}\r\n\r\n d \rc\n".encode("utf-8"))
+        (tmp_path / "words.txt").write_bytes(f"{token}\r\n\r\n d \rc\n {lead}\n{trail}  \n".encode("utf-8"))
         vec = str(tmp_path / "e.vec")
         argv = ["translate", "--src-emb", vec, "--tgt-emb", vec, "--map", str(tmp_path / "map.txt"),
                 "--input", str(tmp_path / "words.txt"), "--k", "1", "--out", str(tmp_path / "o")]
         assert run(argv) == 0
         rows = (tmp_path / "o" / "translations.tsv").read_text(encoding="utf-8").split("\n")[1:-1]
         assert [row.split("\t")[:4] for row in rows] == [
-            [token, "global", "1", token], ["d", "global", "1", "d"], ["c", "global", "1", "c"]]
+            [w, "global", "1", w] for w in (token, "d", "c", lead, trail)]
+
+    def test_translate_against_an_empty_target_writes_only_the_header(self, tmp_path):
+        src = write_vec(tmp_path / "src.vec", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
+        (tmp_path / "tgt.vec").write_text("0 2\n", encoding="utf-8")
+        save_map(LinearMap(np.eye(2)), tmp_path / "map.txt")
+        code = run(["translate", "--src-emb", str(src), "--tgt-emb", str(tmp_path / "tgt.vec"),
+                    "--map", str(tmp_path / "map.txt"), "--words", "a,b", "--k", "5",
+                    "--out", str(tmp_path / "o")])
+        assert code == 0
+        assert (tmp_path / "o" / "translations.tsv").read_text() == "source\tmap\trank\ttarget\tscore\n"
 
     def test_translate_requires_exactly_one_source_of_maps(self, world_dir, tmp_path, capsys):
         code = run(

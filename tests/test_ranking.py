@@ -228,6 +228,7 @@ def retrieval_cases(draw):
 
     Small-integer rows tie exactly; copied rows tie wherever they sit;
     copies moved a few ulps score a few ulps apart, inside the GEMM margin.
+    A normalized space's rows may be off unit length by up to 1e-5.
     A raw space may hold the rows of ODD_ROWS; queries include copies of
     rows, one whose norm overflows and one with an inf entry.
     """
@@ -242,6 +243,8 @@ def retrieval_cases(draw):
     if normalized:
         vectors[~vectors.any(axis=1), 0] = 1.0
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        if draw(st.booleans()):  # off unit by as much as the constructor lets a row be
+            vectors *= rng.uniform(1 - 1e-5, 1 + 1e-5, size=(n, 1))
     for _ in range(draw(st.integers(0, 6))):
         source, copy = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         row = vectors[source].copy()
@@ -282,12 +285,14 @@ def test_top_k_rows_on_near_ties_at_d300(normalized, per_block):
 
     Each query's own row is copied and nudged by 1 to 3 ulps per entry, so
     the top scores differ in their last bits and GEMM and ``np.vecdot``
-    can order them differently.
+    can order them differently. Normalized rows are off unit length by up
+    to 1e-5, as the constructor allows.
     """
     rng = np.random.default_rng(14)
     vectors = rng.standard_normal((400, 300)) * rng.uniform(0.5, 2, size=(400, 1))
     if normalized:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        vectors *= rng.uniform(1 - 1e-5, 1 + 1e-5, size=(400, 1))
     for base in range(0, 400, 8):
         for offset in range(1, 4):
             vectors[base + offset] = vectors[base]
@@ -302,3 +307,28 @@ def test_top_k_rows_on_near_ties_at_d300(normalized, per_block):
             indices, scores = top_k_rows(space, queries, k)
         got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
         assert got == per_query_top_k(space, queries, k)
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("k", [1, 5])
+def test_top_k_rows_of_an_empty_space_gives_no_rows(normalized, k):
+    space = EmbeddingSpace([], np.zeros((0, 3)), normalized)
+    queries = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -1.0, 0.5])]
+    indices, scores = top_k_rows(space, queries, k)
+    assert indices.shape == scores.shape == (2, 0)
+    got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
+    assert got == per_query_top_k(space, queries, k)
+
+
+def test_tiny_query_is_scaled_before_its_norm():
+    """A query whose squares underflow has the unit vector of its scaled copy.
+
+    Unscaled, the computed norm of this query is 11.7 times too small.
+    """
+    rng = np.random.default_rng(3)
+    space = EmbeddingSpace([f"t{i}" for i in range(20)], rng.standard_normal((20, 300)))
+    tiny = np.append(np.full(299, 1.5e-162), 2.23e-162)
+    scaled = cosines_to_all(space, tiny * 2.0**600)
+    assert cosines_to_all(space, tiny).tobytes() == scaled.tobytes()
+    indices, scores = top_k_rows(space, [tiny], 3)
+    assert scores[0].tobytes() == scaled[indices[0]].tobytes()
