@@ -17,7 +17,7 @@ from .formats import LoadStats, read_vec, write_vec
 
 # least bytes of one top_k_rows block: its unit queries, GEMM cosines and their partitioned copy
 _BLOCK_BYTES = 2 << 20
-# a raw row normed below this may have lost its squares' bits to underflow
+# a vector normed below this may have lost its squares' bits to underflow; times 2**600 it has not
 _TINY_NORM = 2.0**-450
 
 
@@ -26,10 +26,10 @@ class EmbeddingSpace:
 
     Immutable after construction: the vector matrix is marked read-only and
     the word list is a tuple, so instances are safe to share across
-    concurrent read-only queries. Row norms are kept read-only too, with
-    zero rows as inf, so cosine retrieval never recomputes them. Norms and
-    cosine scores are ``np.vecdot`` products, which sum each row alone:
-    equal rows score bit-equal wherever they sit.
+    concurrent read-only queries. Every cosine is ``vecdot(row, unit query)``
+    over the row's read-only norm: inf for a zero row, exactly 1.0 in a
+    normalized space, exact for a raw row too small to square. ``vecdot``
+    sums each row alone: equal rows score bit-equal wherever they sit.
     """
 
     def __init__(
@@ -49,9 +49,13 @@ class EmbeddingSpace:
         if len(set(words)) != len(words):
             raise ValueError("words must be unique")
         norms = np.sqrt(np.vecdot(vectors, vectors))
-        if normalized and norms.size and not np.allclose(norms, 1.0, atol=1e-6):
+        if normalized and not np.allclose(norms, 1.0, atol=1e-6):
             raise ValueError("normalized=True but some rows are not unit norm")
+        tiny = norms < _TINY_NORM  # scaled by a power of two, exactly, then normed
+        scaled = vectors[tiny] * 2.0**600
+        norms[tiny] = np.sqrt(np.vecdot(scaled, scaled)) * 2.0**-600
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
+        norms = np.ones_like(norms) if normalized else norms  # x / 1.0 is x, bit for bit
         norms.flags.writeable = False
 
         self.words: tuple[str, ...] = tuple(words)
@@ -125,6 +129,7 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
+    u, v = (x * 2.0**600 if np.linalg.norm(x) < _TINY_NORM else x for x in (u, v))
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -146,22 +151,18 @@ def _unit_query(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     return query / qnorm
 
 
-def _cosines(space: EmbeddingSpace, rows: np.ndarray | None, unit: np.ndarray) -> np.ndarray:
-    """Cosines of a unit query to the space's rows (all of them for None).
+def _cosines(space: EmbeddingSpace, rows: np.ndarray | slice, unit: np.ndarray) -> np.ndarray:
+    """Cosines of a unit query to the space's rows, an index array or ``slice(None)``.
 
-    Each score is one ``np.vecdot`` row product, so a row scores the same
-    bits in any subset of rows.
+    Each score is ``vecdot(row, unit) / row norm``, one row product, so a
+    row scores the same bits in any subset of rows.
     """
-    vectors = space.vectors if rows is None else space.vectors[rows]
-    scores = np.vecdot(vectors, unit)
-    if not space.normalized:
-        scores = scores / (space.row_norms if rows is None else space.row_norms[rows])
-    return np.clip(scores, -1.0, 1.0)
+    return np.clip(np.vecdot(space.vectors[rows], unit) / space.row_norms[rows], -1.0, 1.0)
 
 
 def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     """Cosine of a query vector against every row of the space."""
-    return _cosines(space, None, _unit_query(space, query))
+    return _cosines(space, slice(None), _unit_query(space, query))
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
@@ -216,8 +217,7 @@ def top_k_rows(
         if k < n:
             with np.errstate(over="ignore", invalid="ignore"):  # forced rows are reset below
                 gemm = unit @ space.vectors.T
-                if not space.normalized:
-                    gemm /= space.row_norms
+                gemm /= space.row_norms
             np.clip(gemm, -1.0, 1.0, out=gemm)
             gemm[:, forced] = -np.inf
             kth = np.partition(gemm, n - k, axis=1)[:, n - k]

@@ -1,7 +1,7 @@
 """Bilingual dictionaries and paired translation datasets.
 
 Lexicon files follow the common one-pair-per-line convention: source and
-target token separated by whitespace. A source token may map to several
+target token separated by spaces or tabs. A source token may map to several
 gold targets across lines; evaluation later counts a hit when any of them
 is retrieved.
 """
@@ -84,11 +84,11 @@ class TranslationDataset:
 
 
 def load_lexicon(path: str | Path) -> BilingualLexicon:
-    """Read a whitespace-separated pair file into a multimap.
+    """Read a pair file, fields separated by spaces or tabs, into a multimap.
 
-    Repeated identical (source, target) lines are deduplicated; lines
-    without exactly two fields are skipped. Both conditions are counted on
-    the returned lexicon.
+    Repeated identical (source, target) lines are deduplicated and lines
+    without exactly two fields skipped, both counted on the lexicon. Other
+    whitespace, such as U+00A0 or U+2028, stays in a token, as in a .vec.
     """
     path = Path(path)
     if not path.is_file():
@@ -99,10 +99,10 @@ def load_lexicon(path: str | Path) -> BilingualLexicon:
     lines = dedup = skipped = 0
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
-            if not line.strip():
+            fields = [f for f in line.rstrip("\n").replace("\t", " ").split(" ") if f]
+            if not fields:
                 continue
             lines += 1
-            fields = line.split()
             if len(fields) != 2:
                 skipped += 1
                 continue

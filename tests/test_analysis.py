@@ -328,6 +328,12 @@ class TestRunExperiment:
                 trainer="least_squares",
             )
 
+    def test_no_anchors_rejected(self, linear_report):
+        world, _ = linear_report
+        with pytest.raises(ValueError, match="^anchors list is empty$"):
+            run_experiment([], 0.5, world.src_space, world.tgt_space, world.lexicon,
+                           TrainConfig(seed=5), test_size=80, seed=5)
+
     def test_duplicate_anchors_rejected(self, linear_report):
         world, _ = linear_report
         a = default_anchor_words(world)[0]

@@ -88,6 +88,32 @@ ABSENT_INPUTS = [
 ]
 
 
+_SPACES = ["--src-emb", "{d}/v.vec", "--tgt-emb", "{d}/v.vec"]
+# input checks no other test reaches, each with the error line it prints ({d}: the inputs' directory)
+INPUT_CHECKS = [
+    pytest.param(["neighborhood", "--src-emb", "{d}/x.vec", "--anchors", "a"],
+                 "constraint: bad header in {d}/x.vec: expected two integers", id="header-text"),
+    pytest.param(["neighborhood", "--src-emb", "{d}/neg.vec", "--anchors", "a"],
+                 "constraint: bad header in {d}/neg.vec: count=-1 dim=12", id="header-negative"),
+    pytest.param(["translate", *_SPACES, "--map", "{d}/m.txt"],
+                 "constraint: pass --words or --input", id="no-words"),
+    pytest.param(["neighborhood", "--src-emb", "{d}/v.vec", "--anchors", ","],
+                 "constraint: empty comma list", id="empty-anchors"),
+    pytest.param(["train", *_SPACES, "--lexicon", "{d}/lex.txt", "--trainer", "lsq", "--lam", "-1"],
+                 "constraint: lam must be >= 0, got -1.0", id="negative-lam"),
+    pytest.param(["neighborhood", "--src-emb", "{d}/v.vec", "--anchors", "a", "--thresholds", "2,0.5"],
+                 "constraint: threshold s must be in [-1, 1], got 2.0", id="threshold-above-one"),
+    pytest.param(["synth", "--clusters", "0"],
+                 "constraint: need n_clusters >= 1", id="no-clusters"),
+    pytest.param(["train", *_SPACES, "--lexicon", "{d}/none.txt"],
+                 "constraint: no lexicon pair is covered by both embedding spaces", id="uncovered-lexicon"),
+    pytest.param(["translate", *_SPACES, "--atlas", "{d}/atlas", "--words", "a"],
+                 "data: map file not found: {d}/atlas/map_0000.txt", id="atlas-map-deleted"),
+    pytest.param(["translate", *_SPACES, "--no-normalize", "--map", "{d}/m.txt", "--words", "z"],
+                 "constraint: cosine similarity undefined for zero query", id="zero-source-row"),
+]
+
+
 class TestUsage:
     def test_no_arguments_is_usage_error(self, capsys):
         assert run([]) == 2
@@ -232,6 +258,21 @@ class TestUsage:
         assert code == 1
         assert capsys.readouterr().err == (
             "error: numeric: X X^T is singular; pass a positive lam to regularize\n")
+
+    @pytest.mark.parametrize("argv, message", INPUT_CHECKS)
+    def test_input_check_exits_one_with_its_message(self, argv, message, tmp_path, capsys):
+        write_vec(tmp_path / "v.vec", [("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("z", [0.0, 0.0])])
+        (tmp_path / "x.vec").write_text("x 12\n", encoding="utf-8")
+        (tmp_path / "neg.vec").write_text("-1 12\n", encoding="utf-8")
+        (tmp_path / "lex.txt").write_text("a a\nb b\n", encoding="utf-8")
+        (tmp_path / "none.txt").write_text("x y\n", encoding="utf-8")
+        save_map(LinearMap(np.eye(2)), tmp_path / "m.txt")
+        entry = AtlasEntry("a", np.array([1.0, 0.0]), LinearMap(np.eye(2)))
+        save_atlas(MapAtlas((entry,)), tmp_path / "atlas")
+        (tmp_path / "atlas" / "map_0000.txt").unlink()  # maps.npz stays
+        d = str(tmp_path)
+        assert run([arg.format(d=d) for arg in argv] + ["--out", f"{d}/o"]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(d=d)}\n"
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_limit_below_one_is_constraint_error(self, tmp_path, capsys, limit):

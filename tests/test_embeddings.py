@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lexmap.embeddings import (
     cosines_to_all,
     load_embeddings,
     top_k_by_cosine,
+    top_k_rows,
     write_embeddings,
 )
 
@@ -168,6 +170,34 @@ class TestLoadEmbeddings:
             toy_space.vectors[0, 0] = 5.0
 
 
+class TestEmbeddingSpace:
+    @pytest.mark.parametrize("words, vectors, normalized, message", [
+        (["a"], np.ones(2), False, "vectors must be a 2-D matrix (one row per word)"),
+        (["a"], np.ones((2, 2)), False, "word count 1 != vector row count 2"),
+        (["a", "b"], np.array([[1.0, 0.0], [0.0, 2.0]]), True,
+         "normalized=True but some rows are not unit norm"),
+    ])
+    def test_constructor_checks(self, words, vectors, normalized, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            EmbeddingSpace(words, vectors, normalized=normalized)
+
+    def test_normalized_row_norms_are_exactly_one_and_read_only(self):
+        space = random_space(np.random.default_rng(4), 50, 7)
+        assert not np.array_equal(np.sqrt(np.vecdot(space.vectors, space.vectors)), np.ones(50))
+        assert space.row_norms.tobytes() == np.ones(50).tobytes()
+        with pytest.raises(ValueError):
+            space.row_norms[0] = 2.0
+
+    def test_normalized_cosines_are_the_clipped_products(self):
+        """Dividing by a stored norm of 1.0 moves no bit of a normalized space's cosines."""
+        rng = np.random.default_rng(5)
+        space = random_space(rng, 60, 9)
+        for _ in range(20):
+            query = rng.standard_normal(9) * rng.uniform(0.01, 100)
+            expected = np.clip(np.vecdot(space.vectors, query / np.linalg.norm(query)), -1.0, 1.0)
+            assert cosines_to_all(space, query).tobytes() == expected.tobytes()
+
+
 class TestCosineSimilarity:
     def test_self_similarity(self):
         v = np.array([0.3, -1.2, 0.7])
@@ -216,6 +246,10 @@ class TestCosinesToAll:
             assert np.array_equal(got, expected)
             assert got[5] == 0.0
 
+    def test_query_of_another_dimension_rejected(self, toy_space):
+        with pytest.raises(ValueError, match=f"^{re.escape('query dimension (3,) != space dim 2')}$"):
+            cosines_to_all(toy_space, np.ones(3))
+
     def test_row_norms_are_read_only(self):
         raw = EmbeddingSpace(["a", "b"], np.array([[3.0, 4.0], [0.0, 0.0]]))
         assert_allclose(raw.row_norms, [5.0, np.inf])
@@ -248,6 +282,10 @@ class TestTopK:
         )
         result = top_k_by_cosine(space, np.array([1.0, 0.0]), 2)
         assert [w for w, _ in result] == ["x", "y"]
+
+    def test_top_k_rows_rejects_k_below_one(self, toy_space):
+        with pytest.raises(ValueError, match="^k must be >= 1, got 0$"):
+            top_k_rows(toy_space, [np.array([1.0, 0.0])], 0)
 
     def test_k_larger_than_vocab_returns_all(self, toy_space):
         assert len(top_k_by_cosine(toy_space, np.array([1.0, 0.0]), 100)) == 3

@@ -1,9 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
 from lexmap.embeddings import EmbeddingSpace
 from lexmap.lexicon import (
     BilingualLexicon,
+    Instance,
+    TranslationDataset,
     build_dataset,
     build_full_dataset,
     load_lexicon,
@@ -59,9 +63,30 @@ class TestLoadLexicon:
         lex = load_lexicon(path)
         assert lex.targets("a") == ["x"] and lex.targets("b") == ["y"]
 
+    def test_only_ascii_space_and_tab_separate(self, tmp_path):
+        """A .vec token keeps U+00A0 and U+2028, so a lexicon token keeps them too."""
+        path = tmp_path / "lex.txt"
+        path.write_text("a\xa0b\tx\nc\u2028d y\n", encoding="utf-8")
+        lex = load_lexicon(path)
+        assert lex.pairs == {"a\xa0b": ["x"], "c\u2028d": ["y"]}
+        assert lex.skipped_count == 0
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_lexicon(tmp_path / "none.txt")
+
+
+class TestTranslationDataset:
+    @pytest.mark.parametrize("instances, message", [
+        ([Instance("a", np.zeros(2), ("x",)), Instance("a", np.ones(2), ("y",))],
+         "dataset source words must be unique"),
+        ([Instance("a", np.zeros(2), ("x",)), Instance("b", np.zeros(3), ("y",))],
+         "dataset source vectors disagree on dimension: [(2,), (3,)]"),
+        ([Instance("a", np.zeros(2), ())], "instance 'a' has an empty gold set"),
+    ])
+    def test_invalid_instances_rejected(self, instances, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TranslationDataset(tuple(instances))
 
 
 class TestBuildDataset:
@@ -126,6 +151,10 @@ class TestSplitDataset:
     def test_zero_test_count_rejected(self):
         with pytest.raises(ValueError):
             split_dataset(self._dataset(10), 0, seed=1)
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="^unknown split method: 'x'$"):
+            split_dataset(self._dataset(10), 3, seed=1, method="x")
 
     def test_test_count_must_be_less_than_size(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,13 @@ import pytest
 
 from lexmap.analysis import precision_at_k
 from lexmap.embeddings import EmbeddingSpace
-from lexmap.lexicon import BilingualLexicon, TranslationDataset, build_full_dataset, split_dataset
+from lexmap.lexicon import (
+    BilingualLexicon,
+    Instance,
+    TranslationDataset,
+    build_full_dataset,
+    split_dataset,
+)
 from lexmap.mapper import (
     LinearMap,
     TrainConfig,
@@ -246,6 +252,13 @@ class TestTrainMaxMargin:
         with pytest.raises(ValueError, match="empty"):
             train_max_margin(TranslationDataset(()), world.tgt_space, TrainConfig())
 
+    def test_single_instance_whose_gold_covers_the_target_vocabulary_rejected(self):
+        tgt = EmbeddingSpace(["x", "y"], np.eye(2))
+        train = TranslationDataset((Instance("a", np.array([1.0, 0.0]), ("x", "y")),))
+        message = "^cannot sample negatives: target vocabulary has no non-gold word$"
+        with pytest.raises(ValueError, match=message):
+            train_max_margin(train, tgt, TrainConfig())
+
     def test_provenance_recorded(self, small_world):
         world, full = small_world
         fitted = train_max_margin(
@@ -291,6 +304,11 @@ class TestTrainerRegistry:
 
 
 class TestTrainLeastSquares:
+    def test_empty_training_set_rejected(self, small_world):
+        world, _ = small_world
+        with pytest.raises(ValueError, match="^training set is empty$"):
+            train_least_squares(TranslationDataset(()), world.tgt_space)
+
     def test_exact_recovery(self, small_world):
         """Noiseless targets: the generating matrix comes back exactly."""
         world, full = small_world
@@ -447,6 +465,10 @@ class TestMapSerialization:
 
 
 class TestLinearMapType:
+    def test_one_dimensional_matrix_rejected(self):
+        with pytest.raises(ValueError, match="^map matrix must be 2-D$"):
+            LinearMap(np.ones(3))
+
     def test_non_finite_entries_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             LinearMap(np.array([[1.0, np.nan]]))

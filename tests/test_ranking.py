@@ -332,3 +332,20 @@ def test_tiny_query_is_scaled_before_its_norm():
     assert cosines_to_all(space, tiny).tobytes() == scaled.tobytes()
     indices, scores = top_k_rows(space, [tiny], 3)
     assert scores[0].tobytes() == scaled[indices[0]].tobytes()
+
+
+def test_tiny_row_is_normed_exactly():
+    """A row whose squares underflow scores the bits of its copy times 2**600.
+
+    Unscaled, the computed norm of this row is 11.7 times too small, so it
+    scored 1.0 against a query whose cosine with it is 0.2724.
+    """
+    tiny = np.append(np.full(299, 1.5e-162), 2.23e-162)
+    query = tiny * 2.0**600
+    query[0] *= -50
+    space = EmbeddingSpace(["t", "big"], np.array([tiny, tiny * 2.0**600]))
+    expected = np.array([0.27244248654528, 0.27244248654528])
+    assert cosines_to_all(space, query).tobytes() == expected.tobytes()
+    indices, scores = top_k_rows(space, [query], 1)
+    assert indices.tolist() == [[0]] and scores.tobytes() == expected[:1].tobytes()
+    assert cosine_similarity(tiny, query) == cosine_similarity(tiny * 2.0**600, query) == expected[0]
