@@ -217,6 +217,7 @@ def _cmd_neighborhood(args, out: Path) -> None:
 
 
 def _cmd_train(args, out: Path) -> None:
+    config = _train_config(args)  # a bad trainer flag fails before any input loads
     src_space, tgt_space = _load_spaces(args)
     lexicon = load_lexicon(args.lexicon)
     if args.anchor is not None:
@@ -227,25 +228,26 @@ def _cmd_train(args, out: Path) -> None:
         train = build_full_dataset(lexicon, src_space, tgt_space)
         anchor = "global"
     _, fit = get_trainer(args.trainer)
-    fitted = fit(train, tgt_space, _train_config(args), args.lam, anchor)
+    fitted = fit(train, tgt_space, config, args.lam, anchor)
     save_map(fitted, out / "map.txt")
     print(f"trained {fitted.trainer} map on {fitted.train_size} pairs -> {out / 'map.txt'}")
 
 
 def _cmd_experiment(args, out: Path) -> None:
     anchors = _distinct_file_names(_comma_list(args.anchors))
-    src_space, tgt_space = _load_spaces(args)
-    _run_report(args, out, anchors, src_space, tgt_space, load_lexicon(args.lexicon))
+    config = _train_config(args)
+    _run_report(args, out, config, anchors, *_load_spaces(args), load_lexicon(args.lexicon))
 
 
 def _cmd_diagnose(args, out: Path) -> None:
     anchors = _distinct_file_names(_comma_list(args.anchors)) if args.anchors else None
+    config = _train_config(args)
     world = synth.load_world(args.world)
-    _run_report(args, out, anchors or synth.default_anchor_words(world),
+    _run_report(args, out, config, anchors or synth.default_anchor_words(world),
                 world.src_space, world.tgt_space, world.lexicon)
 
 
-def _run_report(args, out: Path, anchors, src_space, tgt_space, lexicon) -> None:
+def _run_report(args, out: Path, config, anchors, src_space, tgt_space, lexicon) -> None:
     """run_experiment, then write every report file and map into out."""
     report = analysis.run_experiment(
         anchors,
@@ -253,7 +255,7 @@ def _run_report(args, out: Path, anchors, src_space, tgt_space, lexicon) -> None
         src_space,
         tgt_space,
         lexicon,
-        _train_config(args),
+        config,
         test_size=args.test_size,
         seed=args.seed,
         trainer=args.trainer,

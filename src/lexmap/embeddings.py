@@ -101,7 +101,7 @@ def load_embeddings(
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
     count, a non-finite entry or, when normalizing, an overflowing norm are
-    skipped as malformed; zero vectors are dropped when normalizing; a raw
+    skipped as malformed; all-zero vectors are dropped when normalizing; a raw
     load keeps a finite row whose norm overflows. All are counted in the
     space's ``stats`` rather than aborting the load (published .vec files
     contain occasional tokens with embedded spaces). Unless a limit below
@@ -112,7 +112,7 @@ def load_embeddings(
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
         limit: optional cap on vocabulary size, at least 1.
-        normalize: scale every vector to unit Euclidean norm.
+        normalize: scale each row to unit Euclidean norm, exactly (a tiny row times 2**600 first).
 
     Raises:
         FileNotFoundError: missing file.
@@ -120,6 +120,9 @@ def load_embeddings(
             dimensions, or a body of which no line loads.
     """
     words, vectors, stats = read_vec(Path(path), limit, normalize)
+    if normalize:  # read_vec left only finite, nonzero rows
+        vectors[np.sqrt(np.vecdot(vectors, vectors)) < _TINY_NORM] *= 2.0**600
+        vectors /= np.sqrt(np.vecdot(vectors, vectors))[:, None]
     return EmbeddingSpace(words, vectors, normalized=normalize, stats=stats)
 
 
@@ -269,8 +272,8 @@ def write_embeddings(space: EmbeddingSpace, path: str | Path) -> None:
     vectorized pass per block of rows (formats._format_float_rows). Beside the file
     goes its binary companion ``<name>.vec.npz``: ``words``, the UTF-8
     words joined by newlines, and ``vectors``, the float64 matrix, under
-    the sha256 of the text as written. It is written only when the text
-    keeps every word as written (no word is empty or holds whitespace);
-    otherwise any stale companion is removed.
+    the sha256 of the text as written. A word the text cannot hold back
+    as written (empty, holding " " or a line break, or not UTF-8) raises
+    ValueError before any file is written.
     """
     write_vec(space, Path(path))

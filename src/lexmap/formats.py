@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -25,6 +26,8 @@ import numpy as np
 _CHUNK_LINES = 256
 # np.loadtxt strips these from a field as whitespace, float() rejects them
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+# a word a .vec line holds back as written: no " ", line break or lone surrogate (not UTF-8)
+_VEC_WORD = re.compile("[^ \n\r\ud800-\udfff]+")
 # bytes read per digest update
 _DIGEST_CHUNK = 1 << 20
 # a fixed member timestamp keeps a companion's bytes deterministic, unlike np.savez
@@ -54,16 +57,16 @@ VecParts = NamedTuple("VecParts", [("words", tuple), ("vectors", np.ndarray), ("
 
 
 def read_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
-    """load_embeddings of path: from its companion where that serves, else from the text."""
+    """load_embeddings of path, rows as written: from the companion where it serves, else text."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if not path.is_file():
         raise FileNotFoundError(f"embedding file not found: {path}")
-    return _serve_companion(path, limit, normalize) or _parse_vec(path, limit, normalize)
+    return _serve_companion(path, limit) or _parse_vec(path, limit, normalize)
 
 
 def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
-    """read_vec of the .vec text itself."""
+    """read_vec of the .vec text itself: its rows as written, but for those it skips."""
     stats = LoadStats()
     words: list[str] = []
     seen: set[str] = set()
@@ -117,17 +120,15 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
                 if not finite[j]:
                     stats.malformed += 1
                     continue
-                if normalize and norms[j] == 0.0:
+                if normalize and norms[j] == 0.0 and not block[j].any():  # squares may underflow
                     stats.zero_dropped += 1
                     continue
                 seen.add(token)
                 words.append(token)
                 keep.append(j)
-            kept = np.take(block, keep, axis=0, out=vectors[start:len(words)])
+            np.take(block, keep, axis=0, out=vectors[start:len(words)])
             # only a raw load keeps a row whose squared norm overflows
             stats.norm_overflow += int(np.isinf(norms[keep]).sum())
-            if normalize:
-                kept /= norms[keep][:, None]
         if target == count:
             # the read stops before the end only after count words, so after at
             # least count lines: one more line then settles an equal count
@@ -378,13 +379,12 @@ _LAYOUT = _layout()
 
 def write_vec(space, path: Path) -> None:
     """write_embeddings of a space: any object with its words, vectors and dim."""
-    digest = _write_hashed(path, _vec_text(space))
-    companion = path.with_name(path.name + ".npz")
-    if not all(w and w.split() == [w] for w in space.words):
-        companion.unlink(missing_ok=True)
-        return
+    if bad := [word for word in space.words if not _VEC_WORD.fullmatch(word)]:
+        raise ValueError(f"a .vec word is nonempty UTF-8 without a space or line break: {bad[0]!r}")
     words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
-    _write_companion(companion, [digest], {"words": words, "vectors": space.vectors})
+    digest = _write_hashed(path, _vec_text(space))
+    _write_companion(path.with_name(path.name + ".npz"), [digest],
+                     {"words": words, "vectors": space.vectors})
 
 
 def _vec_text(space) -> Iterable[bytes]:
@@ -407,7 +407,7 @@ def _write_hashed(path: Path, chunks: Iterable[bytes]) -> str:
     return digest.hexdigest()
 
 
-def _serve_companion(path: Path, limit: int | None, normalize: bool) -> VecParts | None:
+def _serve_companion(path: Path, limit: int | None) -> VecParts | None:
     """read_vec from the companion of a .vec, or None where the text must be parsed."""
     companion = path.with_name(path.name + ".npz")
     if not companion.is_file():
@@ -430,8 +430,6 @@ def _serve_companion(path: Path, limit: int | None, normalize: bool) -> VecParts
     usable = norms.size and np.all(np.isfinite(norms) & (norms != 0))
     if len(tokens) != len(vectors) or not usable:
         return None
-    if normalize:
-        vectors /= norms[:, None]
     return VecParts(tuple(tokens), vectors, LoadStats())
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,16 @@ from lexmap.embeddings import EmbeddingSpace, load_embeddings
 settings.register_profile("ci", derandomize=True, deadline=None, print_blob=True)
 if os.environ.get("CI"):
     settings.load_profile("ci")
+
+
+@pytest.fixture(scope="session")
+def blas_core():
+    """The OpenBLAS core and build numpy loads, as tools/output_digests.py names them."""
+    tool = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
+    spec = importlib.util.spec_from_file_location("output_digests", tool)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.blas_core()
 
 
 @pytest.fixture

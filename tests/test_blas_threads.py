@@ -7,8 +7,9 @@ one to two. The report files, saved maps and translations must be equal
 byte for byte. At d=300 the matrix products are large enough for a
 threaded BLAS to split them, which d=8 golden runs never do; every ranking
 selects its candidates with a GEMM, so the translations guard the margin
-that keeps those rankings exact. A least-squares run is not checked: its
-normal equations still change in their last bits with the thread count.
+that keeps those rankings exact. A least-squares run is expected to differ,
+on the SkylakeX core it was seen on: its normal equations still change in
+their last bits with the thread count (ROADMAP item 1).
 """
 
 import os
@@ -65,6 +66,22 @@ def test_maxmargin_outputs_equal_under_one_and_two_blas_threads(world, tmp_path)
     one, two = tmp_path / "threads1", tmp_path / "threads2"
     maps = sorted(path.name for path in (one / "maps").glob("*.txt"))
     assert len(maps) == len(anchors) + 1  # every local map and the global one
+    assert maps == sorted(path.name for path in (two / "maps").glob("*.txt"))
+    for name in (*COMPARED, *(f"maps/{m}" for m in maps)):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+@pytest.mark.xfail(strict=True, reason="the lsq normal equations depend on the BLAS thread count")
+def test_lsq_outputs_equal_under_one_and_two_blas_threads(world, tmp_path, blas_core):
+    if not blas_core.startswith("SkylakeX"):
+        pytest.skip(f"the lsq outputs were seen to differ on the SkylakeX core, not {blas_core}")
+    for threads in (1, 2):
+        _lexmap(["diagnose", "--world", str(world), "--trainer", "lsq", "--lam", "1e-6",
+                 "--test-size", "40", "--seed", "3", "--out", str(tmp_path / f"threads{threads}")],
+                threads)
+
+    one, two = tmp_path / "threads1", tmp_path / "threads2"
+    maps = sorted(path.name for path in (one / "maps").glob("*.txt"))
     assert maps == sorted(path.name for path in (two / "maps").glob("*.txt"))
     for name in (*COMPARED, *(f"maps/{m}" for m in maps)):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name

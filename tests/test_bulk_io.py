@@ -65,9 +65,12 @@ def reference_load_embeddings(path, limit=None, normalize=True):
                     continue
                 stats.norm_overflow += 1  # a raw load keeps the row
             if normalize:
-                if norm == 0.0:
+                if not vec.any():
                     stats.zero_dropped += 1
                     continue
+                if norm < 2.0**-450:  # its squares may underflow: scaled by 2**600, exactly
+                    vec = vec * 2.0**600
+                    norm = np.linalg.norm(vec)
                 vec = vec / norm
             seen.add(token)
             words.append(token)
@@ -158,6 +161,7 @@ def vec_files(draw):
 @example(("3 1\n" + "".join(f"w{i} {i}\n" for i in range(5)), None, True))  # header too short
 @example(("5 1\na 1\nb 2\n", 5, True))  # header too long
 @example(("2 1\na 1\nb 2\n", 0, True))  # a limit below 1
+@example(("3 2\na 1e-170 1e-170\nb 1e-310 0\nc 0 0\n", None, True))  # squares that underflow
 def test_load_embeddings_matches_per_line_reference(tmp_path_factory, case):
     text, limit, normalize = case
     path = tmp_path_factory.mktemp("vec") / "e.vec"

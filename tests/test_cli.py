@@ -282,6 +282,18 @@ class TestUsage:
         assert code == 1
         assert capsys.readouterr().err == f"error: constraint: limit must be >= 1, got {limit}\n"
 
+    @pytest.mark.parametrize("inputs", [
+        ["experiment", "--src-emb", "{d}/missing.vec", "--tgt-emb", "{d}/missing.vec",
+         "--lexicon", "{d}/missing.txt", "--anchors", "a"],
+        ["diagnose", "--world", "{d}/nowhere"],
+        ["train", "--src-emb", "{d}/missing.vec", "--tgt-emb", "{d}/missing.vec",
+         "--lexicon", "{d}/missing.txt"],
+    ], ids=["experiment", "diagnose", "train"])
+    def test_trainer_flags_are_checked_before_any_input_loads(self, inputs, tmp_path, capsys):
+        argv = [arg.format(d=tmp_path) for arg in inputs]
+        assert run([*argv, "--epochs", "0", "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "error: constraint: epochs must be >= 1, got 0\n"
+
 
 class TestNeighborhoodCommand:
     def test_limit_keeps_the_head_of_the_file(self, tmp_path):

@@ -11,6 +11,7 @@ import builtins
 import hashlib
 import io
 import json
+import re
 import shutil
 import time
 
@@ -23,6 +24,8 @@ from lexmap.embeddings import EmbeddingSpace, LoadStats, load_embeddings, write_
 from lexmap.mapper import LinearMap, load_map
 from lexmap.synth import default_anchor_words, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, load_atlas, save_atlas
+
+from conftest import load_every_way
 
 
 def raw_space(n=6, d=4, seed=3):
@@ -320,7 +323,7 @@ def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parse
     (np.nan, True, LoadStats(malformed=1)),
     (1e200, True, LoadStats(malformed=1)),  # finite entries whose norm overflows
     (1e200, False, LoadStats(norm_overflow=1)),
-    (1e-170, True, LoadStats(zero_dropped=1)),  # nonzero entries whose norm underflows to 0
+    (1e-170, True, LoadStats()),  # nonzero entries whose norm underflows to 0: kept
 ])
 def test_zero_or_non_finite_row_is_parsed_and_counted(tmp_path, text_parses, value, normalize,
                                                       counted):
@@ -335,13 +338,45 @@ def test_zero_or_non_finite_row_is_parsed_and_counted(tmp_path, text_parses, val
     assert back.stats == counted
 
 
-@pytest.mark.parametrize("word", ["a b", "a\tb", "a\x1cb", "a\xa0b", "a\u2028b", ""])
-def test_word_the_text_would_not_keep_gets_no_companion(tmp_path, word):
+@pytest.mark.parametrize("word", ["", "a b", "a\nb", "a\rb", "\ud800"])
+def test_word_the_text_cannot_hold_is_rejected_before_any_write(tmp_path, word):
     path = VecFile().write(tmp_path)
-    assert VecFile().companion(path).is_file()
+    before = [p.read_bytes() for p in (path, VecFile().companion(path))]
     space = raw_space()
-    write_embeddings(EmbeddingSpace(["x", word, *space.words[2:]], space.vectors), path)
-    assert not VecFile().companion(path).exists()  # the stale one is removed too
+    with pytest.raises(ValueError, match=re.escape(repr(word))):
+        write_embeddings(EmbeddingSpace(["x", word, *space.words[2:]], space.vectors), path)
+    assert [p.read_bytes() for p in (path, VecFile().companion(path))] == before
+
+
+@pytest.mark.parametrize("word", ["a\tb", "a\x0bb", "a\x1cb", "a\x85b", "a\xa0b", "a\u2028b"])
+def test_word_the_text_keeps_gets_a_companion(tmp_path, text_parses, word):
+    space = raw_space()
+    words = ["x", word, *space.words[2:]]
+    path = tmp_path / "e.vec"
+    write_embeddings(EmbeddingSpace(words, space.vectors), path)
+    assert VecFile().companion(path).is_file()
+    served = load_every_way(path, len(words))
+    assert served[0][0] == tuple(words)
+    assert text_parses == [path] * 4  # the limits below the row count
+    VecFile().companion(path).unlink()
+    assert load_every_way(path, len(words)) == served
+
+
+@pytest.mark.parametrize("row", [np.full(6, 1e-170), np.full(6, 1e-310),
+                                 np.array([1.5e-162] * 5 + [2.23e-162])],
+                         ids=["1e-170", "1e-310", "1.5e-162"])
+def test_row_too_small_to_square_is_normalized_exactly(tmp_path, row):
+    """Each row is normalized as (r * 2**600) / its norm: the squares of r underflow."""
+    path = tmp_path / "e.vec"
+    write_embeddings(EmbeddingSpace(["t", "ones"], np.stack([row, np.ones(6)])), path)
+    back = load_embeddings(path)
+    scaled = row * 2.0**600
+    assert back.stats == LoadStats()
+    expected = np.stack([scaled / np.sqrt(np.vecdot(scaled, scaled)), np.ones(6) / np.sqrt(6.0)])
+    assert back.vectors.tobytes() == expected.tobytes()
+    served = load_every_way(path, 2)
+    VecFile().companion(path).unlink()
+    assert load_every_way(path, 2) == served
 
 
 def test_synth_writes_byte_identical_companions(tmp_path, monkeypatch):
