@@ -2,12 +2,15 @@
 
 ``tools/output_digests.py`` builds a seeded world (n=2000, d=300) and runs
 ``diagnose`` with both trainers, ``neighborhood``, ``experiment``,
-``train``, ``translate --map`` and ``translate --atlas`` on it, then
+``train``, ``translate --map`` and ``translate --atlas`` (by ``--words``
+and by ``--input``) on it, then
 ``diagnose`` and ``experiment`` again from their config.json, each under
 ``OPENBLAS_NUM_THREADS=1``, and prints the sha256 of every file they write.
 ``output_digests.txt`` is its output: the first runs' 75 lines as recorded
 at commit 9cc57df, before the float writers became one vectorized pass,
-and the reruns' 28 lines, added when the tool began to rerun.
+the reruns' 28 lines, added when the tool began to rerun, and the 3 lines
+of ``translate --atlas --input`` over every source word, recorded at
+fc022c0 before atlas queries were served in map order.
 
 The synth world, the least-squares and max-margin maps, and every output
 derived from them depend on the BLAS kernels' summation order. The list was

@@ -6,7 +6,10 @@ The run builds a synthetic world (n=2000, d=300) and runs ``diagnose
 ``translate --atlas`` on it, each in its own subprocess under
 ``OPENBLAS_NUM_THREADS=1``. The atlas holds diagnose's
 local maps, keyed by their anchors' source vectors, with its global map as
-fallback, as in ``tests/test_golden.py``. Then ``diagnose`` (lsq) and
+fallback, as in ``tests/test_golden.py``. It translates 50 ``--words``
+with a floor, then every source word from an ``--input`` file at k=10, as
+the benchmark's ``translate_atlas`` does, in an order that interleaves the
+clusters. Then ``diagnose`` (lsq) and
 ``experiment`` run again from their ``config.json`` (``--config``) into
 ``diagnose_rerun`` and ``experiment_rerun``: a rerun writes the same
 bytes, config.json aside. Every command runs in the work directory with
@@ -38,6 +41,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ENV = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
 SEED = "3"
 WORDS = ",".join(f"w{i:05d}" for i in range(0, 2000, 40))
+# every source word once, 797 apart: 797 is prime to 2000
+INPUT_WORDS = "".join(f"w{i * 797 % 2000:05d}\n" for i in range(2000))
 # the runs repeated from their config.json, each into <command>_rerun
 RERUNS = ("diagnose", "experiment")
 
@@ -115,6 +120,9 @@ def run_all(work: Path) -> None:
     python("-c", BUILD_ATLAS)
     lexmap("translate", *vecs, "--atlas", "atlas", "--words", WORDS, "--k", "5",
            "--floor", "0.81", "--out", "translate_atlas")
+    (work / "atlas_words.txt").write_text(INPUT_WORDS, encoding="utf-8")
+    lexmap("translate", *vecs, "--atlas", "atlas", "--input", "atlas_words.txt", "--k", "10",
+           "--out", "translate_atlas_input")
     for command in RERUNS:
         lexmap(command, "--config", f"{command}/config.json", "--out", f"{command}_rerun")
 
