@@ -15,7 +15,7 @@ import numpy as np
 
 from .formats import LoadStats, read_vec, write_vec
 
-# least bytes of one top_k_rows block: its unit queries, GEMM cosines and their partitioned copy
+# least bytes of one top_k_rows block: its unit queries, GEMM cosines and their argpartition
 _BLOCK_BYTES = 2 << 20
 # a vector normed below this may have lost its squares' bits to underflow; times 2**600 it has not
 _TINY_NORM = 2.0**-450
@@ -121,8 +121,7 @@ def load_embeddings(
     """
     words, vectors, stats = read_vec(Path(path), limit, normalize)
     if normalize:  # read_vec left only finite, nonzero rows
-        vectors[np.sqrt(np.vecdot(vectors, vectors)) < _TINY_NORM] *= 2.0**600
-        vectors /= np.sqrt(np.vecdot(vectors, vectors))[:, None]
+        _unit_rows(vectors)
     return EmbeddingSpace(words, vectors, normalized=normalize, stats=stats)
 
 
@@ -140,18 +139,33 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
-def _unit_query(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
-    """The query over its norm, checked against the space's dimension."""
-    query = np.asarray(query, dtype=np.float64)
-    if query.shape != (space.dim,):
-        raise ValueError(f"query dimension {query.shape} != space dim {space.dim}")
-    qnorm = np.linalg.norm(query)
-    if qnorm < _TINY_NORM:  # its squares may have underflowed: scale by a power of two, exactly
-        query = query * 2.0**600
-        qnorm = np.linalg.norm(query)
-    if qnorm == 0.0:
+def _unit_rows(matrix: np.ndarray) -> np.ndarray:
+    """Divide each row of a float64 matrix by its norm, in place, and return the norms.
+
+    A row normed below _TINY_NORM may have lost its squares' bits to
+    underflow, so it is scaled by 2**600, exactly, first. Each norm is
+    ``sqrt(vecdot(row, row))``, the bits of ``np.linalg.norm(row)``. A zero
+    row's norm is 0 and its row NaN.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        matrix[np.sqrt(np.vecdot(matrix, matrix)) < _TINY_NORM] *= 2.0**600
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        matrix /= norms[:, None]
+    return norms
+
+
+def _unit_queries(space: EmbeddingSpace, queries: list) -> np.ndarray:
+    """The queries over their norms, as the rows of one matrix, checked against the space's
+    dimension."""
+    unit = np.empty((len(queries), space.dim))
+    for row, query in zip(unit, queries):
+        query = np.asarray(query, dtype=np.float64)
+        if query.shape != (space.dim,):
+            raise ValueError(f"query dimension {query.shape} != space dim {space.dim}")
+        row[:] = query
+    if not _unit_rows(unit).all():
         raise ValueError("cosine similarity undefined for zero query")
-    return query / qnorm
+    return unit
 
 
 def _cosines(space: EmbeddingSpace, rows: np.ndarray | slice, unit: np.ndarray) -> np.ndarray:
@@ -165,18 +179,19 @@ def _cosines(space: EmbeddingSpace, rows: np.ndarray | slice, unit: np.ndarray) 
 
 def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     """Cosine of a query vector against every row of the space."""
-    return _cosines(space, slice(None), _unit_query(space, query))
+    return _cosines(space, slice(None), _unit_queries(space, [query])[0])
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k highest scores, ties by ascending index, NaN last.
 
-    The one ranking rule of lexmap: ``np.argsort(-scores, kind="stable")[:k]``.
-    Fewer than k scores give all of them.
+    The one ranking rule of lexmap: ``np.argsort(-scores, kind="stable")[:k]``,
+    along the last axis, so each row of a 2-D array is ranked alone. Fewer
+    than k scores give all of them.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")[:k]
+    return np.argsort(-np.asarray(scores, dtype=np.float64), axis=-1, kind="stable")[..., :k]
 
 
 def top_k_rows(
@@ -185,21 +200,28 @@ def top_k_rows(
     """Indices and cosines of the k best rows for each query, best first.
 
     Equal, bit for bit, to ranking ``cosines_to_all`` of each query with
-    ``top_k_indices``, whatever the block size or BLAS thread count. Blocks
-    of unit queries are scored with one GEMM, which only selects candidates.
-    Two summation orders of one d-term dot product differ by at most
-    2 gamma_d |q| |v|, with gamma_m = m u / (1 - m u) and u = 2^-53. Every
-    row whose GEMM cosine lies within 4 gamma_{2d+4} of the query's k-th
-    best GEMM cosine is rescored with ``cosines_to_all``'s row products and
-    ranked with ``top_k_indices``. That one margin holds for every space:
-    a unit query's norm is within gamma_d of 1 (``_unit_query`` scales a
-    query whose squares could underflow), a normalized row's within 1.1e-5
+    ``top_k_indices``, whatever the block size or BLAS thread count. Queries
+    are read lazily, a block at a time, and each block's unit queries are
+    normed in one pass and scored with one GEMM, which only selects
+    candidates. Two summation orders of one d-term dot product differ by at
+    most 2 gamma_d |q| |v|, with gamma_m = m u / (1 - m u) and u = 2^-53.
+    Every row whose GEMM cosine lies within 4 gamma_{2d+4} of the query's
+    k-th best GEMM cosine is a candidate. That one margin holds for every
+    space: a unit query's norm is within gamma_d of 1 (``_unit_rows`` scales
+    a query whose squares could underflow), a normalized row's within 1.1e-5
     (the constructor's check), and the d+4 spare terms cover both factors,
     a raw space's norms and division, and the margin's own rounding. Rows
     it does not cover, nonzero with a tiny or inf norm, are always
-    candidates, and a query whose unit vector is not finite is rescored
-    over every row. Queries are read lazily, one block at a time. A space
-    of fewer than k rows gives all of them, an empty space none.
+    candidates, and a query whose unit vector is not finite has every row.
+
+    A query whose candidates are exactly the k rows of one ``argpartition``
+    of the block's GEMM, as almost every query's are, is ranked with the
+    block: one gathered ``vecdot`` rescores the candidates, in ascending
+    row order, with ``cosines_to_all``'s row products, and one
+    ``top_k_indices`` ranks every such query's row. Any other query is
+    rescored over its candidates and ranked on its own. A space of fewer
+    than k rows gives all of them, ranked with the block; an empty space
+    none.
 
     Returns:
         (indices, scores), each of shape (queries, min(k, len(space))).
@@ -207,35 +229,48 @@ def top_k_rows(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     n = len(space)
-    block = _block_queries(space)
+    width = min(k, n)
+    # a block's gathered candidate rows stay within _BLOCK_BYTES too
+    block = min(_block_queries(space), max(1, _BLOCK_BYTES // (8 * width * space.dim or 1)))
     forced = _forced_candidates(space)
     mu = (2 * space.dim + 4) * 2.0**-53
     margin = 4.0 * mu / (1.0 - mu)
-    indices: list[np.ndarray] = []
-    scores: list[np.ndarray] = []
+    indices = [np.empty((0, width), dtype=np.intp)]
+    scores = [np.empty((0, width))]
     it = iter(queries)
-    while units := [_unit_query(space, q) for q in islice(it, block)]:
-        unit = np.array(units)
-        candidates = np.ones((len(units), n), dtype=bool)
+    while batch := list(islice(it, block)):
+        unit = _unit_queries(space, batch)
         if k < n:
             with np.errstate(over="ignore", invalid="ignore"):  # forced rows are reset below
                 gemm = unit @ space.vectors.T
-                gemm /= space.row_norms
+                if not space.normalized:  # a normalized space's norms are 1.0
+                    gemm /= space.row_norms
             np.clip(gemm, -1.0, 1.0, out=gemm)
             gemm[:, forced] = -np.inf
-            kth = np.partition(gemm, n - k, axis=1)[:, n - k]
-            finite = np.isfinite(unit).all(axis=1)
-            np.greater_equal(gemm, (kth - margin)[:, None], out=candidates, where=finite[:, None])
+            best = np.argpartition(gemm, n - k, axis=1)[:, n - k:]
+            kth = np.take_along_axis(gemm, best[:, :1], axis=1)
+            candidates = gemm >= kth - margin
+            candidates[~np.isfinite(unit).all(axis=1)] = True
             candidates[:, forced] = True
-        for row, mask in zip(unit, candidates):
-            rows = np.flatnonzero(mask)
-            cos = _cosines(space, rows, row)
-            top = top_k_indices(cos, k)
-            indices.append(rows[top])
-            scores.append(cos[top])
-    shape = (len(indices), min(k, n))
-    return (np.array(indices, dtype=np.intp).reshape(shape),
-            np.array(scores, dtype=np.float64).reshape(shape))
+            exact = np.count_nonzero(candidates, axis=1) == k
+        else:
+            best = np.broadcast_to(np.arange(n), (len(batch), n))
+            exact = np.ones(len(batch), dtype=bool)
+        top = np.empty((len(batch), width), dtype=np.intp)
+        cos = np.empty((len(batch), width))
+        rows = np.sort(best[exact], axis=1)
+        rescored = _cosines(space, rows, unit[exact][:, None])
+        rank = top_k_indices(rescored, k)
+        top[exact] = np.take_along_axis(rows, rank, axis=1)
+        cos[exact] = np.take_along_axis(rescored, rank, axis=1)
+        for i in np.flatnonzero(~exact):
+            rows = np.flatnonzero(candidates[i])
+            rescored = _cosines(space, rows, unit[i])
+            rank = top_k_indices(rescored, k)
+            top[i], cos[i] = rows[rank], rescored[rank]
+        indices.append(top)
+        scores.append(cos)
+    return np.concatenate(indices), np.concatenate(scores)
 
 
 def _block_queries(space: EmbeddingSpace) -> int:

@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import struct
 import zipfile
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -182,6 +183,28 @@ def _format_float_rows(matrix: np.ndarray) -> bytes:
         return b"\n" * rows
     step = max(1, _FORMAT_BLOCK // matrix.shape[1])
     return b"".join(_format_block(matrix[i:i + step]) for i in range(0, rows, step))
+
+
+def dumps_json(obj: dict) -> str:
+    """``json.dumps`` of a dict, byte for byte, where a float64 array value stands for its
+    ``tolist()``.
+
+    JSON writes a float as its repr, and _format_float_rows writes exactly
+    repr, so each array of finite entries is written in one vectorized pass.
+    """
+    items = (f"{json.dumps(key)}: {_json_value(value)}" for key, value in obj.items())
+    return "{" + ", ".join(items) + "}"
+
+
+def _json_value(value) -> str:
+    """json.dumps of a value; a 1-D or 2-D float64 array of finite entries from its rows' text."""
+    if not isinstance(value, np.ndarray):
+        return json.dumps(value)
+    if value.dtype != np.float64 or value.ndim not in (1, 2) or not np.isfinite(value).all():
+        return json.dumps(value.tolist())  # JSON writes NaN and Infinity, repr nan and inf
+    text = _format_float_rows(np.atleast_2d(value)).decode("ascii").replace(" ", ", ")
+    rows = [f"[{row}]" for row in text.split("\n")[:-1]]
+    return rows[0] if value.ndim == 1 else f"[{', '.join(rows)}]"
 
 
 def _format_block(block: np.ndarray) -> bytes:
@@ -448,12 +471,27 @@ def _read_companion(path: Path, sources: list[str]) -> dict[str, np.ndarray] | N
     are sources, in its order, or None unless every digest holds: the caller then
     parses the text."""
     try:
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {name: npz[name] for name in npz.files}
+        with path.open("rb") as fh, zipfile.ZipFile(fh) as zf:
+            arrays = {info.filename.removesuffix(".npy"): _stored_member(fh, info)
+                      for info in zf.infolist()}
         digests = arrays.pop("digests").tolist()
         return arrays if digests == [*sources, _payload_digest(arrays)] else None
     except Exception:  # a damaged companion of any kind: the text stays the authority
         return None
+
+
+def _stored_member(fh, info: zipfile.ZipInfo) -> np.ndarray:
+    """The .npy array of a stored (uncompressed) zip member, read in place from fh.
+
+    zipfile would check a CRC-32 over the bytes and copy them; the payload
+    digest checks them instead. A compressed member raises ValueError.
+    """
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ValueError(f"{info.filename} is compressed")
+    fh.seek(info.header_offset)
+    header = struct.unpack(zipfile.structFileHeader, fh.read(zipfile.sizeFileHeader))
+    fh.seek(header[10] + header[11], io.SEEK_CUR)  # past the member's name and extra field
+    return np.lib.format.read_array(fh, allow_pickle=False)
 
 
 def _payload_digest(arrays: dict[str, np.ndarray]) -> str:

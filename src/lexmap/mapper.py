@@ -215,9 +215,18 @@ def train_max_margin(
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             order = spawn_rng(config.seed, "shuffle", epoch).permutation(m)
+            # one draw per epoch is the stream of one scalar draw per negative
             neg_rng = spawn_rng(config.seed, "negatives", epoch)
+            if vocab_fallback is None:
+                negatives = neg_rng.integers(m - 1, size=(m, config.negatives))
+                negatives += negatives >= order[:, None]  # skip the instance itself
+                targets = Y
+            else:
+                negatives = vocab_fallback[neg_rng.integers(len(vocab_fallback),
+                                                            size=(m, config.negatives))]
+                targets = tgt_space.vectors
             epoch_loss = 0.0
-            for i in order:
+            for i, draws in zip(order.tolist(), negatives.tolist()):
                 x = X[i]
                 y_pos = Y[i]
                 np.matmul(W, x, out=wx)
@@ -225,22 +234,21 @@ def train_max_margin(
                     wx -= (V[:pending] @ x) @ U[:pending]
                 np.subtract(y_pos, wx, out=diff)
                 d_pos = float(diff @ diff)
-                push = None
-                for _ in range(config.negatives):
-                    if vocab_fallback is not None:
-                        y_neg = tgt_space.vectors[vocab_fallback[neg_rng.integers(len(vocab_fallback))]]
-                    else:
-                        j = int(neg_rng.integers(m - 1))
-                        if j >= i:
-                            j += 1
-                        y_neg = Y[j]
+                push = U[pending]
+                pushed = False
+                for j in draws:
+                    y_neg = targets[j]
                     np.subtract(y_neg, wx, out=diff)
                     violation = config.gamma + d_pos - float(diff @ diff)
                     if violation > 0.0:
                         epoch_loss += violation
-                        push = (y_neg - y_pos) if push is None else push + (y_neg - y_pos)
-                if push is not None:
-                    np.multiply(push, lr * 2.0, out=U[pending])
+                        if pushed:
+                            push += np.subtract(y_neg, y_pos, out=diff)
+                        else:
+                            np.subtract(y_neg, y_pos, out=push)
+                            pushed = True
+                if pushed:
+                    push *= lr * 2.0
                     V[pending] = x
                     pending += 1
                     if pending == _RANK:

@@ -31,6 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .embeddings import EmbeddingSpace, load_embeddings, top_k_rows, write_embeddings
+from .formats import dumps_json
 from .lexicon import BilingualLexicon, load_lexicon
 from .seeds import spawn_rng
 
@@ -266,16 +267,15 @@ def export_world(world: SyntheticWorld, directory: str | Path) -> None:
         "seed": world.seed,
         "noise_sigma": world.noise_sigma,
         "variation_strength": gt.variation_strength,
-        "matrix": [[float(v) for v in row] for row in gt.matrix],
-        "axis": [float(v) for v in gt.axis],
-        "plane_p": [float(v) for v in gt.plane_p],
-        "plane_q": [float(v) for v in gt.plane_q],
-        "cluster_centers": [[float(v) for v in row] for row in gt.cluster_centers],
+        "matrix": gt.matrix,
+        "axis": gt.axis,
+        "plane_p": gt.plane_p,
+        "plane_q": gt.plane_q,
+        "cluster_centers": gt.cluster_centers,
         "region_labels": world.region_labels,
         "params": world.params,
     }
-    # json.dumps takes the C encoder, which json.dump to a file never does: same bytes
-    (directory / "world.json").write_text(json.dumps(descriptor) + "\n", encoding="utf-8")
+    (directory / "world.json").write_text(dumps_json(descriptor) + "\n", encoding="utf-8")
 
 
 def load_world(directory: str | Path) -> SyntheticWorld:

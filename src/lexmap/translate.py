@@ -109,15 +109,25 @@ def translate_words(
 ) -> list[tuple[list[tuple[str, float]], str]]:
     """Per word, its top-k through the nearest-anchor map and the anchor used.
 
-    Every word is dispatched at once; each mapped query is one gemv of its
-    map, and the mapped queries are ranked in top_k_rows blocks.
+    Every word is dispatched at once. The words are then mapped in map
+    order, every word of one map in a row, in input order within each map,
+    so that each map's matrix stays in cache across its gemvs; each mapped
+    query is still one gemv of its map. The mapped queries are made lazily
+    and ranked in top_k_rows blocks, whose results do not depend on the
+    block a query falls in, and the rankings are put back in input order.
     """
     vectors = [src_space.vector(w) for w in src_words]
     chosen = dispatch(atlas, vectors, floor)
-    tops, scores = top_k_rows(tgt_space, (m.apply(v) for v, (m, _) in zip(vectors, chosen)), k)
+    by_map: dict[int, list[int]] = {}
+    for i, (m, _) in enumerate(chosen):
+        by_map.setdefault(id(m), []).append(i)
+    order = [i for group in by_map.values() for i in group]
+    tops, scores = top_k_rows(tgt_space, (chosen[i][0].apply(vectors[i]) for i in order), k)
+    back = np.argsort(order)
+    words = tgt_space.words
     return [
-        ([(tgt_space.words[i], float(s)) for i, s in zip(top, row)], label)
-        for top, row, (_, label) in zip(tops, scores, chosen)
+        ([(words[i], s) for i, s in zip(top, row)], label)
+        for top, row, (_, label) in zip(tops[back].tolist(), scores[back].tolist(), chosen)
     ]
 
 

@@ -10,6 +10,7 @@ reference, on inputs full of the quirks real files have. Spearman's rho is
 compared bit for bit with scipy's.
 """
 
+import json
 import warnings
 
 import numpy as np
@@ -326,6 +327,20 @@ def test_format_float_rows_equals_per_element_repr(matrix):
 def test_format_float_rows_equals_per_element_repr_on_raw_bits(bits):
     matrix = bits.view(np.float64)
     assert _format_float_rows(matrix) == per_element_rows(matrix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(lambda rows: st.one_of(
+    arrays(np.float64, rows, elements=st.floats(width=64)),
+    arrays(np.float64, (rows, 3), elements=st.floats(width=64, allow_nan=False,
+                                                      allow_infinity=False)))))
+@example(np.array(FORMAT_EDGES[4]))
+@example(np.zeros((2, 0)))
+def test_dumps_json_equals_json_dumps_of_the_lists(array):
+    """World descriptors write their float arrays through the vectorized writer."""
+    obj = {"kind": "x", "array": array, "labels": {"w\u00e9": 1}, "ints": np.arange(3)}
+    expected = json.dumps({**obj, "array": array.tolist(), "ints": [0, 1, 2]})
+    assert formats.dumps_json(obj) == expected
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (0, 0)])

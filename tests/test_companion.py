@@ -14,6 +14,7 @@ import json
 import re
 import shutil
 import time
+import zipfile
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def _rewrite_members(caller, target, compression, cut):
+    """Write the companion's members again with the given compression, the payload
+    member's .npy bytes cut to ``[:cut]``."""
+    with zipfile.ZipFile(caller.companion(target)) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    payload = f"{caller.payload}.npy"
+    members[payload] = members[payload][:cut]
+    with zipfile.ZipFile(caller.companion(target), "w", compression) as zf:
+        for name, data in members.items():
+            zf.writestr(name, data)
+
+
 DAMAGE = {
     "source byte": lambda c, t: flip_byte(c.sources(t)[-1], _last_row_units_digit(c.sources(t)[-1])),
     "payload byte": lambda c, t: _flip_in_companion(
@@ -198,6 +211,10 @@ DAMAGE = {
     "payload digest byte": lambda c, t: _flip_digest(c, t, -1),
     "payload with old digests": _payload_with_old_digests,
     "truncated companion": lambda c, t: _truncate(c.companion(t)),
+    # every digest still holds, but only a stored member is read in place
+    "deflated members": lambda c, t: _rewrite_members(c, t, zipfile.ZIP_DEFLATED, None),
+    # a whole zip whose payload member ends before its array does
+    "truncated payload member": lambda c, t: _rewrite_members(c, t, zipfile.ZIP_STORED, -8),
     "deleted companion": lambda c, t: c.companion(t).unlink(),
     "foreign companion": _foreign_companion,
 }

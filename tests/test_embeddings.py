@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from lexmap import embeddings
 from lexmap.embeddings import (
     EmbeddingSpace,
     cosine_similarity,
     cosines_to_all,
     load_embeddings,
     top_k_by_cosine,
+    top_k_indices,
     top_k_rows,
     write_embeddings,
 )
@@ -246,6 +248,20 @@ class TestCosinesToAll:
             assert np.array_equal(got, expected)
             assert got[5] == 0.0
 
+    def test_a_block_of_queries_is_normed_as_each_query_alone(self):
+        """A block's queries are normed in one vecdot pass, to the bits of
+        np.linalg.norm of each query alone, at widths on both sides of the
+        BLAS kernels' unrolling and at unaligned row offsets."""
+        rng = np.random.default_rng(11)
+        for d in (1, 2, 3, 7, 8, 33, 300, 301):
+            space = random_space(rng, 5, d)
+            queries = rng.standard_normal((40, d)) * rng.uniform(1e-3, 1e3, size=(40, 1))
+            indices, scores = top_k_rows(space, queries, 5)
+            for query, rows, got in zip(queries, indices, scores):
+                unit = query / np.linalg.norm(query)
+                expected = np.clip(np.vecdot(space.vectors[rows], unit) / space.row_norms[rows], -1, 1)
+                assert got.tobytes() == expected.tobytes()
+
     def test_query_of_another_dimension_rejected(self, toy_space):
         with pytest.raises(ValueError, match=f"^{re.escape('query dimension (3,) != space dim 2')}$"):
             cosines_to_all(toy_space, np.ones(3))
@@ -308,3 +324,51 @@ class TestTopK:
             full = top_k_by_cosine(space, query, 25)
             for k in (1, 5, 12):
                 assert top_k_by_cosine(space, query, k) == full[:k]
+
+    @pytest.mark.parametrize("kind", ["normalized", "raw", "raw with a forced row"])
+    def test_mixed_block_ranks_each_query_as_alone(self, kind, monkeypatch):
+        """One block of queries, most of whose margins admit exactly k rows.
+
+        Copies of row 0 a few ulps apart tie at the top, so a query along row
+        0 admits more than k rows; so does a query with an inf entry, whose
+        unit vector is not finite. A row whose squares underflow is a forced
+        candidate of every query. Each such query is ranked on its own. The
+        others are ranked together, in one 2-D top_k_indices, among them a
+        query along row 5, which ties exactly with its copy in row 6, and a
+        query whose squares underflow. Every result equals cosines_to_all
+        ranked by top_k_indices.
+        """
+        rng = np.random.default_rng(5)
+        vectors = rng.standard_normal((60, 300))
+        if kind == "normalized":
+            vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        vectors[1] = vectors[0]
+        vectors[2] = np.nextafter(vectors[0], np.inf)
+        vectors[6] = vectors[5]
+        if kind == "raw with a forced row":
+            vectors[30] = np.full(300, 2.3e-162)
+        space = EmbeddingSpace([f"t{i}" for i in range(60)], vectors, kind == "normalized")
+        alone = [vectors[0] * 3.0, np.resize([np.inf, 1.0], 300), vectors[0]]
+        tiny = rng.standard_normal(300) * 1e-160
+        queries = [*rng.standard_normal((3, 300)), alone[0], tiny, vectors[5] * 2.0, alone[1],
+                   *rng.standard_normal((3, 300)), alone[2]]
+
+        def ranked(query):
+            cos = cosines_to_all(space, query)
+            top = top_k_indices(cos, 2)
+            return top.tolist(), cos[top].tobytes()
+
+        expected = [ranked(query) for query in queries]
+        assert expected[5][0] == [5, 6]
+        ranked_alone = []
+        monkeypatch.setattr(embeddings, "_block_queries", lambda space: len(queries))
+
+        def spy(scores, k):
+            if np.ndim(scores) == 1:
+                ranked_alone.append(scores)
+            return top_k_indices(scores, k)
+
+        monkeypatch.setattr(embeddings, "top_k_indices", spy)
+        indices, scores = top_k_rows(space, queries, 2)
+        assert [(row.tolist(), s.tobytes()) for row, s in zip(indices, scores)] == expected
+        assert len(ranked_alone) == (len(queries) if "forced" in kind else len(alone))

@@ -1,13 +1,17 @@
 import hashlib
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexmap.formats
+from lexmap import embeddings
 from lexmap.cli import run
-from lexmap.embeddings import top_k_by_cosine
+from lexmap.embeddings import EmbeddingSpace, top_k_by_cosine
 from lexmap.mapper import LinearMap, load_map
 from lexmap.synth import (
     default_anchor_words,
@@ -22,6 +26,7 @@ from lexmap.translate import (
     piecewise_translate,
     save_atlas,
     select_entry,
+    translate_words,
 )
 
 
@@ -153,6 +158,46 @@ class TestPiecewiseTranslate:
         got, label = piecewise_translate(atlas, "w00002", world.src_space, world.tgt_space, 1)
         assert label == "global"
         assert got[0][0] == world.lexicon.targets("w00002")[0]
+
+
+@st.composite
+def atlas_cases(draw):
+    """(atlas, source space, target space, words, k, floor, queries per block).
+
+    The atlas holds 8 to 12 random maps, one of them at times under two
+    anchors, and at times a fallback; the words repeat and interleave.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.sampled_from([3, 8, 40]))
+    n_src, n_tgt = draw(st.integers(12, 40)), draw(st.integers(1, 40))
+    src = EmbeddingSpace([f"s{i}" for i in range(n_src)], rng.standard_normal((n_src, d)))
+    tgt_vectors = rng.standard_normal((n_tgt, d))
+    normalized = draw(st.booleans())
+    if normalized:
+        tgt_vectors /= np.linalg.norm(tgt_vectors, axis=1, keepdims=True)
+    tgt = EmbeddingSpace([f"t{i}" for i in range(n_tgt)], tgt_vectors, normalized)
+    anchors = rng.choice(n_src, size=draw(st.integers(8, 12)), replace=False)
+    maps = [LinearMap(rng.standard_normal((d, d)), anchor=f"s{a}") for a in anchors]
+    if draw(st.booleans()):
+        maps[-1] = maps[0]
+    entries = tuple(AtlasEntry(f"s{a}", src.vectors[a], m) for a, m in zip(anchors, maps))
+    fallback = LinearMap(rng.standard_normal((d, d)), anchor="global") if draw(st.booleans()) else None
+    words = [f"s{i}" for i in draw(st.lists(st.integers(0, n_src - 1), min_size=1, max_size=60))]
+    return (MapAtlas(entries, fallback=fallback), src, tgt, words, draw(st.integers(1, n_tgt + 2)),
+            draw(st.floats(-1.0, 1.0)), draw(st.sampled_from([1, 3, 1000])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(atlas_cases())
+def test_translate_words_equals_the_per_word_path(case):
+    """Words served in map order and ranked in blocks get the per-word rankings and labels."""
+    atlas, src, tgt, words, k, floor, per_block = case
+    expected = []
+    for word in words:
+        m, label = select_entry(atlas, src.vector(word), floor)
+        expected.append((top_k_by_cosine(tgt, m.apply(src.vector(word)), k), label))
+    with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+        assert translate_words(atlas, words, src, tgt, k, floor) == expected
 
 
 class TestMapAtlasType:
