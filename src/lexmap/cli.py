@@ -202,15 +202,15 @@ def _distinct_file_names(anchors: list[str]) -> list[str]:
     return anchors
 
 
-def _load_spaces(args) -> tuple[EmbeddingSpace, EmbeddingSpace]:
-    return tuple(load_embeddings(path, limit=args.limit, normalize=not args.no_normalize)
-                 for path in (args.src_emb, args.tgt_emb))
+def _load_spaces(args, dests=("src_emb", "tgt_emb")) -> tuple[EmbeddingSpace, ...]:
+    return tuple(load_embeddings(getattr(args, dest), limit=args.limit,
+                                 normalize=not args.no_normalize) for dest in dests)
 
 
 def _cmd_neighborhood(args, out: Path) -> None:
     anchors = _distinct_file_names(_comma_list(args.anchors))
     thresholds = [float(t) for t in _comma_list(args.thresholds)]
-    space = load_embeddings(args.src_emb, limit=args.limit, normalize=not args.no_normalize)
+    (space,) = _load_spaces(args, ["src_emb"])
     for anchor in anchors:
         profile = growth_profile(space, anchor, thresholds)
         (out / f"profile_{_safe_name(anchor)}.tsv").write_text(profile_to_tsv(profile), encoding="utf-8")

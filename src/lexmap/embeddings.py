@@ -46,7 +46,8 @@ class EmbeddingSpace:
             raise ValueError(
                 f"word count {len(words)} != vector row count {vectors.shape[0]}"
             )
-        if len(set(words)) != len(words):
+        index = {w: i for i, w in enumerate(words)}
+        if len(index) != len(words):
             raise ValueError("words must be unique")
         norms = np.sqrt(np.vecdot(vectors, vectors))
         if normalized and not np.allclose(norms, 1.0, atol=1e-6):
@@ -65,7 +66,7 @@ class EmbeddingSpace:
         self.normalized = normalized
         self.row_norms = norms
         self.stats = stats
-        self._index = {w: i for i, w in enumerate(self.words)}
+        self._index = index
 
     def __len__(self) -> int:
         return len(self.words)
@@ -93,9 +94,9 @@ def load_embeddings(
     The companion that write_embeddings leaves beside the file is served
     instead of the text when no limit is below the header count, its
     digests of the ``.vec`` and of its own payload hold, it has one word
-    per row and every row norm is finite and nonzero. The text path would
-    keep every such row as written and count nothing, so the result is the
-    same bit for bit; in any other case the text is parsed.
+    per row, every row norm is finite and no row is a row of zeros. The
+    text path would keep every such row as written and count nothing, so
+    the result is the same bit for bit; in any other case the text is parsed.
 
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.

@@ -404,20 +404,19 @@ def write_vec(space, path: Path) -> None:
     """write_embeddings of a space: any object with its words, vectors and dim."""
     if bad := [word for word in space.words if not _VEC_WORD.fullmatch(word)]:
         raise ValueError(f"a .vec word is nonempty UTF-8 without a space or line break: {bad[0]!r}")
-    words = np.frombuffer("\n".join(space.words).encode("utf-8"), dtype=np.uint8)
-    digest = _write_hashed(path, _vec_text(space))
+    words = "\n".join(space.words).encode("utf-8")  # _VEC_WORD keeps "\n" out of a word
+    digest = _write_hashed(path, _vec_text(space, words.split(b"\n")))
     _write_companion(path.with_name(path.name + ".npz"), [digest],
-                     {"words": words, "vectors": space.vectors})
+                     {"words": np.frombuffer(words, dtype=np.uint8), "vectors": space.vectors})
 
 
-def _vec_text(space) -> Iterable[bytes]:
-    """The .vec text of a space: its header, then blocks of whole lines."""
+def _vec_text(space, words: list[bytes]) -> Iterable[bytes]:
+    """The .vec text of a space, its words given UTF-8 encoded: a header, then blocks of lines."""
     yield f"{len(space.words)} {space.dim}\n".encode()
     step = max(1, _FORMAT_BLOCK // max(space.dim, 1))
     for start in range(0, len(space.words), step):
         rows = _format_float_rows(space.vectors[start:start + step]).split(b"\n")
-        yield b"".join(w.encode("utf-8") + b" " + row + b"\n"
-                       for w, row in zip(space.words[start:start + step], rows))
+        yield b"".join(w + b" " + row + b"\n" for w, row in zip(words[start:start + step], rows))
 
 
 def _write_hashed(path: Path, chunks: Iterable[bytes]) -> str:
@@ -450,7 +449,7 @@ def _serve_companion(path: Path, limit: int | None) -> VecParts | None:
         norms = np.sqrt(np.vecdot(vectors, vectors))
     # the text keeps each such row as written and counts nothing; an empty or
     # zero-width matrix is left to the text's own header checks
-    usable = norms.size and np.all(np.isfinite(norms) & (norms != 0))
+    usable = norms.size and np.all(np.isfinite(norms) & vectors.any(axis=1))
     if len(tokens) != len(vectors) or not usable:
         return None
     return VecParts(tuple(tokens), vectors, LoadStats())

@@ -30,8 +30,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, load_embeddings, top_k_rows, write_embeddings
-from .formats import dumps_json
+from .embeddings import (EmbeddingSpace, cosines_to_all, load_embeddings, top_k_indices,
+                         write_embeddings)
+from .formats import dumps_json, read_vec
 from .lexicon import BilingualLexicon, load_lexicon
 from .seeds import spawn_rng
 
@@ -229,8 +230,9 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
 
     Ordered by cluster index, which follows the center positions along the
     variation axis, so the first anchor sits at one end of the swept range.
-    Each cluster's members, in vocabulary order, are ranked against its
-    center with top_k_rows: the highest cosine wins, ties to the first member.
+    Each cluster's members, in vocabulary order, are ranked by their
+    cosines_to_all score against its center with top_k_indices: the highest
+    cosine wins, ties to the first member.
     """
     space, centers = world.src_space, world.ground_truth.cluster_centers
     members: dict[int, list[int]] = {}
@@ -238,11 +240,9 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
         members.setdefault(label, []).append(space.index(word))
     anchors = []
     for label in sorted(members):
-        rows = sorted(members[label])
-        cluster = EmbeddingSpace([space.words[row] for row in rows], space.vectors[rows],
-                                 normalized=space.normalized)
-        best = top_k_rows(cluster, [centers[label]], 1)[0][0, 0]
-        anchors.append(cluster.words[best])
+        rows = np.sort(members[label])
+        cos = cosines_to_all(space, centers[label])[rows]
+        anchors.append(space.words[rows[top_k_indices(cos, 1)[0]]])
     return anchors
 
 
@@ -305,8 +305,8 @@ def load_world(directory: str | Path) -> SyntheticWorld:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad world descriptor in {descriptor_path}: {exc}") from None
 
-    src = load_embeddings(directory / "src.vec", normalize=False)
-    src_space = EmbeddingSpace(src.words, src.vectors, normalized=True, stats=src.stats)
+    words, vectors, stats = read_vec(directory / "src.vec", limit=None, normalize=False)
+    src_space = EmbeddingSpace(words, vectors, normalized=True, stats=stats)
     tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
     lexicon = load_lexicon(directory / "lexicon.txt")
     return SyntheticWorld(src_space=src_space, tgt_space=tgt_space, lexicon=lexicon,

@@ -118,10 +118,7 @@ def translate_words(
     """
     vectors = [src_space.vector(w) for w in src_words]
     chosen = dispatch(atlas, vectors, floor)
-    by_map: dict[int, list[int]] = {}
-    for i, (m, _) in enumerate(chosen):
-        by_map.setdefault(id(m), []).append(i)
-    order = [i for group in by_map.values() for i in group]
+    order = np.argsort([id(m) for m, _ in chosen], kind="stable")  # input order within a map
     tops, scores = top_k_rows(tgt_space, (chosen[i][0].apply(vectors[i]) for i in order), k)
     back = np.argsort(order)
     words = tgt_space.words

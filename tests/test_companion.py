@@ -351,8 +351,17 @@ def test_zero_or_non_finite_row_is_parsed_and_counted(tmp_path, text_parses, val
     write_embeddings(EmbeddingSpace(space.words, vectors), path)
     assert VecFile().companion(path).is_file()
     back = load_embeddings(path, normalize=normalize)
-    assert text_parses == [path]
     assert back.stats == counted
+    if value != 1e-170:
+        assert text_parses == [path]
+        return
+    # not a row of zeros: the companion serves what the text gives
+    assert text_parses == []
+    VecFile().companion(path).unlink()
+    text = load_embeddings(path, normalize=normalize)
+    assert text_parses == [path]
+    assert ((back.words, back.vectors.tobytes(), back.stats)
+            == (text.words, text.vectors.tobytes(), LoadStats()))
 
 
 @pytest.mark.parametrize("word", ["", "a b", "a\nb", "a\rb", "\ud800"])
@@ -382,7 +391,7 @@ def test_word_the_text_keeps_gets_a_companion(tmp_path, text_parses, word):
 @pytest.mark.parametrize("row", [np.full(6, 1e-170), np.full(6, 1e-310),
                                  np.array([1.5e-162] * 5 + [2.23e-162])],
                          ids=["1e-170", "1e-310", "1.5e-162"])
-def test_row_too_small_to_square_is_normalized_exactly(tmp_path, row):
+def test_row_too_small_to_square_is_normalized_exactly(tmp_path, text_parses, row):
     """Each row is normalized as (r * 2**600) / its norm: the squares of r underflow."""
     path = tmp_path / "e.vec"
     write_embeddings(EmbeddingSpace(["t", "ones"], np.stack([row, np.ones(6)])), path)
@@ -392,6 +401,7 @@ def test_row_too_small_to_square_is_normalized_exactly(tmp_path, row):
     expected = np.stack([scaled / np.sqrt(np.vecdot(scaled, scaled)), np.ones(6) / np.sqrt(6.0)])
     assert back.vectors.tobytes() == expected.tobytes()
     served = load_every_way(path, 2)
+    assert text_parses == [path] * 4  # the limits below the row count: the full loads are served
     VecFile().companion(path).unlink()
     assert load_every_way(path, 2) == served
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import lexmap.formats
 from lexmap import embeddings
 from lexmap.cli import run
-from lexmap.embeddings import EmbeddingSpace, top_k_by_cosine
+from lexmap.embeddings import EmbeddingSpace, cosines_to_all, top_k_by_cosine
 from lexmap.mapper import LinearMap, load_map
 from lexmap.synth import (
     default_anchor_words,
@@ -22,6 +22,7 @@ from lexmap.synth import (
 from lexmap.translate import (
     AtlasEntry,
     MapAtlas,
+    dispatch,
     load_atlas,
     piecewise_translate,
     save_atlas,
@@ -158,6 +159,28 @@ class TestPiecewiseTranslate:
         got, label = piecewise_translate(atlas, "w00002", world.src_space, world.tgt_space, 1)
         assert label == "global"
         assert got[0][0] == world.lexicon.targets("w00002")[0]
+
+
+@pytest.mark.parametrize("fallback", [LinearMap(3.0 * np.eye(2), anchor="global"), None])
+def test_dispatch_at_the_floor(fallback):
+    """A best anchor cosine equal to the floor keeps its map, and one ulp below the floor
+    sends the query to the fallback; without a fallback the best anchor serves it whatever
+    the floor. translate_words labels each word as dispatch does."""
+    src = EmbeddingSpace(["a", "b", "q"], np.array([[1.0, 0.0], [0.0, 1.0], [3.0, 1.0]]))
+    local = LinearMap(np.eye(2), anchor="a")
+    atlas = MapAtlas((AtlasEntry("a", src.vector("a"), local),
+                      AtlasEntry("b", src.vector("b"), LinearMap(-np.eye(2), anchor="b"))),
+                     fallback=fallback)
+    cos = cosines_to_all(atlas.anchors, src.vector("q"))[0]
+    assert 0.0 < cos < 1.0
+    below = (fallback, "global") if fallback else (local, "a")
+    for floor, (chosen, label) in [(cos, (local, "a")), (np.nextafter(cos, 2.0), below),
+                                   (1.0, below), (2.0, below)]:
+        [(m, got)] = dispatch(atlas, [src.vector("q")], floor)
+        assert m is chosen and got == label
+        labels = [lab for _, lab in translate_words(atlas, ["q", "b", "q"], src, src, 1, floor)]
+        b_label = "global" if fallback and floor > 1.0 else "b"
+        assert labels == [label, b_label, label]
 
 
 @st.composite
