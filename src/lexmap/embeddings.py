@@ -15,8 +15,10 @@ import numpy as np
 
 from .formats import LoadStats, read_vec, write_vec
 
-# least bytes of one top_k_rows block: its unit queries, GEMM cosines and their argpartition
+# least bytes of one top_k_rows block: its unit queries, one tile's GEMM scores and their partition
 _BLOCK_BYTES = 2 << 20
+# rows of the space per top_k_rows GEMM tile
+_ROW_TILE = 4096
 # a vector normed below this may have lost its squares' bits to underflow; times 2**600 it has not
 _TINY_NORM = 2.0**-450
 
@@ -30,6 +32,12 @@ class EmbeddingSpace:
     over the row's read-only norm: inf for a zero row, exactly 1.0 in a
     normalized space, exact for a raw row too small to square. ``vecdot``
     sums each row alone: equal rows score bit-equal wherever they sit.
+
+    The first ``top_k_rows`` that ranks against a space builds a float32
+    copy of its unit rows, which picks the candidates, and keeps it,
+    read-only, for the space's lifetime: V * d * 4 bytes more, 60 MB at
+    50,000 x 300. Two threads that rank at once may each build it; both
+    builds hold equal bytes, so either one serves.
     """
 
     def __init__(
@@ -67,6 +75,7 @@ class EmbeddingSpace:
         self.row_norms = norms
         self.stats = stats
         self._index = index
+        self._unit32: np.ndarray | None = None  # built by the first ranking: _float32_rows
 
     def __len__(self) -> int:
         return len(self.words)
@@ -201,24 +210,41 @@ def top_k_rows(
     """Indices and cosines of the k best rows for each query, best first.
 
     Equal, bit for bit, to ranking ``cosines_to_all`` of each query with
-    ``top_k_indices``, whatever the block size or BLAS thread count. Queries
-    are read lazily, a block at a time, and each block's unit queries are
-    normed in one pass and scored with one GEMM, which only selects
-    candidates. Two summation orders of one d-term dot product differ by at
-    most 2 gamma_d |q| |v|, with gamma_m = m u / (1 - m u) and u = 2^-53.
-    Every row whose GEMM cosine lies within 4 gamma_{2d+4} of the query's
-    k-th best GEMM cosine is a candidate. That one margin holds for every
-    space: a unit query's norm is within gamma_d of 1 (``_unit_rows`` scales
-    a query whose squares could underflow), a normalized row's within 1.1e-5
-    (the constructor's check), and the d+4 spare terms cover both factors,
-    a raw space's norms and division, and the margin's own rounding. Rows
-    it does not cover, nonzero with a tiny or inf norm, are always
-    candidates, and a query whose unit vector is not finite has every row.
+    ``top_k_indices``, whatever the block size, row tile or BLAS thread
+    count. Queries are read lazily, a block at a time, and each block's
+    unit queries are normed in one pass. A float32 GEMM against the space's
+    float32 unit rows (``_float32_rows``), _ROW_TILE rows at a time, only
+    selects candidates: every row whose GEMM score is at least the query's
+    k-th best GEMM score less a margin. A running k-th best carries from
+    tile to tile; it only rises, so the rows a tile keeps against it are
+    filtered once more against the last.
 
-    A query whose candidates are exactly the k rows of one ``argpartition``
-    of the block's GEMM, as almost every query's are, is ranked with the
-    block: one gathered ``vecdot`` rescores the candidates, in ascending
-    row order, with ``cosines_to_all``'s row products, and one
+    The margin depends on d alone. Let q be a unit query, x a row, n its
+    norm (1.0 in a normalized space), s the rescored cosine, the float64
+    ``vecdot(x, q) / n``, and g the GEMM score of fl32(x / n) against
+    fl32(q). With u = 2^-24 and gamma_m = m u / (1 - m u), each float32
+    entry is within gamma_2 of its real value, and an sgemm that sums the
+    d products in any order is within gamma_d of their exact sum, so
+    |g - x.q / n| <= gamma_{d+3} |q| |x| / n. A unit query's norm is within
+    gamma_d of 1 (``_unit_rows`` scales a query whose squares could
+    underflow), a normalized row's within 1.1e-5 (the constructor's check)
+    and a raw row's |x| / n within gamma_d, and each float64 rounding of s
+    is below u; clipping both scores widens no gap. So each g lies within
+    e ~ gamma_{d+3} of its s, the k-th best g at most e above the k-th best
+    s, and each of the k best rows has a g at least the k-th best g less 2e.
+    The margin is 4 gamma_{2d+4} + d 2^-122 (about 1.44e-4 at d=300): its
+    d + 4 spare terms cover the norms, the float64 rounding of s and the
+    float32 rounding of the margin and of the k-th best less it. The
+    absolute term covers float32's range: an entry, product or partial sum
+    below 2^-126 is off by up to 2^-126 (a subnormal rounded, or flushed to
+    zero), at most 5d of them, whatever the BLAS does with subnormals; it
+    is far below the first term's last bit. Rows the margin does not cover,
+    nonzero with a tiny or inf norm, are always candidates, and a query
+    whose unit vector is not finite has every row.
+
+    A query of exactly k candidates, as almost every query is, is ranked
+    with the block: one gathered ``vecdot`` rescores the candidates, in
+    ascending row order, with ``cosines_to_all``'s row products, and one
     ``top_k_indices`` ranks every such query's row. Any other query is
     rescored over its candidates and ranked on its own. A space of fewer
     than k rows gives all of them, ranked with the block; an empty space
@@ -229,43 +255,30 @@ def top_k_rows(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    n = len(space)
-    width = min(k, n)
+    width = min(k, len(space))
     # a block's gathered candidate rows stay within _BLOCK_BYTES too
     block = min(_block_queries(space), max(1, _BLOCK_BYTES // (8 * width * space.dim or 1)))
     forced = _forced_candidates(space)
-    mu = (2 * space.dim + 4) * 2.0**-53
-    margin = 4.0 * mu / (1.0 - mu)
+    mu = (2 * space.dim + 4) * 2.0**-24
+    margin = np.float32(4.0 * mu / (1.0 - mu) + space.dim * 2.0**-122)
     indices = [np.empty((0, width), dtype=np.intp)]
     scores = [np.empty((0, width))]
     it = iter(queries)
     while batch := list(islice(it, block)):
         unit = _unit_queries(space, batch)
-        if k < n:
-            with np.errstate(over="ignore", invalid="ignore"):  # forced rows are reset below
-                gemm = unit @ space.vectors.T
-                if not space.normalized:  # a normalized space's norms are 1.0
-                    gemm /= space.row_norms
-            np.clip(gemm, -1.0, 1.0, out=gemm)
-            gemm[:, forced] = -np.inf
-            best = np.argpartition(gemm, n - k, axis=1)[:, n - k:]
-            kth = np.take_along_axis(gemm, best[:, :1], axis=1)
-            candidates = gemm >= kth - margin
-            candidates[~np.isfinite(unit).all(axis=1)] = True
-            candidates[:, forced] = True
-            exact = np.count_nonzero(candidates, axis=1) == k
-        else:
-            best = np.broadcast_to(np.arange(n), (len(batch), n))
-            exact = np.ones(len(batch), dtype=bool)
+        query, row = _candidates(space, unit, k, forced, margin)
+        count = np.bincount(query, minlength=len(batch))
+        exact = count == width
         top = np.empty((len(batch), width), dtype=np.intp)
         cos = np.empty((len(batch), width))
-        rows = np.sort(best[exact], axis=1)
+        rows = row[exact[query]].reshape(np.count_nonzero(exact), width)
         rescored = _cosines(space, rows, unit[exact][:, None])
         rank = top_k_indices(rescored, k)
         top[exact] = np.take_along_axis(rows, rank, axis=1)
         cos[exact] = np.take_along_axis(rescored, rank, axis=1)
+        end = np.cumsum(count)
         for i in np.flatnonzero(~exact):
-            rows = np.flatnonzero(candidates[i])
+            rows = row[end[i] - count[i]:end[i]]
             rescored = _cosines(space, rows, unit[i])
             rank = top_k_indices(rescored, k)
             top[i], cos[i] = rows[rank], rescored[rank]
@@ -274,15 +287,68 @@ def top_k_rows(
     return np.concatenate(indices), np.concatenate(scores)
 
 
+def _candidates(
+    space: EmbeddingSpace, unit: np.ndarray, k: int, forced: np.ndarray, margin: np.float32
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each unit query's candidate rows under top_k_rows' margin, as (query, row) index
+    pairs sorted by query, then row: every row when the space has at most k."""
+    n = len(space)
+    if k >= n:
+        return np.repeat(np.arange(len(unit)), n), np.tile(np.arange(n), len(unit))
+    space_rows = _float32_rows(space)
+    finite = np.isfinite(unit).all(axis=1)
+    unit32 = np.where(finite[:, None], unit, 0.0).astype(np.float32)
+    best = np.empty((len(unit), 0), dtype=np.float32)  # the k best GEMM scores so far
+    kept = []
+    for start in range(0, n, _ROW_TILE):
+        gemm = unit32 @ space_rows[start:start + _ROW_TILE].T
+        odd = forced[(forced >= start) & (forced < start + gemm.shape[1])] - start
+        gemm[:, odd] = -np.inf
+        seen = np.concatenate([best, gemm], axis=1) if start else gemm
+        best = np.partition(seen, max(seen.shape[1] - k, 0), axis=1)[:, -k:]  # a copy
+        if best.shape[1] < k:  # fewer than k rows so far: every row is a candidate
+            floor = np.full(len(unit), -np.inf, dtype=np.float32)
+        else:
+            floor = np.clip(best[:, 0], -1.0, 1.0) - margin
+            floor[(floor <= -1.0) | ~finite] = -np.inf  # every clipped score is at least -1
+        gemm[:, odd] = np.inf  # forced rows pass every floor; best holds them as -inf
+        flat = np.flatnonzero(gemm >= floor[:, None])  # a 1-D nonzero: ten times a 2-D one's speed
+        query, row = np.divmod(flat, gemm.shape[1])
+        kept.append((query, row + start, gemm.ravel()[flat]))
+    query, row, score = (np.concatenate(part) for part in zip(*kept))
+    keep = score >= floor[query]
+    order = np.argsort(query[keep], kind="stable")  # tile by tile, each by query, then row
+    return query[keep][order], row[keep][order]
+
+
+def _float32_rows(space: EmbeddingSpace) -> np.ndarray:
+    """The space's unit rows in float32: built by the first ranking, then kept read-only.
+
+    Each row is divided by its norm in float64, then cast, so a raw entry
+    beyond float32's range casts to at most 1; a normalized space's norms
+    are 1.0. The rows of _forced_candidates are zero.
+    """
+    rows = space._unit32
+    if rows is None:
+        rows = np.empty(space.vectors.shape, dtype=np.float32)
+        with np.errstate(invalid="ignore"):  # inf over an inf norm, in a forced row
+            np.divide(space.vectors, space.row_norms[:, None], out=rows, casting="same_kind")
+        rows[_forced_candidates(space)] = 0.0
+        rows.flags.writeable = False
+        space._unit32 = rows
+    return rows
+
+
 def _block_queries(space: EmbeddingSpace) -> int:
     """Queries per top_k_rows block.
 
-    A block fills _BLOCK_BYTES, or an eighth of a larger space's matrix: the
-    GEMM then reads the matrix once per about d/16 queries rather than per
-    query, and the block adds at most an eighth to the space's memory.
+    A block's float32 GEMM scores of one row tile, and their partition,
+    fill _BLOCK_BYTES, or an eighth of a larger space's float32 rows: the
+    GEMM then reads the rows once per many queries rather than per query,
+    and a block's memory stops growing with the space past one tile.
     """
-    block_bytes = max(_BLOCK_BYTES, space.vectors.nbytes // 8)
-    return max(1, block_bytes // (8 * (space.dim + 2 * len(space))))
+    block_bytes = max(_BLOCK_BYTES, 4 * space.dim * len(space) // 8)
+    return max(1, block_bytes // (4 * (space.dim + 2 * min(len(space), _ROW_TILE))))
 
 
 def _forced_candidates(space: EmbeddingSpace) -> np.ndarray:

@@ -76,11 +76,16 @@ class TranslationDataset:
         return {inst.source_word for inst in self.instances}
 
     def source_matrix(self) -> np.ndarray:
-        return np.vstack([inst.source_vector for inst in self.instances])
+        """The instances' source vectors as rows, in one copy."""
+        if not self.instances:
+            raise ValueError("need at least one array to concatenate")  # as np.vstack([])
+        return np.array([inst.source_vector for inst in self.instances])
 
     def target_matrix(self, tgt_space: EmbeddingSpace) -> np.ndarray:
         """Each instance's first gold target vector: the training target."""
-        return np.vstack([tgt_space.vector(inst.gold_targets[0]) for inst in self.instances])
+        if not self.instances:
+            raise ValueError("need at least one array to concatenate")  # as np.vstack([])
+        return tgt_space.vectors[[tgt_space.index(inst.gold_targets[0]) for inst in self.instances]]
 
 
 def load_lexicon(path: str | Path) -> BilingualLexicon:

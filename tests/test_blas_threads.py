@@ -7,7 +7,8 @@ one to two. The report files, saved maps and translations must be equal
 byte for byte. At d=300 the matrix products are large enough for a
 threaded BLAS to split them, which d=8 golden runs never do; every ranking
 selects its candidates with a GEMM, so the translations guard the margin
-that keeps those rankings exact. A least-squares run is expected to differ,
+that keeps those rankings exact, and ``top_k_rows`` is checked on its own
+on spaces full of near ties. A least-squares run is expected to differ,
 on the SkylakeX core it was seen on: its normal equations still change in
 their last bits with the thread count (ROADMAP item 1).
 """
@@ -29,18 +30,55 @@ from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
 
 SRC = str(Path(lexmap.__file__).resolve().parents[1])
 COMPARED = ("report.tsv", "report.jsonl", "pairwise.tsv", "scatter.tsv")
+# top_k_rows over a raw and a normalized space of 5000 rows, two row tiles at the
+# default tile, whose groups of 8 rows are a row and its copies nudged by float32
+# and float64 ulps; 400 queries near the groups, in blocks of 87 at k=10. Prints
+# a digest of each ranking and whether it equals the per-query one.
+RANKING = """
+import hashlib
+import numpy as np
+from lexmap.embeddings import EmbeddingSpace, cosines_to_all, top_k_indices, top_k_rows
+rng = np.random.default_rng(41)
+vectors = rng.standard_normal((5000, 300))
+for normalized in (False, True):
+    if normalized:
+        vectors = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    vectors[1::8] = vectors[::8] * (1.0 + rng.integers(-4, 5, size=(625, 300)) * 2.0**-24)
+    vectors[2::8] = np.nextafter(vectors[::8], np.inf)
+    vectors[3::8] = vectors[::8]
+    space = EmbeddingSpace([f"t{i}" for i in range(5000)], vectors, normalized)
+    queries = vectors[rng.integers(0, 625, 300) * 8] + 0.3 * rng.standard_normal((300, 300))
+    queries = list(queries) + list(vectors[:800:8] * 3.0)
+    indices, scores = top_k_rows(space, queries, 10)
+    cos = [cosines_to_all(space, query) for query in queries]
+    top = [top_k_indices(c, 10) for c in cos]
+    alone = np.array(top).tobytes() + np.array([c[t] for c, t in zip(cos, top)]).tobytes()
+    print(hashlib.sha256(indices.tobytes() + scores.tobytes()).hexdigest(),
+          indices.tobytes() + scores.tobytes() == alone)
+"""
 
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads"
 )
 
 
-def _lexmap(args: list[str], threads: int) -> None:
+def _python(args: list[str], threads: int) -> str:
     env = {**os.environ, "PYTHONPATH": SRC}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
-    subprocess.run([sys.executable, "-m", "lexmap.cli", *args],
-                   check=True, capture_output=True, env=env, cwd=SRC)
+    return subprocess.run([sys.executable, *args], check=True, capture_output=True,
+                          env=env, cwd=SRC, text=True).stdout
+
+
+def _lexmap(args: list[str], threads: int) -> None:
+    _python(["-m", "lexmap.cli", *args], threads)
+
+
+def test_top_k_rows_equal_under_one_and_two_blas_threads():
+    """The float32 candidate GEMM may sum in another order on two threads; the
+    margin keeps every index and score bit."""
+    one, two = (_python(["-c", RANKING], threads).split() for threads in (1, 2))
+    assert one[1::2] == ["True", "True"] and one == two
 
 
 @pytest.fixture(scope="module")

@@ -88,6 +88,31 @@ class TestTranslationDataset:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             TranslationDataset(tuple(instances))
 
+    def test_matrices_equal_the_vstack_of_their_rows(self):
+        """Both matrices hold the bytes, dtype and C order of np.vstack over the
+        instances' rows; a split's instances come in shuffled order, and a later
+        gold target does not count."""
+        rng = np.random.default_rng(4)
+        src = random_space(rng, 30, 7, tag="s")
+        tgt = random_space(rng, 20, 7, tag="t")
+        lex = BilingualLexicon({f"s{i}": [f"t{(3 * i) % 20}", f"t{i % 20}"] for i in range(30)})
+        train, test = split_dataset(build_full_dataset(lex, src, tgt), 9, seed=5)
+        for ds in (train, test):
+            for got, expected in (
+                (ds.source_matrix(), np.vstack([inst.source_vector for inst in ds.instances])),
+                (ds.target_matrix(tgt),
+                 np.vstack([tgt.vector(inst.gold_targets[0]) for inst in ds.instances])),
+            ):
+                assert got.dtype == expected.dtype and got.shape == expected.shape
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("matrix", ["source", "target"])
+    def test_matrices_of_an_empty_dataset_raise_as_vstack(self, tgt_space, matrix):
+        empty = TranslationDataset(())
+        with pytest.raises(ValueError, match="^need at least one array to concatenate$"):
+            empty.source_matrix() if matrix == "source" else empty.target_matrix(tgt_space)
+
 
 class TestBuildDataset:
     def test_direct_filter(self, toy_space, tgt_space):

@@ -349,3 +349,183 @@ def test_tiny_row_is_normed_exactly():
     indices, scores = top_k_rows(space, [query], 1)
     assert indices.tolist() == [[0]] and scores.tobytes() == expected[:1].tobytes()
     assert cosine_similarity(tiny, query) == cosine_similarity(tiny * 2.0**600, query) == expected[0]
+
+
+def ranked_alone_spy(monkeypatch):
+    """The 1-D top_k_indices calls of top_k_rows: one per query ranked on its own."""
+    alone = []
+
+    def spy(scores, k):
+        if np.ndim(scores) == 1:
+            alone.append(scores)
+        return top_k_indices(scores, k)
+
+    monkeypatch.setattr(embeddings, "top_k_indices", spy)
+    return alone
+
+
+def assert_ranks_per_query(space, queries, k, tile, per_block=1000):
+    """top_k_rows with rows tiled ``tile`` at a time equals the per-query path."""
+    with mock.patch.object(embeddings, "_ROW_TILE", tile), \
+            mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+        indices, scores = top_k_rows(space, queries, k)
+    got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
+    assert got == per_query_top_k(space, queries, k)
+    return got[0]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing rows, as per query
+@settings(max_examples=200, deadline=None)
+@given(retrieval_cases(), st.sampled_from([1, 2, 3, 4, 7]))
+def test_top_k_rows_in_small_row_tiles_equals_per_query_path(case, tile):
+    """Every retrieval case again, its rows scored a few at a time: ties and
+    forced rows fall on every side of a tile boundary, and k often exceeds
+    a tile."""
+    space, queries, k, per_block = case
+
+    def batched():
+        indices, scores = top_k_rows(space, iter(queries), k)
+        return [row.tolist() for row in indices], [row.tobytes() for row in scores]
+
+    with mock.patch.object(embeddings, "_ROW_TILE", tile), \
+            mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+        got = result_or_error(batched)
+    assert got == result_or_error(per_query_top_k, space, queries, k)  # a zero query raises
+
+
+def test_ties_straddling_a_tile_boundary_rank_by_index():
+    """Five equal rows span the boundary between tiles 0 and 1, a sixth sits in
+    tile 3; every cut through the tie keeps the lowest indices."""
+    rng = np.random.default_rng(31)
+    vectors = rng.standard_normal((16, 300))
+    vectors[[2, 3, 4, 5, 6, 13]] = vectors[2]
+    space = EmbeddingSpace([f"t{i}" for i in range(16)], vectors)
+    queries = [vectors[2], vectors[2] * 7.0 + 1e-3 * rng.standard_normal(300)]
+    for k in (1, 3, 5, 6, 7):
+        got = assert_ranks_per_query(space, queries, k, tile=4)
+        assert got[0] == [2, 3, 4, 5, 6, 13, *got[0][6:]][:k]
+
+
+@pytest.mark.parametrize("tile", [4, 5, 16])
+def test_kth_score_first_seen_in_the_last_tile(tile, monkeypatch):
+    """The k best rows all sit in the last tile, or all in the first: the
+    running k-th merges across tiles, so each query admits just its k rows
+    and is ranked with the block."""
+    rng = np.random.default_rng(32)
+    vectors = rng.standard_normal((64, 300))
+    space = EmbeddingSpace([f"t{i}" for i in range(64)], vectors)
+    sets = ([61, 62, 63], [0, 1, 2], [3, 30, 60], [63, 0, 33])
+    queries = [vectors[rows].sum(axis=0) for rows in sets]
+    alone = ranked_alone_spy(monkeypatch)
+    got = assert_ranks_per_query(space, queries, 3, tile)
+    assert [sorted(rows) for rows in got] == [sorted(rows) for rows in sets]
+    assert alone == []
+
+
+def test_k_larger_than_a_tile():
+    rng = np.random.default_rng(33)
+    vectors = rng.standard_normal((11, 40))
+    vectors[7] = vectors[1]
+    space = EmbeddingSpace([f"t{i}" for i in range(11)], vectors)
+    queries = [*rng.standard_normal((5, 40)), vectors[1]]
+    for k in (3, 5, 10):
+        assert_ranks_per_query(space, queries, k, tile=2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing rows, as per query
+def test_forced_rows_in_different_tiles_are_candidates_of_every_query(monkeypatch):
+    """Tiny, overflowing and inf rows sit in three tiles; each is rescored for
+    every query, so every query is ranked on its own."""
+    rng = np.random.default_rng(34)
+    vectors = rng.standard_normal((14, 30))
+    vectors[1] = ODD_ROWS["tiny"](30)
+    vectors[6] = ODD_ROWS["overflowing"](30)
+    vectors[12] = np.resize([np.inf, 1.0], 30)
+    vectors[9] = vectors[2]
+    space = EmbeddingSpace([f"t{i}" for i in range(14)], vectors)
+    queries = [*rng.standard_normal((4, 30)), vectors[1] * 2.0**600, vectors[2]]
+    alone = ranked_alone_spy(monkeypatch)
+    for k in (1, 2, 6):
+        alone.clear()
+        assert_ranks_per_query(space, queries, k, tile=4)
+        assert len(alone) == len(queries)
+
+
+def float32_near_copies(normalized, seed):
+    """Rows of groups of 16 near-copies, each entry moved by up to 8 float32 ulps,
+    and queries near the groups' first rows: their cosines differ by less than
+    the float32 GEMM's error, so it cannot order them, but float64 can."""
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((160, 300))
+    if normalized:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    for base in range(0, 160, 16):
+        steps = rng.integers(-8, 9, size=(15, 300)) * 2.0**-24
+        vectors[base + 1:base + 16] = vectors[base] * (1.0 + steps)
+    space = EmbeddingSpace([f"t{i}" for i in range(160)], vectors, normalized)
+    queries = vectors[::16] + 0.5 * rng.standard_normal((10, 300))
+    return space, [*queries, *vectors[::16]]
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+@pytest.mark.parametrize("tile", [4096, 24])
+def test_float32_near_copies_rank_as_float64(normalized, tile):
+    for seed in range(3):
+        space, queries = float32_near_copies(normalized, seed)
+        for k in (1, 4, 10):
+            assert_ranks_per_query(space, queries, k, tile, per_block=7)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing rows, as per query
+@pytest.mark.parametrize("tile", [4096, 3])
+def test_float32_extremes_rank_as_float64(tile):
+    """Exact ties, a zero row, overflowing and tiny rows, rows whose unit entries
+    fall below float32's normal range (2**-126) and rows of entries beyond
+    float32's range, in a raw space; then the normal rows, normalized."""
+    rng = np.random.default_rng(35)
+    vectors = rng.standard_normal((24, 50))
+    vectors[3] = vectors[17] = vectors[5]
+    vectors[8] = 0.0
+    vectors[10] = ODD_ROWS["overflowing mixed"](50)
+    vectors[11] = ODD_ROWS["tiny"](50)
+    for row in (13, 14, 15):  # unit entries from 1e-30 down to subnormal float32 and below
+        vectors[row] = vectors[row - 12]
+        vectors[row, 25:] = vectors[row, 25:] * 10.0 ** -rng.integers(30, 50, size=25)
+    vectors[20] = vectors[19] * 2.0**400  # beyond float32's range; ties with row 19 exactly
+    vectors[21] = rng.standard_normal(50) * 1e39
+    space = EmbeddingSpace([f"t{i}" for i in range(24)], vectors)
+    queries = [*rng.standard_normal((4, 50)), *vectors[[1, 5, 13, 19, 21]]]
+    tiny_entries = vectors[2].copy()
+    tiny_entries[::2] *= 1e-44  # a query whose unit entries underflow float32
+    queries.append(tiny_entries)
+    for k in (1, 2, 5):
+        assert_ranks_per_query(space, queries, k, tile)
+    normal = [i for i in range(24) if i not in (8, 10, 11)]
+    unit = vectors[normal] / space.row_norms[normal][:, None]
+    space = EmbeddingSpace([f"t{i}" for i in range(len(normal))], unit, normalized=True)
+    for k in (1, 2, 5):
+        assert_ranks_per_query(space, queries, k, tile)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row
+@pytest.mark.parametrize("normalized", [True, False])
+def test_float32_rows_are_built_once_and_read_only(normalized):
+    """The first ranking casts the space's unit rows to float32, forced rows as
+    zero; later rankings reuse that one read-only array."""
+    rng = np.random.default_rng(36)
+    vectors = rng.standard_normal((30, 8))
+    if normalized:
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    else:
+        vectors[[4, 9]] = ODD_ROWS["tiny"](8), ODD_ROWS["overflowing"](8)
+    space = EmbeddingSpace([f"t{i}" for i in range(30)], vectors, normalized)
+    top_k_rows(space, rng.standard_normal((3, 8)), 2)
+    rows = space._unit32
+    expected = (vectors / space.row_norms[:, None]).astype(np.float32)
+    if not normalized:
+        expected[[4, 9]] = 0.0
+    assert rows.dtype == np.float32 and rows.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 1.0
+    top_k_rows(space, rng.standard_normal((3, 8)), 5)
+    assert space._unit32 is rows
