@@ -94,7 +94,8 @@ def build_parser(defaults: dict[str, dict] | None = None) -> argparse.ArgumentPa
     p.add_argument("--lexicon")
     p.add_argument("--anchors", help="comma list; first anchor is the reference")
     _add_eval_flags(p, test_size=500)
-    p.add_argument("--split-method", choices=["random", "frequency"], default="random")
+    p.add_argument("--split-method", choices=["random", "frequency"], default="random",
+                   help="test words: a seeded sample, or each neighborhood's members nearest its anchor")
     _add_train_flags(p)
 
     p = sub.add_parser("translate", help="batch translation via a map or an atlas")

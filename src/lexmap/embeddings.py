@@ -32,6 +32,8 @@ class EmbeddingSpace:
     over the row's read-only norm: inf for a zero row, exactly 1.0 in a
     normalized space, exact for a raw row too small to square. ``vecdot``
     sums each row alone: equal rows score bit-equal wherever they sit.
+    The rows ``top_k_rows``' margin does not cover, nonzero with a tiny or
+    inf norm (raw spaces only), are found once, when the space is built.
 
     The first ``top_k_rows`` that ranks against a space builds a float32
     copy of its unit rows, which picks the candidates, and keeps it,
@@ -66,6 +68,9 @@ class EmbeddingSpace:
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
         norms = np.ones_like(norms) if normalized else norms  # x / 1.0 is x, bit for bit
         norms.flags.writeable = False
+        forced = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
+        forced = forced[vectors[forced].any(axis=1)]  # a zero row scores 0 in any order
+        forced.flags.writeable = False
 
         self.words: tuple[str, ...] = tuple(words)
         self.vectors = vectors
@@ -75,6 +80,7 @@ class EmbeddingSpace:
         self.row_norms = norms
         self.stats = stats
         self._index = index
+        self._forced = forced  # rows outside top_k_rows' margin: always its candidates
         self._unit32: np.ndarray | None = None  # built by the first ranking: _float32_rows
 
     def __len__(self) -> int:
@@ -239,8 +245,8 @@ def top_k_rows(
     below 2^-126 is off by up to 2^-126 (a subnormal rounded, or flushed to
     zero), at most 5d of them, whatever the BLAS does with subnormals; it
     is far below the first term's last bit. Rows the margin does not cover,
-    nonzero with a tiny or inf norm, are always candidates, and a query
-    whose unit vector is not finite has every row.
+    nonzero with a tiny or inf norm, are found when the space is built and
+    are always candidates; a query whose unit vector is not finite has every row.
 
     A query of exactly k candidates, as almost every query is, is ranked
     with the block: one gathered ``vecdot`` rescores the candidates, in
@@ -258,7 +264,6 @@ def top_k_rows(
     width = min(k, len(space))
     # a block's gathered candidate rows stay within _BLOCK_BYTES too
     block = min(_block_queries(space), max(1, _BLOCK_BYTES // (8 * width * space.dim or 1)))
-    forced = _forced_candidates(space)
     mu = (2 * space.dim + 4) * 2.0**-24
     margin = np.float32(4.0 * mu / (1.0 - mu) + space.dim * 2.0**-122)
     indices = [np.empty((0, width), dtype=np.intp)]
@@ -266,7 +271,7 @@ def top_k_rows(
     it = iter(queries)
     while batch := list(islice(it, block)):
         unit = _unit_queries(space, batch)
-        query, row = _candidates(space, unit, k, forced, margin)
+        query, row = _candidates(space, unit, k, margin)
         count = np.bincount(query, minlength=len(batch))
         exact = count == width
         top = np.empty((len(batch), width), dtype=np.intp)
@@ -277,6 +282,8 @@ def top_k_rows(
         top[exact] = np.take_along_axis(rows, rank, axis=1)
         cos[exact] = np.take_along_axis(rescored, rank, axis=1)
         end = np.cumsum(count)
+        # near ties send up to a fifth of the queries here: one flat rescoring per block took +44 %,
+        # and a padded one gathers its widest query's rows per query (10 GB at 50,000 x 300)
         for i in np.flatnonzero(~exact):
             rows = row[end[i] - count[i]:end[i]]
             rescored = _cosines(space, rows, unit[i])
@@ -288,29 +295,25 @@ def top_k_rows(
 
 
 def _candidates(
-    space: EmbeddingSpace, unit: np.ndarray, k: int, forced: np.ndarray, margin: np.float32
+    space: EmbeddingSpace, unit: np.ndarray, k: int, margin: np.float32
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each unit query's candidate rows under top_k_rows' margin, as (query, row) index
     pairs sorted by query, then row: every row when the space has at most k."""
-    n = len(space)
-    if k >= n:
-        return np.repeat(np.arange(len(unit)), n), np.tile(np.arange(n), len(unit))
+    n, forced = len(space), space._forced
     space_rows = _float32_rows(space)
     finite = np.isfinite(unit).all(axis=1)
     unit32 = np.where(finite[:, None], unit, 0.0).astype(np.float32)
     best = np.empty((len(unit), 0), dtype=np.float32)  # the k best GEMM scores so far
-    kept = []
+    floor = np.full(len(unit), -np.inf, dtype=np.float32)  # an empty space has no tile: no pairs
+    kept = [(np.empty(0, dtype=np.intp),) * 2 + (np.empty(0, dtype=np.float32),)]
     for start in range(0, n, _ROW_TILE):
         gemm = unit32 @ space_rows[start:start + _ROW_TILE].T
         odd = forced[(forced >= start) & (forced < start + gemm.shape[1])] - start
         gemm[:, odd] = -np.inf
         seen = np.concatenate([best, gemm], axis=1) if start else gemm
         best = np.partition(seen, max(seen.shape[1] - k, 0), axis=1)[:, -k:]  # a copy
-        if best.shape[1] < k:  # fewer than k rows so far: every row is a candidate
-            floor = np.full(len(unit), -np.inf, dtype=np.float32)
-        else:
-            floor = np.clip(best[:, 0], -1.0, 1.0) - margin
-            floor[(floor <= -1.0) | ~finite] = -np.inf  # every clipped score is at least -1
+        floor = np.clip(best[:, 0], -1.0, 1.0) - margin  # fewer than k rows: under their least
+        floor[(floor <= -1.0) | ~finite] = -np.inf  # every clipped score is at least -1
         gemm[:, odd] = np.inf  # forced rows pass every floor; best holds them as -inf
         flat = np.flatnonzero(gemm >= floor[:, None])  # a 1-D nonzero: ten times a 2-D one's speed
         query, row = np.divmod(flat, gemm.shape[1])
@@ -326,14 +329,14 @@ def _float32_rows(space: EmbeddingSpace) -> np.ndarray:
 
     Each row is divided by its norm in float64, then cast, so a raw entry
     beyond float32's range casts to at most 1; a normalized space's norms
-    are 1.0. The rows of _forced_candidates are zero.
+    are 1.0. The space's forced rows are zero.
     """
     rows = space._unit32
     if rows is None:
         rows = np.empty(space.vectors.shape, dtype=np.float32)
         with np.errstate(invalid="ignore"):  # inf over an inf norm, in a forced row
             np.divide(space.vectors, space.row_norms[:, None], out=rows, casting="same_kind")
-        rows[_forced_candidates(space)] = 0.0
+        rows[space._forced] = 0.0
         rows.flags.writeable = False
         space._unit32 = rows
     return rows
@@ -349,13 +352,6 @@ def _block_queries(space: EmbeddingSpace) -> int:
     """
     block_bytes = max(_BLOCK_BYTES, 4 * space.dim * len(space) // 8)
     return max(1, block_bytes // (4 * (space.dim + 2 * min(len(space), _ROW_TILE))))
-
-
-def _forced_candidates(space: EmbeddingSpace) -> np.ndarray:
-    """Rows outside the margin's reach: nonzero with a tiny or inf norm (raw spaces only)."""
-    norms = space.row_norms
-    odd = np.flatnonzero(~(norms >= _TINY_NORM) | np.isinf(norms))
-    return odd[space.vectors[odd].any(axis=1)]  # a zero row scores 0 in any order
 
 
 def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:

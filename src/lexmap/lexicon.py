@@ -199,9 +199,9 @@ def split_dataset(
     """Partition a dataset into (train, test), deterministic given the seed.
 
     "random" samples the test set uniformly without replacement. "frequency"
-    instead takes the first test_count instances in dataset order (which is
-    frequency order for .vec-derived neighborhoods) as the test set; it
-    exists to probe sensitivity to the sampling policy.
+    instead takes the first test_count instances in dataset order: for a
+    neighborhood (``build_dataset``), the members nearest the anchor, not the
+    most frequent words. It exists to probe sensitivity to the sampling policy.
     """
     n = len(ds.instances)
     if not 0 < test_count < n:

@@ -199,6 +199,19 @@ class TestSplitDataset:
         train, test = split_dataset(ds, 3, seed=0, method="frequency")
         assert [i.source_word for i in test.instances] == ["s0", "s1", "s2"]
 
+    def test_frequency_method_on_a_neighborhood_takes_its_nearest_members(self):
+        """A neighborhood's dataset is in descending cosine to the anchor, not in
+        vocabulary order, so "frequency" tests on the members nearest the anchor."""
+        rng = np.random.default_rng(7)
+        space = random_space(rng, 40, 4, tag="s")
+        lex = BilingualLexicon({f"s{i}": [f"t{i}"] for i in range(40)})
+        nb = build_neighborhood(space, "s20", 0.0)
+        ds = build_dataset(nb, lex, space, random_space(rng, 40, 4, tag="t"))
+        test = split_dataset(ds, 5, seed=0, method="frequency")[1]
+        assert [i.source_word for i in test.instances] == list(nb.member_words()[:5])
+        by_index = sorted(nb.member_words(), key=space.index)[:5]
+        assert [i.source_word for i in test.instances] != by_index
+
 
 class TestUnionAndExport:
     def test_union_dedups_and_excludes(self):

@@ -312,12 +312,17 @@ def test_top_k_rows_on_near_ties_at_d300(normalized, per_block):
 @pytest.mark.parametrize("normalized", [True, False])
 @pytest.mark.parametrize("k", [1, 5])
 def test_top_k_rows_of_an_empty_space_gives_no_rows(normalized, k):
+    """No row tile to score, but every query is still checked."""
     space = EmbeddingSpace([], np.zeros((0, 3)), normalized)
     queries = [np.array([1.0, 2.0, 3.0]), np.array([0.0, -1.0, 0.5])]
     indices, scores = top_k_rows(space, queries, k)
     assert indices.shape == scores.shape == (2, 0)
     got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
     assert got == per_query_top_k(space, queries, k)
+    with pytest.raises(ValueError, match="zero query"):
+        top_k_rows(space, [*queries, np.zeros(3)], k)
+    with pytest.raises(ValueError, match="dimension"):
+        top_k_rows(space, [np.ones(4)], k)
 
 
 def test_tiny_query_is_scaled_before_its_norm():
@@ -349,6 +354,20 @@ def test_tiny_row_is_normed_exactly():
     indices, scores = top_k_rows(space, [query], 1)
     assert indices.tolist() == [[0]] and scores.tobytes() == expected[:1].tobytes()
     assert cosine_similarity(tiny, query) == cosine_similarity(tiny * 2.0**600, query) == expected[0]
+
+
+@pytest.mark.xfail(strict=True, reason="overflowing squares give a zero unit vector")
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing squares
+def test_huge_query_scores_its_cosine():
+    """The 2**600 rule covers only vectors too small to square: one whose
+    squares overflow norms to inf, so every cosine it has reads 0."""
+    rng = np.random.default_rng(39)
+    space = EmbeddingSpace([f"t{i}" for i in range(20)], rng.standard_normal((20, 300)))
+    v = space.vectors[3]
+    assert cosine_similarity(1e-200 * v, v) == pytest.approx(1.0)
+    assert cosine_similarity(1e200 * v, v) == pytest.approx(1.0)
+    (word, score), _ = top_k_by_cosine(space, 1e200 * v, 2)
+    assert word == "t3" and score == pytest.approx(1.0)
 
 
 def ranked_alone_spy(monkeypatch):
@@ -449,6 +468,45 @@ def test_forced_rows_in_different_tiles_are_candidates_of_every_query(monkeypatc
         alone.clear()
         assert_ranks_per_query(space, queries, k, tile=4)
         assert len(alone) == len(queries)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row, as per query
+def test_k_larger_than_the_space_keeps_every_row(monkeypatch):
+    """A space of at most k rows, tiled in threes with forced rows in two tiles:
+    every row is a candidate of every query, so each is ranked with the block."""
+    rng = np.random.default_rng(37)
+    vectors = rng.standard_normal((7, 30))
+    vectors[1] = ODD_ROWS["tiny"](30)
+    vectors[5] = ODD_ROWS["overflowing"](30)
+    vectors[6] = vectors[2]
+    space = EmbeddingSpace([f"t{i}" for i in range(7)], vectors)
+    queries = [*rng.standard_normal((4, 30)), vectors[2], np.full(30, 1e300)]
+    alone = ranked_alone_spy(monkeypatch)
+    for k in (7, 8, 20):
+        got = assert_ranks_per_query(space, queries, k, tile=3)
+        assert [sorted(rows) for rows in got] == [list(range(7))] * len(queries)
+    assert alone == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row
+@pytest.mark.parametrize("kind", sorted(ODD_ROWS))
+def test_forced_rows_are_found_once_when_the_space_is_built(kind):
+    """Nonzero rows with a tiny or inf norm, read-only on the space: a zero row
+    is not one, nor is any row of a normalized space."""
+    rng = np.random.default_rng(38)
+    vectors = rng.standard_normal((9, 12))
+    words = [f"t{i}" for i in range(9)]
+    unit = EmbeddingSpace(words, vectors / np.linalg.norm(vectors, axis=1, keepdims=True), True)
+    vectors[[2, 7]] = ODD_ROWS[kind](12)
+    space = EmbeddingSpace(words, vectors)
+    norms = space.row_norms
+    odd = np.flatnonzero(~(norms >= 2.0**-450) | np.isinf(norms))
+    assert space._forced.tolist() == odd[vectors[odd].any(axis=1)].tolist()
+    assert space._forced.tolist() == ([] if kind == "zero" else [2, 7])
+    assert unit._forced.tolist() == []
+    for forced in (space._forced, unit._forced):
+        with pytest.raises(ValueError, match="read-only"):
+            forced[:] = 0
 
 
 def float32_near_copies(normalized, seed):
