@@ -30,10 +30,11 @@ class EmbeddingSpace:
     the word list is a tuple, so instances are safe to share across
     concurrent read-only queries. Every cosine is ``vecdot(row, unit query)``
     over the row's read-only norm: inf for a zero row, exactly 1.0 in a
-    normalized space, exact for a raw row too small to square. ``vecdot``
-    sums each row alone: equal rows score bit-equal wherever they sit.
-    The rows ``top_k_rows``' margin does not cover, nonzero with a tiny or
-    inf norm (raw spaces only), are found once, when the space is built.
+    normalized space, exact for a raw row too small to square or whose
+    squares overflow. ``vecdot`` sums each row alone: equal rows score
+    bit-equal wherever they sit. The rows ``top_k_rows``' margin does not
+    cover, nonzero with a tiny norm or one beyond float64's range (raw
+    spaces only), are found once, when the space is built.
 
     The first ``top_k_rows`` that ranks against a space builds a float32
     copy of its unit rows, which picks the candidates, and keeps it,
@@ -59,12 +60,14 @@ class EmbeddingSpace:
         index = {w: i for i, w in enumerate(words)}
         if len(index) != len(words):
             raise ValueError("words must be unique")
-        norms = np.sqrt(np.vecdot(vectors, vectors))
-        if normalized and not np.allclose(norms, 1.0, atol=1e-6):
-            raise ValueError("normalized=True but some rows are not unit norm")
-        tiny = norms < _TINY_NORM  # scaled by a power of two, exactly, then normed
-        scaled = vectors[tiny] * 2.0**600
-        norms[tiny] = np.sqrt(np.vecdot(scaled, scaled)) * 2.0**-600
+        with np.errstate(over="ignore"):  # a norm beyond float64's range stays inf
+            norms = np.sqrt(np.vecdot(vectors, vectors))
+            if normalized and not np.allclose(norms, 1.0, atol=1e-6):
+                raise ValueError("normalized=True but some rows are not unit norm")
+            odd = ~(norms >= _TINY_NORM) | np.isinf(norms)  # scaled by a power of two, then normed
+            scaled = vectors[odd]
+            scale = _into_range(scaled)
+            norms[odd] = np.sqrt(np.vecdot(scaled, scaled)) / scale
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
         norms = np.ones_like(norms) if normalized else norms  # x / 1.0 is x, bit for bit
         norms.flags.writeable = False
@@ -128,7 +131,7 @@ def load_embeddings(
     Args:
         path: UTF-8 text file, ``<count> <dim>`` header then one word per line.
         limit: optional cap on vocabulary size, at least 1.
-        normalize: scale each row to unit Euclidean norm, exactly (a tiny row times 2**600 first).
+        normalize: scale each row to unit Euclidean norm, exactly (scaled into range first).
 
     Raises:
         FileNotFoundError: missing file.
@@ -147,7 +150,10 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    u, v = (x * 2.0**600 if np.linalg.norm(x) < _TINY_NORM else x for x in (u, v))
+    u, v = (np.array(x, ndmin=2) for x in (u, v))  # copies, as rows for _into_range
+    _into_range(u)
+    _into_range(v)
+    u, v = u[0], v[0]
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
@@ -155,16 +161,37 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
 
 
+def _into_range(matrix: np.ndarray) -> np.ndarray:
+    """Scale each row of a float64 matrix whose squares lose bits, exactly and in place, and
+    return every row's factor.
+
+    A row normed below _TINY_NORM may have lost its squares' bits to
+    underflow; it is scaled by 2**600. A finite row whose squares overflow
+    norms to inf; it is scaled by 2**-600, and its entries far below its
+    norm may underflow, which moves no cosine by more than a rounding. Any
+    other row keeps the factor 1.0. Each norm is ``sqrt(vecdot(row, row))``,
+    the bits of ``np.linalg.norm(row)``.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+    scale = np.ones_like(norms)
+    scale[norms < _TINY_NORM] = 2.0**600
+    huge = np.flatnonzero(np.isinf(norms))
+    scale[huge[np.isfinite(matrix[huge]).all(axis=1)]] = 2.0**-600
+    odd = scale != 1.0
+    matrix[odd] *= scale[odd, None]
+    return scale
+
+
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Divide each row of a float64 matrix by its norm, in place, and return the norms.
 
-    A row normed below _TINY_NORM may have lost its squares' bits to
-    underflow, so it is scaled by 2**600, exactly, first. Each norm is
-    ``sqrt(vecdot(row, row))``, the bits of ``np.linalg.norm(row)``. A zero
-    row's norm is 0 and its row NaN.
+    Each row is scaled into range by ``_into_range`` first, so a row too
+    small to square or whose squares overflow gets its unit vector too. A
+    zero row's norm is 0 and its row NaN.
     """
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        matrix[np.sqrt(np.vecdot(matrix, matrix)) < _TINY_NORM] *= 2.0**600
+        _into_range(matrix)
         norms = np.sqrt(np.vecdot(matrix, matrix))
         matrix /= norms[:, None]
     return norms
@@ -196,6 +223,12 @@ def _cosines(space: EmbeddingSpace, rows: np.ndarray | slice, unit: np.ndarray) 
 def cosines_to_all(space: EmbeddingSpace, query: np.ndarray) -> np.ndarray:
     """Cosine of a query vector against every row of the space."""
     return _cosines(space, slice(None), _unit_queries(space, [query])[0])
+
+
+def cosines_to_rows(space: EmbeddingSpace, query: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Cosine of a query vector against the space's rows at an index array: the bits
+    ``cosines_to_all`` gives each of those rows, at the cost of scoring only them."""
+    return _cosines(space, rows, _unit_queries(space, [query])[0])
 
 
 def top_k_indices(scores: np.ndarray, k: int) -> np.ndarray:

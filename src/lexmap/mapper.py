@@ -290,9 +290,15 @@ def train_least_squares(
 ) -> LinearMap:
     """Closed-form ridge solution M = Y X^T (X X^T + lam I)^-1.
 
-    Columns of X and Y are the paired source and (first) gold target
+    Columns of X and Y are the n paired source and (first) gold target
     vectors. lam = 0 is allowed when X X^T is invertible; a singular normal
-    matrix raises with advice to use a positive lam.
+    matrix raises with advice to use a positive lam. That one check, a
+    Cholesky of the d_src x d_src normal matrix, guards both solves, which
+    the data's shape picks. With n >= d_src the normal system is solved as
+    written. With fewer pairs than dimensions, as a tight neighborhood
+    gives, the same minimizer comes from the n x n dual system,
+    M = Y (X^T X + lam I)^-1 X^T (the push-through identity), at a fraction
+    of the cost.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
@@ -300,7 +306,7 @@ def train_least_squares(
         raise ValueError(f"lam must be >= 0, got {lam}")
     X = train.source_matrix().T
     Y = train.target_matrix(tgt_space).T
-    d_src = X.shape[0]
+    d_src, n = X.shape
 
     normal = X @ X.T + lam * np.eye(d_src)
     try:
@@ -309,7 +315,10 @@ def train_least_squares(
         raise np.linalg.LinAlgError(
             "X X^T is singular; pass a positive lam to regularize"
         ) from None
-    W = np.linalg.solve(normal, X @ Y.T).T
+    if n < d_src:
+        W = (X @ np.linalg.solve(X.T @ X + lam * np.eye(n), Y.T)).T
+    else:
+        W = np.linalg.solve(normal, X @ Y.T).T
 
     residual = W @ X - Y
     loss = float(np.sum(residual * residual) + lam * np.sum(W * W))

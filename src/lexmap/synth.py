@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embeddings import (EmbeddingSpace, cosines_to_all, load_embeddings, top_k_indices,
+from .embeddings import (EmbeddingSpace, cosines_to_rows, load_embeddings, top_k_indices,
                          write_embeddings)
 from .formats import dumps_json, read_vec
 from .lexicon import BilingualLexicon, load_lexicon
@@ -232,7 +232,7 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
     variation axis, so the first anchor sits at one end of the swept range.
     Each cluster's members, in vocabulary order, are ranked by their
     cosines_to_all score against its center with top_k_indices: the highest
-    cosine wins, ties to the first member.
+    cosine wins, ties to the first member. Only the members are scored.
     """
     space, centers = world.src_space, world.ground_truth.cluster_centers
     members: dict[int, list[int]] = {}
@@ -241,7 +241,7 @@ def default_anchor_words(world: SyntheticWorld) -> list[str]:
     anchors = []
     for label in sorted(members):
         rows = np.sort(members[label])
-        cos = cosines_to_all(space, centers[label])[rows]
+        cos = cosines_to_rows(space, centers[label], rows)
         anchors.append(space.words[rows[top_k_indices(cos, 1)[0]]])
     return anchors
 

@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexmap.analysis import precision_at_k
 from lexmap.embeddings import EmbeddingSpace
@@ -320,9 +322,12 @@ class TestTrainLeastSquares:
         fitted = train_least_squares(full, world.tgt_space, lam=1e9)
         assert np.max(np.abs(fitted.matrix)) < 1e-3
 
-    def test_gradient_vanishes_at_solution(self, small_world):
-        """2(MX - Y)X^T + 2*lam*M == 0 at the closed-form optimum."""
+    @pytest.mark.parametrize("pairs", [None, 25], ids=["n>d", "n<d"])
+    def test_gradient_vanishes_at_solution(self, small_world, pairs):
+        """2(MX - Y)X^T + 2*lam*M == 0 at the closed-form optimum, from the primal
+        solve (500 pairs at d=40) and from the dual one (25 pairs)."""
         world, full = small_world
+        full = TranslationDataset(full.instances[:pairs])
         lam = 0.37
         fitted = train_least_squares(full, world.tgt_space, lam=lam)
         X = full.source_matrix().T
@@ -331,6 +336,23 @@ class TestTrainLeastSquares:
         ).T
         grad = 2.0 * (fitted.matrix @ X - Y) @ X.T + 2.0 * lam * fitted.matrix
         assert np.max(np.abs(grad)) < 1e-6
+
+    @pytest.mark.parametrize("pairs", [None, 40], ids=["n>d", "n=d"])
+    def test_primal_solve_is_kept_bit_for_bit_from_d_pairs_up(self, small_world, pairs):
+        """With at least as many pairs as dimensions the map and its loss are the
+        bits of the normal system's solve, as before the dual solve existed."""
+        world, full = small_world
+        full = TranslationDataset(full.instances[:pairs])
+        lam = 1e-3
+        X = full.source_matrix().T
+        Y = full.target_matrix(world.tgt_space).T
+        normal = X @ X.T + lam * np.eye(X.shape[0])
+        W = np.linalg.solve(normal, X @ Y.T).T
+        residual = W @ X - Y
+        loss = float(np.sum(residual * residual) + lam * np.sum(W * W))
+        fitted = train_least_squares(full, world.tgt_space, lam=lam)
+        assert fitted.matrix.tobytes() == np.ascontiguousarray(W).tobytes()
+        assert fitted.final_loss == loss
 
     def test_singular_normal_matrix_advises_positive_lam(self):
         rng = np.random.default_rng(5)
@@ -359,6 +381,34 @@ class TestTrainLeastSquares:
         )
         assert precision_at_k(lsq, test, world.tgt_space, 1) == 100.0
         assert precision_at_k(mm, test, world.tgt_space, 1) == 100.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    d=st.integers(2, 12),
+    shape=st.sampled_from(["n<d", "n=d", "n>d"]),
+    extra=st.integers(1, 8),
+    d_tgt=st.integers(1, 8),
+    lam=st.sampled_from([1e-3, 0.1, 1.0, 37.0]),
+    scale=st.sampled_from([0.01, 1.0, 3.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_least_squares_equals_the_primal_ridge_solve(d, shape, extra, d_tgt, lam, scale, seed):
+    """Fewer pairs than dimensions take the n x n dual solve, the others the d x d
+    primal one; either way the map and final_loss are numpy's primal ridge fit's. The
+    scales keep the primal matrix's condition number below about 5e5, so that the
+    reference itself is good to about 1e-10."""
+    n = {"n<d": max(1, d - extra), "n=d": d, "n>d": d + extra}[shape]
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * scale
+    Y = rng.standard_normal((n, d_tgt))
+    tgt = EmbeddingSpace([f"t{i}" for i in range(n)], Y)
+    ds = TranslationDataset(tuple(Instance(f"s{i}", X[i], (f"t{i}",)) for i in range(n)))
+    fitted = train_least_squares(ds, tgt, lam=lam)
+    ref = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y).T
+    ref_loss = np.sum((X @ ref.T - Y) ** 2) + lam * np.sum(ref**2)
+    assert np.max(np.abs(fitted.matrix - ref)) <= 1e-9 * np.max(np.abs(ref))
+    assert fitted.final_loss == pytest.approx(ref_loss, rel=1e-9)
 
 
 class TestOrthogonalityPenalty:

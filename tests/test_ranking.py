@@ -356,11 +356,9 @@ def test_tiny_row_is_normed_exactly():
     assert cosine_similarity(tiny, query) == cosine_similarity(tiny * 2.0**600, query) == expected[0]
 
 
-@pytest.mark.xfail(strict=True, reason="overflowing squares give a zero unit vector")
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing squares
 def test_huge_query_scores_its_cosine():
-    """The 2**600 rule covers only vectors too small to square: one whose
-    squares overflow norms to inf, so every cosine it has reads 0."""
+    """A vector whose squares overflow is scaled by 2**-600 before its norm, as
+    one too small to square is by 2**600, so it keeps its cosines."""
     rng = np.random.default_rng(39)
     space = EmbeddingSpace([f"t{i}" for i in range(20)], rng.standard_normal((20, 300)))
     v = space.vectors[3]
@@ -492,7 +490,8 @@ def test_k_larger_than_the_space_keeps_every_row(monkeypatch):
 @pytest.mark.parametrize("kind", sorted(ODD_ROWS))
 def test_forced_rows_are_found_once_when_the_space_is_built(kind):
     """Nonzero rows with a tiny or inf norm, read-only on the space: a zero row
-    is not one, nor is any row of a normalized space."""
+    is not one, nor is a row whose squares overflow but whose norm does not,
+    nor any row of a normalized space."""
     rng = np.random.default_rng(38)
     vectors = rng.standard_normal((9, 12))
     words = [f"t{i}" for i in range(9)]
@@ -502,7 +501,7 @@ def test_forced_rows_are_found_once_when_the_space_is_built(kind):
     norms = space.row_norms
     odd = np.flatnonzero(~(norms >= 2.0**-450) | np.isinf(norms))
     assert space._forced.tolist() == odd[vectors[odd].any(axis=1)].tolist()
-    assert space._forced.tolist() == ([] if kind == "zero" else [2, 7])
+    assert space._forced.tolist() == ([] if kind in ("zero", "overflowing") else [2, 7])
     assert unit._forced.tolist() == []
     for forced in (space._forced, unit._forced):
         with pytest.raises(ValueError, match="read-only"):
@@ -569,19 +568,22 @@ def test_float32_extremes_rank_as_float64(tile):
 @pytest.mark.parametrize("normalized", [True, False])
 def test_float32_rows_are_built_once_and_read_only(normalized):
     """The first ranking casts the space's unit rows to float32, forced rows as
-    zero; later rankings reuse that one read-only array."""
+    zero (a row whose squares overflow is not one unless its norm does too);
+    later rankings reuse that one read-only array."""
     rng = np.random.default_rng(36)
     vectors = rng.standard_normal((30, 8))
     if normalized:
         vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
     else:
-        vectors[[4, 9]] = ODD_ROWS["tiny"](8), ODD_ROWS["overflowing"](8)
+        vectors[[4, 9, 14]] = [ODD_ROWS[kind](8) for kind in ("tiny", "overflowing",
+                                                             "overflowing mixed")]
     space = EmbeddingSpace([f"t{i}" for i in range(30)], vectors, normalized)
     top_k_rows(space, rng.standard_normal((3, 8)), 2)
     rows = space._unit32
     expected = (vectors / space.row_norms[:, None]).astype(np.float32)
     if not normalized:
-        expected[[4, 9]] = 0.0
+        assert np.abs(expected[9]).max() > 0.0
+        expected[[4, 14]] = 0.0
     assert rows.dtype == np.float32 and rows.tobytes() == expected.tobytes()
     with pytest.raises(ValueError, match="read-only"):
         rows[0, 0] = 1.0

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lexmap.cli import run
-from lexmap.embeddings import EmbeddingSpace, cosines_to_all, load_embeddings
+from lexmap.embeddings import (EmbeddingSpace, cosines_to_all, cosines_to_rows, load_embeddings,
+                               top_k_indices)
 from lexmap.analysis import pairwise_to_tsv, precision_at_k, run_experiment, spearman_correlation
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -159,6 +160,31 @@ def test_default_anchor_words_is_the_per_word_loop(n, extra_d, clusters, std, se
                 vectors[row, axis] = np.nextafter(vectors[row, axis], np.inf)
     world = dataclasses.replace(world, src_space=EmbeddingSpace(space.words, vectors, normalized))
     assert default_anchor_words(world) == reference_anchor_words(world)
+
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_default_anchor_words_scores_as_the_whole_space_did(normalized):
+    """Scoring only each cluster's members gives the anchors, and the cosine bits, of
+    scoring the whole space once per cluster, on a world of many clusters."""
+    world = generate_nonlinear_world(1200, 48, seed=5, n_clusters=40, cluster_std=0.03)
+    space = world.src_space
+    if normalized:
+        unit = space.vectors / np.linalg.norm(space.vectors, axis=1, keepdims=True)
+        space = EmbeddingSpace(space.words, unit, normalized=True)
+        world = dataclasses.replace(world, src_space=space)
+    centers = world.ground_truth.cluster_centers
+    members = {}
+    for word, label in world.region_labels.items():
+        members.setdefault(label, []).append(space.index(word))
+    whole = []
+    for label in sorted(members):
+        rows = np.sort(members[label])
+        cos = cosines_to_all(space, centers[label])[rows]
+        assert cosines_to_rows(space, centers[label], rows).tobytes() == cos.tobytes()
+        whole.append(space.words[rows[top_k_indices(cos, 1)[0]]])
+    assert len(whole) == 40
+    assert default_anchor_words(world) == whole
 
 
 class TestOracleChecks:
