@@ -10,7 +10,12 @@ and by ``--input``) on it, then
 at commit 9cc57df, before the float writers became one vectorized pass,
 the reruns' 28 lines, added when the tool began to rerun, and the 3 lines
 of ``translate --atlas --input`` over every source word, recorded at
-fc022c0 before atlas queries were served in map order.
+fc022c0 before atlas queries were served in map order. 31 lines were
+re-recorded after 15acf15, where least squares on fewer pairs than
+dimensions began to solve the n x n dual system: ``atlas/map_0000.txt`` to
+``map_0007.txt`` and ``atlas/maps.npz``, and in ``diagnose/`` and
+``diagnose_rerun/`` the eight ``maps/local_*.txt``, ``pairwise.tsv``,
+``report.jsonl`` and ``scatter.tsv``.
 
 The synth world, the least-squares and max-margin maps, and every output
 derived from them depend on the BLAS kernels' summation order. The list was
