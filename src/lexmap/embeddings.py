@@ -162,16 +162,11 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def _into_range(matrix: np.ndarray) -> np.ndarray:
-    """Scale each row of a float64 matrix whose squares lose bits, exactly and in place, and
-    return every row's factor.
-
-    A row normed below _TINY_NORM may have lost its squares' bits to
-    underflow; it is scaled by 2**600. A finite row whose squares overflow
-    norms to inf; it is scaled by 2**-600, and its entries far below its
-    norm may underflow, which moves no cosine by more than a rounding. Any
-    other row keeps the factor 1.0. Each norm is ``sqrt(vecdot(row, row))``,
-    the bits of ``np.linalg.norm(row)``.
-    """
+    """Scale, exactly and in place, each row of a float64 matrix whose squares lose bits, and
+    return every row's factor: 2**600 for a row normed below _TINY_NORM (its squares may
+    underflow), 2**-600 for a finite row normed inf (its squares overflow; entries far below
+    its norm may underflow, which moves no cosine by more than a rounding), 1.0 for any other.
+    Each norm is ``sqrt(vecdot(row, row))``, the bits of ``np.linalg.norm(row)``."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(matrix, matrix))
     scale = np.ones_like(norms)
