@@ -210,7 +210,9 @@ def train_max_margin(
         vocab_fallback = np.array(allowed)
 
     lr = config.learning_rate
+    gamma = config.gamma
     loss_history: list[float] = []
+    matvec = W.dot  # W is only ever updated in place
     # overflow en route is expected to surface as the per-epoch finiteness abort
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
@@ -225,35 +227,36 @@ def train_max_margin(
                 negatives = vocab_fallback[neg_rng.integers(len(vocab_fallback),
                                                             size=(m, config.negatives))]
                 targets = tgt_space.vectors
+            scale = 2.0 * lr
             epoch_loss = 0.0
             for i, draws in zip(order.tolist(), negatives.tolist()):
                 x = X[i]
                 y_pos = Y[i]
-                np.matmul(W, x, out=wx)
+                matvec(x, out=wx)
                 if pending:
-                    wx -= (V[:pending] @ x) @ U[:pending]
+                    wx -= Vp.dot(x).dot(Up)
                 np.subtract(y_pos, wx, out=diff)
-                d_pos = float(diff @ diff)
-                push = U[pending]
+                d_pos = float(diff.dot(diff))
                 pushed = False
                 for j in draws:
                     y_neg = targets[j]
                     np.subtract(y_neg, wx, out=diff)
-                    violation = config.gamma + d_pos - float(diff @ diff)
+                    violation = gamma + d_pos - float(diff.dot(diff))
                     if violation > 0.0:
                         epoch_loss += violation
                         if pushed:
                             push += np.subtract(y_neg, y_pos, out=diff)
                         else:
-                            np.subtract(y_neg, y_pos, out=push)
+                            push = np.subtract(y_neg, y_pos, out=U[pending])
                             pushed = True
                 if pushed:
-                    push *= lr * 2.0
+                    push *= scale
                     V[pending] = x
                     pending += 1
                     if pending == _RANK:
                         _fold(W, U, V)
                         pending = 0
+                    Vp, Up = V[:pending], U[:pending]
             _fold(W, U[:pending], V[:pending])
             pending = 0
             avg_loss = epoch_loss / m
