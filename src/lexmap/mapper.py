@@ -152,12 +152,20 @@ def _init_matrix(config: TrainConfig, d_tgt: int, d_src: int) -> np.ndarray:
 
 
 def _fold(W: np.ndarray, U: np.ndarray, V: np.ndarray) -> None:
-    """W -= U^T V in place, each entry summed over the rows of U and V in order.
+    """W -= U^T V in place, as one stack of matrix-vector products.
 
-    numpy's einsum loops run on one thread; a BLAS GEMM here would make the
-    trained map depend on the BLAS thread count.
+    Row i of U^T V is the gemv V^T @ U[:, i], in the same matrix-vector
+    form as the step's own W @ x, on contiguous copies of V^T and U^T. Each
+    row is computed whole on one thread, so the map does not depend on the
+    BLAS thread count, and its bits held under both the SkylakeX and the
+    Haswell core. Per rank-32 fold at d=300, on one core: this stack about
+    0.4-0.5 ms, np.einsum 0.7 ms, the vector-matrix stack U^T[:, None] @ V
+    0.33 ms but with other bits under Haswell, and a U^T @ V GEMM 0.13 ms
+    but with other bits on two threads.
     """
-    W -= np.einsum("ki,kj->ij", U, V)
+    VT = np.ascontiguousarray(V.T)
+    UT = np.ascontiguousarray(U.T)
+    W -= np.matmul(VT, UT[:, :, None])[:, :, 0]
 
 
 def train_max_margin(
@@ -180,8 +188,11 @@ def train_max_margin(
     so SGD steps are applied in delayed rank-r folds: W is kept as
     W - U^T V with up to _RANK pending steps as rows of U and V, and the
     pending steps are folded into W every _RANK active steps and before the
-    per-epoch orthogonality step and finiteness check. The map does not
-    depend on the BLAS thread count.
+    per-epoch orthogonality step and finiteness check. A step computes
+    W x, the pending correction (V x) U and its squared distances with
+    BLAS matrix-vector and dot products; a fold is one stack of
+    matrix-vector products (_fold), not a GEMM. The map does not depend on
+    the BLAS thread count.
     """
     m = len(train)
     if m == 0:
