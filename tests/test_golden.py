@@ -11,7 +11,8 @@ saved maps load, and were re-recorded then. The second is synth -> experiment
 recorded at commit 7c64b36, before Spearman moved from scipy to numpy and
 before the bulk float parser and writers; its map digests and pearson line
 moved by ulps when SGD steps came to be applied in delayed rank-r folds, and
-were re-recorded then. The synth digests at the end were recorded at commit
+were re-recorded then, and again when a fold became one stack of
+matrix-vector products. The synth digests at the end were recorded at commit
 e9f0b98, before the generator's three bodies became one.
 A change to what lexmap computes must show up here and be re-recorded on
 purpose, with the reason in CHANGES.md.
@@ -176,7 +177,7 @@ EXPECTED_MM_REPORT_TSV = (
     'w00084\t84\t10\t0.29\t40.0\t50.0\t20.0\t-30.0\t0.90\t3.61\n'
     'w00037\t98\t10\t-0.41\t50.0\t0.0\t50.0\t50.0\t0.87\t3.54\n'
     'w00113\t96\t10\t-0.53\t40.0\t30.0\t30.0\t0.0\t0.84\t3.61\n'
-    '# pearson(map_cosine, acc_reference)\t0.23854513432920463\n'
+    '# pearson(map_cosine, acc_reference)\t0.23854513432920402\n'
     '# spearman(map_cosine, acc_reference)\t0.316227766016838\n'
 )
 
@@ -190,11 +191,11 @@ EXPECTED_MM_RECORDS = [
 
 # sha256 of each saved map file (8 x 8 matrices plus provenance lines)
 EXPECTED_MM_MAP_SHA256 = {
-    "global.txt": "8e71bcc2ca9791d804740654e7eddb65bd5be96330a29829af11f88144e646fb",
-    "local_w00037.txt": "03b0f50d26009ee8c2899bb3e6f1c171f2f06ee085b86e0dd5630ba5575e8464",
-    "local_w00084.txt": "5376752083e161638abffb6393e8d7200102a229fa0160e3382be7241142f208",
-    "local_w00113.txt": "2c1a2920a0d58c1f9974895fbb0479d0b86bfe80a74bf848d901f89643caad0c",
-    "local_w00207.txt": "bf9da43e3f6134794a853be8249cb09d96ffee50928974202da295783bc2152c",
+    "global.txt": "120894ab7e927586ee9585b134fd439ca01234d53373cce87e05bfe16e4f6fbf",
+    "local_w00037.txt": "d18eb7343fee91110ac77df7f5cfa8d106e94ff33c649ab426179bdb4d74ae5e",
+    "local_w00084.txt": "bfa14a7fe6e1b40940030299259e716db505e78b586370cf391aa167732fda95",
+    "local_w00113.txt": "047039bce5c527ec8efaef32b4a2f22d581ea1cef22ec6eb607e87ea98eec80f",
+    "local_w00207.txt": "98882a572d8fa9ea9460593f1bf1a2cc77420c1e75aadb9853a8b532265452f3",
 }
 
 

@@ -15,7 +15,12 @@ re-recorded after 15acf15, where least squares on fewer pairs than
 dimensions began to solve the n x n dual system: ``atlas/map_0000.txt`` to
 ``map_0007.txt`` and ``atlas/maps.npz``, and in ``diagnose/`` and
 ``diagnose_rerun/`` the eight ``maps/local_*.txt``, ``pairwise.tsv``,
-``report.jsonl`` and ``scatter.tsv``.
+``report.jsonl`` and ``scatter.tsv``. 37 lines were re-recorded after
+b4434af, where the max-margin fold became one stack of matrix-vector
+products and the maps moved in their last bits: in ``diagnose_maxmargin/``
+the nine ``maps/*.txt`` and ``pairwise.tsv``; in ``experiment/`` and
+``experiment_rerun/`` the same plus ``report.tsv``, ``report.jsonl`` and
+``scatter.tsv``; and ``train/map.txt``.
 
 The synth world, the least-squares and max-margin maps, and every output
 derived from them depend on the BLAS kernels' summation order. The list was
