@@ -15,14 +15,19 @@ if os.environ.get("CI"):
     settings.load_profile("ci")
 
 
-@pytest.fixture(scope="session")
-def blas_core():
-    """The OpenBLAS core and build numpy loads, as tools/output_digests.py names them."""
+def digests_tool():
+    """tools/output_digests.py, loaded as a module."""
     tool = Path(__file__).resolve().parents[1] / "tools" / "output_digests.py"
     spec = importlib.util.spec_from_file_location("output_digests", tool)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.blas_core()
+    return module
+
+
+@pytest.fixture(scope="session")
+def blas_core():
+    """The OpenBLAS core and build numpy loads, as tools/output_digests.py names them."""
+    return digests_tool().blas_core()
 
 
 @pytest.fixture

@@ -8,7 +8,9 @@ byte for byte. At d=300 the matrix products are large enough for a
 threaded BLAS to split them, which d=8 golden runs never do; every ranking
 selects its candidates with a GEMM, so the translations guard the margin
 that keeps those rankings exact, and ``top_k_rows`` is checked on its own
-on spaces full of near ties. A least-squares run is expected to differ,
+on spaces full of near ties. The max-margin fold is checked on its own too,
+and, where the SkylakeX core runs, also under the Haswell core, which AVX2
+CPUs without AVX-512 get. A least-squares run is expected to differ,
 on the SkylakeX core it was seen on: its normal equations still change in
 their last bits with the thread count (ROADMAP item 1).
 """
@@ -27,6 +29,8 @@ from lexmap.mapper import train_least_squares
 from lexmap.neighborhoods import build_neighborhood
 from lexmap.synth import default_anchor_words, load_world
 from lexmap.translate import AtlasEntry, MapAtlas, save_atlas
+
+from conftest import digests_tool
 
 SRC = str(Path(lexmap.__file__).resolve().parents[1])
 COMPARED = ("report.tsv", "report.jsonl", "pairwise.tsv", "scatter.tsv")
@@ -57,13 +61,29 @@ for normalized in (False, True):
           indices.tobytes() + scores.tobytes() == alone)
 """
 
+# mapper._fold of every pending count up to _RANK at d=300 and two rectangular shapes;
+# prints the digest of every folded map
+FOLD = """
+import hashlib
+import numpy as np
+from lexmap.mapper import _RANK, _fold
+rng = np.random.default_rng(43)
+digest = hashlib.sha256()
+for p in range(_RANK + 1):
+    for d_tgt, d_src in ((300, 300), (300, 200), (64, 300)):
+        W = rng.standard_normal((d_tgt, d_src))
+        _fold(W, rng.standard_normal((p, d_tgt)), rng.standard_normal((p, d_src)))
+        digest.update(W.tobytes())
+print(digest.hexdigest())
+"""
+
 pytestmark = pytest.mark.skipif(
     (os.cpu_count() or 1) < 2, reason="needs two CPUs for two BLAS threads"
 )
 
 
-def _python(args: list[str], threads: int) -> str:
-    env = {**os.environ, "PYTHONPATH": SRC}
+def _python(args: list[str], threads: int, **env: str) -> str:
+    env = {**os.environ, "PYTHONPATH": SRC, **env}
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = str(threads)
     return subprocess.run([sys.executable, *args], check=True, capture_output=True,
@@ -79,6 +99,20 @@ def test_top_k_rows_equal_under_one_and_two_blas_threads():
     margin keeps every index and score bit."""
     one, two = (_python(["-c", RANKING], threads).split() for threads in (1, 2))
     assert one[1::2] == ["True", "True"] and one == two
+
+
+@pytest.mark.parametrize("threads, env", [(2, {}), (1, {"OPENBLAS_CORETYPE": "Haswell"})],
+                         ids=["two-blas-threads", "the-haswell-core"])
+def test_fold_equal_to_one_blas_thread_under(threads, env, blas_core):
+    """Each row of a fold is one gemv, computed whole on one thread, whose bits the
+    Haswell core keeps as it keeps those of W @ x; a GEMM or a stack of
+    vector-matrix products fails here."""
+    if env and not blas_core.startswith("SkylakeX"):
+        pytest.skip(f"the fold was compared with the Haswell core on SkylakeX, not {blas_core}")
+    digest, core = _python(["-c", FOLD + digests_tool().BLAS_CORE], threads, **env).splitlines()
+    if env and not core.startswith("Haswell"):
+        pytest.skip("OPENBLAS_CORETYPE=Haswell selected another core")
+    assert digest == _python(["-c", FOLD], 1).strip()
 
 
 @pytest.fixture(scope="module")

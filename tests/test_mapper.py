@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexmap.analysis import precision_at_k
+from lexmap import mapper
 from lexmap.embeddings import EmbeddingSpace
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -188,17 +190,22 @@ class TestTrainMaxMargin:
             train_max_margin(full, world.tgt_space, bad)
 
     @pytest.mark.parametrize(
-        "config",
+        "config, rank",
         [
-            TrainConfig(seed=5, epochs=4, negatives=2, init="zeros"),
-            TrainConfig(seed=6, epochs=3, learning_rate=0.05, ortho_weight=0.05),
+            (TrainConfig(seed=5, epochs=4, negatives=2, init="zeros"), mapper._RANK),
+            (TrainConfig(seed=6, epochs=3, learning_rate=0.05, ortho_weight=0.05), mapper._RANK),
+            (TrainConfig(seed=5, epochs=4, negatives=2, init="zeros"), 1),
+            (TrainConfig(seed=6, epochs=3, learning_rate=0.05, ortho_weight=0.05), 3),
         ],
-        ids=["two-negatives", "ortho-weight"],
+        ids=["two-negatives", "ortho-weight", "two-negatives-rank-1", "ortho-weight-rank-3"],
     )
-    def test_matches_reference_loop_over_hinge_functions(self, small_world, config):
+    def test_matches_reference_loop_over_hinge_functions(self, small_world, config, rank,
+                                                         monkeypatch):
         """A plain SGD loop over hinge_loss and hinge_gradient, drawing from the
         trainer's shuffle and negatives streams, reproduces the trainer's loss
-        trajectory and final matrix, so the two compute one loss."""
+        trajectory and final matrix, so the two compute one loss. Ranks 1 and 3
+        fold pending steps mid-epoch and on an epoch's last step."""
+        monkeypatch.setattr(mapper, "_RANK", rank)
         world, full = small_world
         train = TranslationDataset(full.instances[:150])
         fitted = train_max_margin(train, world.tgt_space, config)
@@ -409,6 +416,40 @@ def test_least_squares_equals_the_primal_ridge_solve(d, shape, extra, d_tgt, lam
     ref_loss = np.sum((X @ ref.T - Y) ** 2) + lam * np.sum(ref**2)
     assert np.max(np.abs(fitted.matrix - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert fitted.final_loss == pytest.approx(ref_loss, rel=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(0, mapper._RANK),
+    d_tgt=st.integers(1, 40),
+    d_src=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fold_is_within_the_rounding_bound_of_the_exact_update(p, d_tgt, d_src, seed):
+    """Each entry of W - U^T V lies within gamma_{p+1} (|W| + sum_k |u_k v_k|) of
+    the exact value, the classic bound for a sum of p products and one more
+    term. The entries of U and V keep 26 significant bits, so every product
+    u_k v_k is exact and math.fsum gives each entry's error exactly. With no
+    pending row, W keeps its bytes."""
+    if d_tgt == d_src:
+        d_src += 1  # a transposed operand would show
+    rng = np.random.default_rng(seed)
+
+    def exact_products(shape):
+        return rng.integers(-(2**26) + 1, 2**26, shape) * 2.0 ** rng.integers(-60, 20, shape)
+
+    U, V = exact_products((p, d_tgt)), exact_products((p, d_src))
+    W = rng.standard_normal((d_tgt, d_src)) * 2.0 ** rng.integers(-30, 30, (d_tgt, d_src))
+    folded = W.copy()
+    mapper._fold(folded, U, V)
+    if p == 0:
+        assert folded.tobytes() == W.tobytes()
+    products = U[:, :, None] * V[:, None, :]
+    terms = np.concatenate([folded[None], -W[None], products]).reshape(p + 2, -1).T
+    error = np.array([math.fsum(row) for row in terms.tolist()]).reshape(W.shape)
+    u = 2.0**-53
+    gamma = (p + 1) * u / (1 - (p + 1) * u)
+    assert np.all(np.abs(error) <= gamma * (np.abs(W) + np.abs(products).sum(axis=0)))
 
 
 class TestOrthogonalityPenalty:
