@@ -119,11 +119,12 @@ def load_embeddings(
     Keeps at most ``min(header count, limit)`` entries in file order.
     Trailing whitespace (fastText's trailing space, CRLF) is ignored.
     Duplicate tokens keep the first occurrence; lines with the wrong field
-    count, a non-finite entry or, when normalizing, an overflowing norm are
-    skipped as malformed; all-zero vectors are dropped when normalizing; a raw
-    load keeps a finite row whose norm overflows. All are counted in the
-    space's ``stats`` rather than aborting the load (published .vec files
-    contain occasional tokens with embedded spaces). Unless a limit below
+    count or a non-finite entry are skipped as malformed; all-zero vectors
+    are dropped when normalizing; every other row is kept, one whose squared
+    norm overflows too (normalizing scales it by 2**-600 first). All are
+    counted in the space's ``stats`` rather than aborting the load
+    (published .vec files contain occasional tokens with embedded spaces),
+    the overflowing rows in ``norm_overflow``. Unless a limit below
     the header count cuts the read short, a body whose line count differs
     from the header count is counted too, from the lines already read and
     at most one more.

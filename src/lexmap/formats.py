@@ -49,7 +49,7 @@ class LoadStats:
     malformed: int = 0
     duplicates: int = 0
     zero_dropped: int = 0
-    norm_overflow: int = 0  # finite rows kept by a raw load whose norm is inf
+    norm_overflow: int = 0  # finite rows kept whose squared norm overflows
     header_mismatch: int = 0  # 1 if, with no limit below it, the header count != body lines
 
 
@@ -102,8 +102,7 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
                 block = np.array([_float_fields(body, dim) for body in bodies]).reshape(-1, dim)
             with np.errstate(over="ignore"):
                 norms = np.sqrt(np.vecdot(block, block))
-            # a NaN or inf entry, or a squared norm that overflows, gives a non-finite norm
-            finite = np.isfinite(norms) if normalize else np.isfinite(block).all(axis=1)
+            finite = np.isfinite(block).all(axis=1)
             keep: list[int] = []
             start = len(words)
             j = -1
@@ -128,7 +127,6 @@ def _parse_vec(path: Path, limit: int | None, normalize: bool) -> VecParts:
                 words.append(token)
                 keep.append(j)
             np.take(block, keep, axis=0, out=vectors[start:len(words)])
-            # only a raw load keeps a row whose squared norm overflows
             stats.norm_overflow += int(np.isinf(norms[keep]).sum())
         if target == count:
             # the read stops before the end only after count words, so after at

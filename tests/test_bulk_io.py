@@ -60,17 +60,17 @@ def reference_load_embeddings(path, limit=None, normalize=True):
                 stats.malformed += 1
                 continue
             norm = np.linalg.norm(vec)
-            if not np.isfinite(norm):  # the squared norm overflows
-                if normalize:
-                    stats.malformed += 1
-                    continue
-                stats.norm_overflow += 1  # a raw load keeps the row
+            if normalize and not vec.any():
+                stats.zero_dropped += 1
+                continue
+            if not np.isfinite(norm):  # the squared norm overflows: the row is kept
+                stats.norm_overflow += 1
             if normalize:
-                if not vec.any():
-                    stats.zero_dropped += 1
-                    continue
                 if norm < 2.0**-450:  # its squares may underflow: scaled by 2**600, exactly
                     vec = vec * 2.0**600
+                    norm = np.linalg.norm(vec)
+                elif not np.isfinite(norm):  # its squares overflow: scaled by 2**-600
+                    vec = vec * 2.0**-600
                     norm = np.linalg.norm(vec)
                 vec = vec / norm
             seen.add(token)

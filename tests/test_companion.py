@@ -338,7 +338,7 @@ def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parse
     (0.0, False, LoadStats()),
     (np.inf, False, LoadStats(malformed=1)),
     (np.nan, True, LoadStats(malformed=1)),
-    (1e200, True, LoadStats(malformed=1)),  # finite entries whose norm overflows
+    (1e200, True, LoadStats(norm_overflow=1)),  # finite entries whose norm overflows: kept
     (1e200, False, LoadStats(norm_overflow=1)),
     (1e-170, True, LoadStats()),  # nonzero entries whose norm underflows to 0: kept
 ])

@@ -115,13 +115,17 @@ class TestLoadEmbeddings:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_row_whose_norm_overflows(self, tmp_path):
-        """Normalizing made such a row zero and aborted the load with "not unit norm"."""
+        """Normalizing once made such a row zero and aborted the load with "not unit
+        norm", then dropped it as malformed; both loads keep every finite row, and a
+        normalizing load scales it by 2**-600 before its norm."""
         path = tmp_path / "t.vec"
         path.write_text("3 2\na 1e200 1e200\nb 1 0\nc 1.7e308 1.7e308\n", encoding="utf-8")
         space = load_embeddings(path)
-        assert space.words == ("b",)
-        assert space.stats.malformed == 2 and space.stats.norm_overflow == 0
-        raw = load_embeddings(path, normalize=False)  # raw loads keep every finite row
+        assert space.words == ("a", "b", "c")
+        assert space.vectors == pytest.approx(np.array([[0.5**0.5] * 2, [1.0, 0.0], [0.5**0.5] * 2]),
+                                              rel=1e-15)
+        assert space.stats.malformed == 0 and space.stats.norm_overflow == 2
+        raw = load_embeddings(path, normalize=False)
         assert raw.words == ("a", "b", "c")
         assert np.array_equal(raw.vectors, [[1e200, 1e200], [1.0, 0.0], [1.7e308, 1.7e308]])
         assert raw.stats.malformed == 0 and raw.stats.norm_overflow == 2
