@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexmap.analysis import precision_at_k
 from lexmap import mapper
+from lexmap.analysis import precision_at_k
 from lexmap.embeddings import EmbeddingSpace
 from lexmap.lexicon import (
     BilingualLexicon,
@@ -429,16 +429,16 @@ def test_fold_is_within_the_rounding_bound_of_the_exact_update(p, d_tgt, d_src, 
     """Each entry of W - U^T V lies within gamma_{p+1} (|W| + sum_k |u_k v_k|) of
     the exact value, the classic bound for a sum of p products and one more
     term. The entries of U and V keep 26 significant bits, so every product
-    u_k v_k is exact and math.fsum gives each entry's error exactly. With no
-    pending row, W keeps its bytes."""
+    u_k v_k is exact, and math.fsum sums each entry's error exactly and rounds
+    it once. With no pending row, W keeps its bytes."""
     if d_tgt == d_src:
         d_src += 1  # a transposed operand would show
     rng = np.random.default_rng(seed)
 
-    def exact_products(shape):
+    def exact_factors(shape):
         return rng.integers(-(2**26) + 1, 2**26, shape) * 2.0 ** rng.integers(-60, 20, shape)
 
-    U, V = exact_products((p, d_tgt)), exact_products((p, d_src))
+    U, V = exact_factors((p, d_tgt)), exact_factors((p, d_src))
     W = rng.standard_normal((d_tgt, d_src)) * 2.0 ** rng.integers(-30, 30, (d_tgt, d_src))
     folded = W.copy()
     mapper._fold(folded, U, V)
