@@ -528,7 +528,7 @@ def _map_text(m) -> bytes:
 def _literal(text: str):
     """The value whose repr save_map wrote, or text itself if it is no literal."""
     try:
-        return ast.literal_eval(text)
+        return float(text) if text in ("nan", "inf", "-inf") else ast.literal_eval(text)
     except (ValueError, SyntaxError, TypeError):
         return text
 

@@ -77,19 +77,19 @@ class TrainConfig:
     ortho_weight: float = 0.0
 
     def __post_init__(self):
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
-        if self.ortho_weight < 0:
+        if not self.ortho_weight >= 0:
             raise ValueError(f"ortho_weight must be >= 0, got {self.ortho_weight}")
 
 
@@ -304,35 +304,32 @@ def train_least_squares(
 ) -> LinearMap:
     """Closed-form ridge solution M = Y X^T (X X^T + lam I)^-1.
 
-    Columns of X and Y are the n paired source and (first) gold target
-    vectors. lam = 0 is allowed when X X^T is invertible; a singular normal
-    matrix raises with advice to use a positive lam. That one check, a
-    Cholesky of the d_src x d_src normal matrix, guards both solves, which
-    the data's shape picks. With n >= d_src the normal system is solved as
-    written. With fewer pairs than dimensions, as a tight neighborhood
-    gives, the same minimizer comes from the n x n dual system,
-    M = Y (X^T X + lam I)^-1 X^T (the push-through identity), at a fraction
-    of the cost.
+    Columns of X and Y are the n paired source and (first) gold target vectors. One
+    system per fit is both checked, by a Cholesky factorization, and solved: X X^T + lam I
+    with n >= d_src; with fewer pairs, as a tight neighborhood gives, the n x n dual
+    X^T X + lam I, as M = Y (X^T X + lam I)^-1 X^T (the push-through identity). There
+    lam = 0 always raises, as X X^T has rank at most n < d_src. A failed check advises
+    a positive lam.
     """
     if len(train) == 0:
         raise ValueError("training set is empty")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be finite and >= 0, got {lam}")
     X = train.source_matrix().T
     Y = train.target_matrix(tgt_space).T
     d_src, n = X.shape
 
-    normal = X @ X.T + lam * np.eye(d_src)
+    dual = n < d_src
+    system = X.T @ X + lam * np.eye(n) if dual else X @ X.T + lam * np.eye(d_src)
     try:
-        np.linalg.cholesky(normal)
+        if dual and lam == 0:  # X X^T has rank at most n < d_src
+            raise np.linalg.LinAlgError
+        np.linalg.cholesky(system)
     except np.linalg.LinAlgError:
         raise np.linalg.LinAlgError(
             "X X^T is singular; pass a positive lam to regularize"
         ) from None
-    if n < d_src:
-        W = (X @ np.linalg.solve(X.T @ X + lam * np.eye(n), Y.T)).T
-    else:
-        W = np.linalg.solve(normal, X @ Y.T).T
+    W = (X @ np.linalg.solve(system, Y.T) if dual else np.linalg.solve(system, X @ Y.T)).T
 
     residual = W @ X - Y
     loss = float(np.sum(residual * residual) + lam * np.sum(W * W))

@@ -80,7 +80,5 @@ def growth_profile(
 
 def profile_to_tsv(profile: list[tuple[float, int]]) -> str:
     """Two-column TSV (s, count) for plotting."""
-    lines = ["s\tcount"]
-    for s, count in profile:
-        lines.append(f"{repr(s)}\t{count}")
+    lines = ["s\tcount", *(f"{s!r}\t{count}" for s, count in profile)]
     return "\n".join(lines) + "\n"

@@ -126,8 +126,11 @@ def generate_nonlinear_world(
         raise ValueError(f"need n >= 2 and d >= 3, got n={n} d={d}")
     if n_clusters < 1:
         raise ValueError("need n_clusters >= 1")
-    if noise_sigma < 0 or cluster_std <= 0 or variation_strength < 0:
-        raise ValueError("noise_sigma/cluster_std/variation_strength out of range")
+    for name, value in (("noise_sigma", noise_sigma), ("variation_strength", variation_strength)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    if not 0 < cluster_std < math.inf:
+        raise ValueError(f"cluster_std must be finite and > 0, got {cluster_std}")
 
     # one stream, fixed draw order, independent of variation_strength: the
     # rotating generator at strength 0 must emit bit-identical vectors

@@ -72,12 +72,14 @@ def dispatch(
 ) -> list[tuple[LinearMap, str]]:
     """Per query, the map whose anchor is nearest by cosine, and its label.
 
-    All queries are scored against the stacked anchors in one top_k_rows
-    call. Ties keep the earliest atlas entry. The fallback map, labelled
-    with its anchor, is used when the atlas is empty or the best anchor
-    cosine is below the floor; without a fallback the best anchor is used
-    regardless, so dispatch always succeeds on a non-empty atlas.
+    All queries are scored against the stacked anchors in one top_k_rows call. Ties
+    keep the earliest atlas entry. The fallback map, labelled with its anchor, is used
+    when the atlas is empty or the best anchor cosine is below the floor; without a
+    fallback the best anchor is used regardless, so dispatch always succeeds on a
+    non-empty atlas. A NaN floor, which no cosine is below, raises.
     """
+    if np.isnan(floor):
+        raise ValueError(f"floor must be a number, got {floor}")
     if not atlas.entries:
         if atlas.fallback is None:
             raise ValueError("empty atlas with no fallback map")

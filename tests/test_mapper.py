@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexmap import mapper
@@ -31,7 +31,8 @@ from lexmap.mapper import (
     train_max_margin,
 )
 from lexmap.seeds import spawn_rng
-from lexmap.synth import generate_linear_world
+from lexmap.synth import generate_linear_world, generate_nonlinear_world
+from lexmap.translate import AtlasEntry, MapAtlas, dispatch
 
 GAMMA = 0.4
 
@@ -409,13 +410,66 @@ def test_least_squares_equals_the_primal_ridge_solve(d, shape, extra, d_tgt, lam
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d)) * scale
     Y = rng.standard_normal((n, d_tgt))
-    tgt = EmbeddingSpace([f"t{i}" for i in range(n)], Y)
-    ds = TranslationDataset(tuple(Instance(f"s{i}", X[i], (f"t{i}",)) for i in range(n)))
-    fitted = train_least_squares(ds, tgt, lam=lam)
+    fitted = train_least_squares(*_pairs(X, Y), lam=lam)
     ref = np.linalg.solve(X.T @ X + lam * np.eye(d), X.T @ Y).T
     ref_loss = np.sum((X @ ref.T - Y) ** 2) + lam * np.sum(ref**2)
     assert np.max(np.abs(fitted.matrix - ref)) <= 1e-9 * np.max(np.abs(ref))
     assert fitted.final_loss == pytest.approx(ref_loss, rel=1e-9)
+
+
+def _pairs(X, Y) -> tuple[TranslationDataset, EmbeddingSpace]:
+    """The dataset pairing row i of X with target t{i}, row i of Y, and the target space."""
+    X, Y = np.asarray(X, dtype=np.float64), np.asarray(Y, dtype=np.float64)
+    tgt = EmbeddingSpace([f"t{i}" for i in range(len(Y))], Y)
+    return TranslationDataset(tuple(Instance(f"s{i}", x, (f"t{i}",)) for i, x in enumerate(X))), tgt
+
+
+@st.composite
+def _fewer_pairs_than_dimensions(draw):
+    """Rows X (n x d, 1 <= n < d <= 12) and Y (n x d_tgt), zero and subnormal entries included."""
+    d = draw(st.integers(2, 12))
+    n = draw(st.integers(1, d - 1))
+    entries = st.floats(-1e3, 1e3, allow_nan=False)
+
+    def rows(width):
+        return st.lists(st.lists(entries, min_size=width, max_size=width), min_size=n, max_size=n)
+
+    return draw(rows(d)), draw(rows(draw(st.integers(1, 4))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs=_fewer_pairs_than_dimensions())
+@example(pairs=([[0.7, 0.1]], [[1.0, 2.0]]))  # its d x d Cholesky once factored, by rounding
+def test_zero_lam_on_fewer_pairs_than_dimensions_always_raises(pairs):
+    """X X^T has rank at most n < d, so lam = 0 raises on every input, whatever rounding
+    would make of a factorization."""
+    with pytest.raises(np.linalg.LinAlgError,
+                       match=r"^X X\^T is singular; pass a positive lam to regularize$"):
+        train_least_squares(*_pairs(*pairs), lam=0.0)
+
+
+def test_a_tiny_positive_lam_on_fewer_pairs_than_dimensions_is_decided_by_the_dual_system():
+    """One pair at d=2 and lam = 1e-20, below the rounding of X X^T: the 1 x 1 dual
+    system x^T x + lam factors, and the map is y x^T / (x^T x + lam) to a few ulps."""
+    x, y, lam = np.array([0.6, 0.8]), np.array([1.0, 2.0]), 1e-20
+    fitted = train_least_squares(*_pairs([x], [y]), lam=lam)
+    expected = np.outer(y, x) / (x @ x + lam)
+    assert np.all(np.abs(fitted.matrix - expected) <= 4 * np.spacing(np.abs(expected)))
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (3, 8), (7, 40)])
+def test_a_fit_on_fewer_pairs_than_dimensions_factors_only_an_n_by_n_matrix(monkeypatch, n, d):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def spy(a):
+        factored.append(np.shape(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    rng = np.random.default_rng(n * d)
+    train_least_squares(*_pairs(rng.standard_normal((n, d)), rng.standard_normal((n, 3))), lam=0.1)
+    assert factored == [(n, n)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -500,6 +554,17 @@ class TestMapSerialization:
         save_map(fitted, first)
         loaded = load_map(first)
         assert loaded.hyperparams == fitted.hyperparams
+        save_map(loaded, second)
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_non_finite_hyperparameters_keep_their_bytes(self, tmp_path):
+        """nan, inf and -inf used to load as text, so a second save quoted them."""
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        hyperparams = {"lam": math.nan, "high": math.inf, "low": -math.inf}
+        save_map(LinearMap(np.eye(2), hyperparams=hyperparams), first)
+        loaded = load_map(first)
+        assert {k: repr(v) for k, v in loaded.hyperparams.items()} == {
+            "lam": "nan", "high": "inf", "low": "-inf"}
         save_map(loaded, second)
         assert second.read_bytes() == first.read_bytes()
 
@@ -598,6 +663,33 @@ class TestTrainConfig:
         assert cfg.gamma == 0.4
         assert cfg.negatives == 1
         assert cfg.ortho_weight == 0.0
+
+
+def _atlas_dispatch(floor):
+    entry = AtlasEntry("a", np.array([1.0, 0.0]), LinearMap(np.eye(2)))
+    return dispatch(MapAtlas((entry,), fallback=LinearMap(np.eye(2))), [np.ones(2)], floor)
+
+
+# each range check that NaN passed when it was written as x < 0 or x <= 0, and each
+# value it must now reject, naming the parameter
+NON_FINITE = [
+    ("gamma", lambda v: TrainConfig(gamma=v), math.nan),
+    ("learning_rate", lambda v: TrainConfig(learning_rate=v), math.nan),
+    ("ortho_weight", lambda v: TrainConfig(ortho_weight=v), math.nan),
+    *[("lam", lambda v: train_least_squares(*_pairs([[1.0, 0.0]], [[1.0]]), lam=v), v)
+      for v in [math.nan, math.inf, -math.inf]],
+    *[(name, lambda v, name=name: generate_nonlinear_world(50, 12, n_clusters=4, **{name: v}), v)
+      for name in ["noise_sigma", "variation_strength", "cluster_std"]
+      for v in [math.nan, math.inf, -math.inf]],
+    ("floor", _atlas_dispatch, math.nan),
+]
+
+
+@pytest.mark.parametrize("name, call, value", NON_FINITE,
+                         ids=[f"{name}={value}" for name, _, value in NON_FINITE])
+def test_nan_and_out_of_range_infinities_are_rejected_by_name(name, call, value):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+        call(value)
 
 
 def _unit_rows(m):

@@ -46,6 +46,16 @@ TESTS = Path(__file__).resolve().parent
 TOOL = TESTS.parent / "tools" / "output_digests.py"
 
 
+@pytest.mark.parametrize("argv, code", [(["--help"], 0), (["-h"], 0), (["-x"], 1), (["a", "b"], 1)])
+def test_a_flag_or_a_second_argument_prints_usage_and_runs_nothing(tmp_path, argv, code):
+    """The tool once took --help for its WORKDIR and ran the whole pipeline into it."""
+    run = subprocess.run([sys.executable, str(TOOL), *argv], cwd=tmp_path, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == code
+    assert (run.stdout if code == 0 else run.stderr).startswith("Usage: python tools/output_digests.py")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.fixture(scope="module")
 def result():
     """The tool's run: digests on stdout, the BLAS core on stderr."""

@@ -20,6 +20,8 @@ change moves.
 
 Usage: python tools/output_digests.py [WORKDIR]
 
+``-h`` or ``--help`` prints that line; any other argument that starts with
+``-``, or a second argument, is rejected with it. Either way nothing runs.
 Without WORKDIR the outputs go to a temporary directory that is removed
 afterwards. Lines are ``<sha256>  <path under WORKDIR>``, sorted by path.
 One more line, on stderr, names the OpenBLAS core and build that numpy
@@ -133,8 +135,12 @@ def digests(work: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> None:
-    if len(argv) > 1:
-        sys.exit(__doc__.split("\n\n")[2])
+    usage = __doc__.split("\n\n")[2]
+    if argv in (["-h"], ["--help"]):
+        print(usage)
+        return
+    if len(argv) > 1 or any(arg.startswith("-") for arg in argv):
+        sys.exit(usage)
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(argv[0]) if argv else Path(tmp)
         work.mkdir(parents=True, exist_ok=True)
