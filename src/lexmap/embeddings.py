@@ -277,13 +277,14 @@ def top_k_rows(
     nonzero with a tiny or inf norm, are found when the space is built and
     are always candidates; a query whose unit vector is not finite has every row.
 
-    A query of exactly k candidates, as almost every query is, is ranked
-    with the block: one gathered ``vecdot`` rescores the candidates, in
-    ascending row order, with ``cosines_to_all``'s row products, and one
-    ``top_k_indices`` ranks every such query's row. Any other query is
-    rescored over its candidates and ranked on its own. A space of fewer
-    than k rows gives all of them, ranked with the block; an empty space
-    none.
+    The block's queries are rescored in groups of equal candidate count,
+    most at exactly k: one gathered ``vecdot`` per group rescores each
+    query's candidates, in ascending row order, with ``cosines_to_all``'s
+    row products, and one ``top_k_indices`` ranks them. A group is split so
+    that no gather exceeds _BLOCK_BYTES, unless one query's own candidates
+    do (every row, for a query whose unit vector is not finite): such a
+    query is gathered alone. A space of fewer than k rows gives all of
+    them; an empty space none.
 
     Returns:
         (indices, scores), each of shape (queries, min(k, len(space))).
@@ -302,22 +303,20 @@ def top_k_rows(
         unit = _unit_queries(space, batch)
         query, row = _candidates(space, unit, k, margin)
         count = np.bincount(query, minlength=len(batch))
-        exact = count == width
+        first = np.cumsum(count) - count
         top = np.empty((len(batch), width), dtype=np.intp)
         cos = np.empty((len(batch), width))
-        rows = row[exact[query]].reshape(np.count_nonzero(exact), width)
-        rescored = _cosines(space, rows, unit[exact][:, None])
-        rank = top_k_indices(rescored, k)
-        top[exact] = np.take_along_axis(rows, rank, axis=1)
-        cos[exact] = np.take_along_axis(rescored, rank, axis=1)
-        end = np.cumsum(count)
-        # near ties send up to a fifth of the queries here: one flat rescoring per block took +44 %,
-        # and a padded one gathers its widest query's rows per query (10 GB at 50,000 x 300)
-        for i in np.flatnonzero(~exact):
-            rows = row[end[i] - count[i]:end[i]]
-            rescored = _cosines(space, rows, unit[i])
-            rank = top_k_indices(rescored, k)
-            top[i], cos[i] = rows[rank], rescored[rank]
+        # one flat rescoring per block took +44 %, and padding to the widest query could gather
+        # 10 GB at 50,000 x 300: queries of equal count share a gather, in parts of _BLOCK_BYTES
+        for c in sorted(set(count.tolist())):  # np.unique would import numpy.ma, 10-20 ms a process
+            group = np.flatnonzero(count == c)
+            per = max(1, _BLOCK_BYTES // (8 * c * space.dim or 1))
+            for part in (group[i:i + per] for i in range(0, len(group), per)):
+                rows = row[first[part, None] + np.arange(c)]
+                rescored = _cosines(space, rows, unit[part, None])
+                rank = top_k_indices(rescored, k)
+                top[part] = np.take_along_axis(rows, rank, axis=1)
+                cos[part] = np.take_along_axis(rescored, rank, axis=1)
         indices.append(top)
         scores.append(cos)
     return np.concatenate(indices), np.concatenate(scores)

@@ -637,9 +637,9 @@ def read_atlas(directory: Path) -> tuple[list[tuple[str, np.ndarray, dict]], dic
         items = [(item["anchor"], item["file"], np.array(item["vector"], dtype=np.float64))
                  for item in manifest["entries"]]
         fallback = manifest.get("fallback")
-        files = [file for _, file, _ in items] + ([fallback] if fallback else [])
-        if not all(isinstance(name, str) for name in [*(a for a, _, _ in items), *files]):
-            raise TypeError("anchor, file and fallback entries must be strings")
+        files = [file for _, file, _ in items] + ([] if fallback is None else [fallback])
+        if not all(isinstance(name, str) and name for name in [*(a for a, _, _ in items), *files]):
+            raise TypeError("anchor, file and fallback entries must be strings, none empty")
     except KeyError as exc:
         raise ValueError(f"bad atlas manifest in {manifest_path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -654,4 +654,4 @@ def read_atlas(directory: Path) -> tuple[list[tuple[str, np.ndarray, dict]], dic
     else:
         maps = [read_map(path) for path in paths]
     entries = [(anchor, vector, m) for (anchor, _, vector), m in zip(items, maps)]
-    return entries, maps[-1] if fallback else None
+    return entries, None if fallback is None else maps[-1]

@@ -77,20 +77,20 @@ class TrainConfig:
     ortho_weight: float = 0.0
 
     def __post_init__(self):
-        if not self.gamma > 0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.negatives < 1:
             raise ValueError(f"negatives must be >= 1, got {self.negatives}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0 < self.lr_decay <= 1:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.init not in INITS:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
-        if not self.ortho_weight >= 0:
-            raise ValueError(f"ortho_weight must be >= 0, got {self.ortho_weight}")
+        if not 0 <= self.ortho_weight < math.inf:
+            raise ValueError(f"ortho_weight must be finite and >= 0, got {self.ortho_weight}")
 
 
 def squared_distance(u: np.ndarray, v: np.ndarray) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .embeddings import (EmbeddingSpace, cosines_to_rows, load_embeddings, top_k_indices,
                          write_embeddings)
-from .formats import dumps_json, read_vec
+from .formats import dumps_json
 from .lexicon import BilingualLexicon, load_lexicon
 from .seeds import spawn_rng
 
@@ -308,8 +308,8 @@ def load_world(directory: str | Path) -> SyntheticWorld:
     except (AttributeError, TypeError, ValueError) as exc:
         raise ValueError(f"bad world descriptor in {descriptor_path}: {exc}") from None
 
-    words, vectors, stats = read_vec(directory / "src.vec", limit=None, normalize=False)
-    src_space = EmbeddingSpace(words, vectors, normalized=True, stats=stats)
+    raw = load_embeddings(directory / "src.vec", normalize=False)  # the unit rows as written
+    src_space = EmbeddingSpace(raw.words, raw.vectors, normalized=True, stats=raw.stats)
     tgt_space = load_embeddings(directory / "tgt.vec", normalize=False)
     lexicon = load_lexicon(directory / "lexicon.txt")
     return SyntheticWorld(src_space=src_space, tgt_space=tgt_space, lexicon=lexicon,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from lexmap import embeddings
 from lexmap.embeddings import EmbeddingSpace, load_embeddings
 
 # CI runs each property test on the same examples every time, so a failure
@@ -38,6 +39,21 @@ def toy_space():
         np.array([[1.0, 0.0], [0.8, 0.6], [0.0, 1.0]]),
         normalized=True,
     )
+
+
+@pytest.fixture
+def candidate_counts(monkeypatch):
+    """Each query's candidate count in top_k_rows, from _candidates, block after block."""
+    counts = []
+    candidates = embeddings._candidates
+
+    def spy(space, unit, k, margin):
+        query, row = candidates(space, unit, k, margin)
+        counts.extend(np.bincount(query, minlength=len(unit)).tolist())
+        return query, row
+
+    monkeypatch.setattr(embeddings, "_candidates", spy)
+    return counts
 
 
 def random_space(rng, n, d, tag="rand"):

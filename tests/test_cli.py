@@ -102,7 +102,9 @@ INPUT_CHECKS = [
     pytest.param(["train", *_SPACES, "--lexicon", "{d}/lex.txt", "--trainer", "lsq", "--lam", "-1"],
                  "constraint: lam must be finite and >= 0, got -1.0", id="negative-lam"),
     pytest.param(["train", *_SPACES, "--lexicon", "{d}/lex.txt", "--gamma", "nan"],
-                 "constraint: gamma must be > 0, got nan", id="nan-gamma"),
+                 "constraint: gamma must be finite and > 0, got nan", id="nan-gamma"),
+    pytest.param(["train", *_SPACES, "--lexicon", "{d}/lex.txt", "--gamma", "inf"],
+                 "constraint: gamma must be finite and > 0, got inf", id="inf-gamma"),
     pytest.param(["neighborhood", "--src-emb", "{d}/v.vec", "--anchors", "a", "--thresholds", "2,0.5"],
                  "constraint: threshold s must be in [-1, 1], got 2.0", id="threshold-above-one"),
     pytest.param(["synth", "--clusters", "0"],

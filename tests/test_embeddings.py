@@ -330,17 +330,17 @@ class TestTopK:
                 assert top_k_by_cosine(space, query, k) == full[:k]
 
     @pytest.mark.parametrize("kind", ["normalized", "raw", "raw with a forced row"])
-    def test_mixed_block_ranks_each_query_as_alone(self, kind, monkeypatch):
+    def test_mixed_block_ranks_each_query_as_alone(self, kind, candidate_counts, monkeypatch):
         """One block of queries, most of whose margins admit exactly k rows.
 
         Copies of row 0 a few ulps apart tie at the top, so a query along row
         0 admits more than k rows; so does a query with an inf entry, whose
         unit vector is not finite. A row whose squares underflow is a forced
-        candidate of every query. Each such query is ranked on its own. The
-        others are ranked together, in one 2-D top_k_indices, among them a
+        candidate of every query. The others admit k rows, among them a
         query along row 5, which ties exactly with its copy in row 6, and a
-        query whose squares underflow. Every result equals cosines_to_all
-        ranked by top_k_indices.
+        query whose squares underflow. The block's queries are rescored in
+        groups of equal count, and every result equals cosines_to_all ranked
+        by top_k_indices.
         """
         rng = np.random.default_rng(5)
         vectors = rng.standard_normal((60, 300))
@@ -364,15 +364,9 @@ class TestTopK:
 
         expected = [ranked(query) for query in queries]
         assert expected[5][0] == [5, 6]
-        ranked_alone = []
         monkeypatch.setattr(embeddings, "_block_queries", lambda space: len(queries))
-
-        def spy(scores, k):
-            if np.ndim(scores) == 1:
-                ranked_alone.append(scores)
-            return top_k_indices(scores, k)
-
-        monkeypatch.setattr(embeddings, "top_k_indices", spy)
         indices, scores = top_k_rows(space, queries, 2)
         assert [(row.tolist(), s.tobytes()) for row, s in zip(indices, scores)] == expected
-        assert len(ranked_alone) == (len(queries) if "forced" in kind else len(alone))
+        wide = [i for i, count in enumerate(candidate_counts) if count > 2]
+        assert wide == (list(range(len(queries))) if "forced" in kind else [3, 6, 10])
+        assert all(count == 2 for i, count in enumerate(candidate_counts) if i not in wide)

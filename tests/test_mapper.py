@@ -670,12 +670,12 @@ def _atlas_dispatch(floor):
     return dispatch(MapAtlas((entry,), fallback=LinearMap(np.eye(2))), [np.ones(2)], floor)
 
 
-# each range check that NaN passed when it was written as x < 0 or x <= 0, and each
-# value it must now reject, naming the parameter
+# each range check that NaN passed when it was written as x < 0 or x <= 0, or inf as
+# x > 0, and each value it must now reject, naming the parameter
 NON_FINITE = [
-    ("gamma", lambda v: TrainConfig(gamma=v), math.nan),
-    ("learning_rate", lambda v: TrainConfig(learning_rate=v), math.nan),
-    ("ortho_weight", lambda v: TrainConfig(ortho_weight=v), math.nan),
+    *[(name, lambda v, name=name: TrainConfig(**{name: v}), v)
+      for name in ["gamma", "learning_rate", "ortho_weight"]
+      for v in [math.nan, math.inf, -math.inf]],
     *[("lam", lambda v: train_least_squares(*_pairs([[1.0, 0.0]], [[1.0]]), lam=v), v)
       for v in [math.nan, math.inf, -math.inf]],
     *[(name, lambda v, name=name: generate_nonlinear_world(50, 12, n_clusters=4, **{name: v}), v)

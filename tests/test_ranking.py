@@ -368,19 +368,6 @@ def test_huge_query_scores_its_cosine():
     assert word == "t3" and score == pytest.approx(1.0)
 
 
-def ranked_alone_spy(monkeypatch):
-    """The 1-D top_k_indices calls of top_k_rows: one per query ranked on its own."""
-    alone = []
-
-    def spy(scores, k):
-        if np.ndim(scores) == 1:
-            alone.append(scores)
-        return top_k_indices(scores, k)
-
-    monkeypatch.setattr(embeddings, "top_k_indices", spy)
-    return alone
-
-
 def assert_ranks_per_query(space, queries, k, tile, per_block=1000):
     """top_k_rows with rows tiled ``tile`` at a time equals the per-query path."""
     with mock.patch.object(embeddings, "_ROW_TILE", tile), \
@@ -424,19 +411,17 @@ def test_ties_straddling_a_tile_boundary_rank_by_index():
 
 
 @pytest.mark.parametrize("tile", [4, 5, 16])
-def test_kth_score_first_seen_in_the_last_tile(tile, monkeypatch):
+def test_kth_score_first_seen_in_the_last_tile(tile, candidate_counts):
     """The k best rows all sit in the last tile, or all in the first: the
-    running k-th merges across tiles, so each query admits just its k rows
-    and is ranked with the block."""
+    running k-th merges across tiles, so each query admits just its k rows."""
     rng = np.random.default_rng(32)
     vectors = rng.standard_normal((64, 300))
     space = EmbeddingSpace([f"t{i}" for i in range(64)], vectors)
     sets = ([61, 62, 63], [0, 1, 2], [3, 30, 60], [63, 0, 33])
     queries = [vectors[rows].sum(axis=0) for rows in sets]
-    alone = ranked_alone_spy(monkeypatch)
     got = assert_ranks_per_query(space, queries, 3, tile)
     assert [sorted(rows) for rows in got] == [sorted(rows) for rows in sets]
-    assert alone == []
+    assert candidate_counts == [3] * len(queries)
 
 
 def test_k_larger_than_a_tile():
@@ -450,9 +435,9 @@ def test_k_larger_than_a_tile():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflowing rows, as per query
-def test_forced_rows_in_different_tiles_are_candidates_of_every_query(monkeypatch):
+def test_forced_rows_in_different_tiles_are_candidates_of_every_query(candidate_counts):
     """Tiny, overflowing and inf rows sit in three tiles; each is rescored for
-    every query, so every query is ranked on its own."""
+    every query, so every query admits more than its k rows."""
     rng = np.random.default_rng(34)
     vectors = rng.standard_normal((14, 30))
     vectors[1] = ODD_ROWS["tiny"](30)
@@ -461,17 +446,17 @@ def test_forced_rows_in_different_tiles_are_candidates_of_every_query(monkeypatc
     vectors[9] = vectors[2]
     space = EmbeddingSpace([f"t{i}" for i in range(14)], vectors)
     queries = [*rng.standard_normal((4, 30)), vectors[1] * 2.0**600, vectors[2]]
-    alone = ranked_alone_spy(monkeypatch)
     for k in (1, 2, 6):
-        alone.clear()
+        candidate_counts.clear()
         assert_ranks_per_query(space, queries, k, tile=4)
-        assert len(alone) == len(queries)
+        assert len(candidate_counts) == len(queries)
+        assert all(count > k for count in candidate_counts)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row, as per query
-def test_k_larger_than_the_space_keeps_every_row(monkeypatch):
+def test_k_larger_than_the_space_keeps_every_row(candidate_counts):
     """A space of at most k rows, tiled in threes with forced rows in two tiles:
-    every row is a candidate of every query, so each is ranked with the block."""
+    every row is a candidate of every query, and none is admitted twice."""
     rng = np.random.default_rng(37)
     vectors = rng.standard_normal((7, 30))
     vectors[1] = ODD_ROWS["tiny"](30)
@@ -479,11 +464,68 @@ def test_k_larger_than_the_space_keeps_every_row(monkeypatch):
     vectors[6] = vectors[2]
     space = EmbeddingSpace([f"t{i}" for i in range(7)], vectors)
     queries = [*rng.standard_normal((4, 30)), vectors[2], np.full(30, 1e300)]
-    alone = ranked_alone_spy(monkeypatch)
     for k in (7, 8, 20):
         got = assert_ranks_per_query(space, queries, k, tile=3)
         assert [sorted(rows) for rows in got] == [list(range(7))] * len(queries)
-    assert alone == []
+    assert candidate_counts == [7] * 3 * len(queries)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row, as per query
+@pytest.mark.parametrize("forced", [False, True])
+def test_equal_counts_share_one_gather_per_part_within_the_budget(forced, monkeypatch):
+    """Blocks of 6 queries that mix k candidates, near ties of 3 and 4, and a
+    non-finite query of every row; with forced rows, every count grows by two.
+    Under a budget of 12 rescored rows, each block's queries of one count are
+    rescored in parts of as many as fit, one _cosines call per part, in
+    their exact width; a query past the budget on its own is gathered alone.
+    """
+    rng = np.random.default_rng(40)
+    n, d, k = 40, 30, 2
+    vectors = rng.standard_normal((n, d))
+    vectors[1], vectors[2] = np.nextafter(vectors[0], np.inf), vectors[0]
+    vectors[11:14] = vectors[10]
+    vectors[12] = np.nextafter(vectors[10], -np.inf)
+    if forced:
+        vectors[30], vectors[35] = ODD_ROWS["tiny"](d), ODD_ROWS["overflowing mixed"](d)
+    space = EmbeddingSpace([f"t{i}" for i in range(n)], vectors)
+    near = [vectors[0] * scale for scale in (1.0, 2.0, 3.0, 0.5, 7.0)]
+    queries = [*near, rng.standard_normal(d), np.resize([np.inf, 1.0], d), vectors[10],
+               rng.standard_normal(d) * 1e-160, *rng.standard_normal((2, d)), vectors[10] * 2.0,
+               *near[:3], vectors[10] * 5.0, *rng.standard_normal((3, d))]
+    expected = per_query_top_k(space, queries, k)
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 12 * d)
+    log = []  # per block: each query's candidate count, and the (queries, rows) of each gather
+    candidates, cosines = embeddings._candidates, embeddings._cosines
+
+    def candidates_spy(space, unit, k, margin):
+        query, row = candidates(space, unit, k, margin)
+        log.append((np.bincount(query, minlength=len(unit)).tolist(), []))
+        return query, row
+
+    def cosines_spy(space, rows, unit):
+        log[-1][1].append(rows.shape)
+        return cosines(space, rows, unit)
+
+    monkeypatch.setattr(embeddings, "_candidates", candidates_spy)
+    monkeypatch.setattr(embeddings, "_cosines", cosines_spy)
+    indices, scores = top_k_rows(space, queries, k)
+    assert ([row.tolist() for row in indices], [row.tobytes() for row in scores]) == expected
+    extra = {6: n - k - 2 * forced, 7: 2, 11: 2, 15: 2}  # every row; along row 10's four copies
+    extra |= dict.fromkeys([0, 1, 2, 3, 4, 12, 13, 14], 1)  # along row 0's three
+    assert [count for counts, _ in log for count in counts] == [
+        k + 2 * forced + extra.get(i, 0) for i in range(len(queries))]
+    split = alone = 0
+    for counts, shapes in log:
+        assert all(q == 1 or q * c <= 12 for q, c in shapes)
+        parts = []
+        for c in sorted(set(counts)):
+            group = counts.count(c)
+            per = max(1, 12 // c)
+            parts += [(min(per, group - i), c) for i in range(0, group, per)]
+            split += group > per
+            alone += c > 12
+        assert sorted(shapes) == sorted(parts)
+    assert split and alone
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row

@@ -457,6 +457,10 @@ class TestAtlasPersistence:
         ('{"entries": [{"anchor": "a", "file": 7, "vector": [1.0]}]}', "must be strings"),
         ('{"entries": [{"anchor": "a", "file": "map_0000.txt", "vector": {}}]}', "float"),
         ('{"entries": [], "fallback": 3}', "must be strings"),
+        *[(f'{{"entries": [], "fallback": {value}}}', "must be strings")
+          for value in ["0", "false", "[]", "{}"]],
+        ('{"entries": [], "fallback": ""}', "none empty"),
+        ('{"entries": [{"anchor": "", "file": "map_0000.txt", "vector": [1.0]}]}', "none empty"),
     ])
     def test_malformed_manifest_named_before_any_map_loads(self, tmp_path, capsys, text, reason):
         manifest = tmp_path / "atlas" / "manifest.json"
