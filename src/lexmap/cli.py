@@ -294,9 +294,9 @@ def _cmd_translate(args, out: Path) -> None:
     if args.words:
         words = _comma_list(args.words)
     elif args.input:
-        # read_text ends every line with \n; splitlines would also split at U+2028 and kin,
-        # and str.strip() would cut them off a word, though a .vec token keeps them
-        entries = Path(args.input).read_text(encoding="utf-8").split("\n")
+        # utf-8-sig drops a byte order mark, read_text ends each line with \n; splitlines would also
+        # split at U+2028 and kin, and str.strip() cut them off a word, though a .vec token keeps them
+        entries = Path(args.input).read_text(encoding="utf-8-sig").split("\n")
         words = [w.strip(" ") for w in entries if w.strip(" ")]
     else:
         raise ValueError("pass --words or --input")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .formats import LoadStats, read_vec, write_vec
 
-# least bytes of one top_k_rows block: its unit queries, one tile's GEMM scores and their partition
+# least bytes of one top_k_rows block (_block_queries), and most of one rescoring gather
 _BLOCK_BYTES = 2 << 20
 # rows of the space per top_k_rows GEMM tile
 _ROW_TILE = 4096
@@ -246,10 +246,12 @@ def top_k_rows(
 
     Equal, bit for bit, to ranking ``cosines_to_all`` of each query with
     ``top_k_indices``, whatever the block size, row tile or BLAS thread
-    count. Queries are read lazily, a block at a time, and each block's
-    unit queries are normed in one pass. A float32 GEMM against the space's
-    float32 unit rows (``_float32_rows``), _ROW_TILE rows at a time, only
-    selects candidates: every row whose GEMM score is at least the query's
+    count. Queries are read lazily in blocks, which one rule sizes
+    (``_block_queries``: a block's unit queries, one tile's GEMM scores
+    beside the k best and their partition), and each block's unit queries
+    are normed in one pass. A float32 GEMM against the space's float32 unit
+    rows (``_float32_rows``), _ROW_TILE rows at a time, only selects
+    candidates: every row whose GEMM score is at least the query's
     k-th best GEMM score less a margin. A running k-th best carries from
     tile to tile; it only rises, so the rows a tile keeps against it are
     filtered once more against the last.
@@ -292,8 +294,7 @@ def top_k_rows(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     width = min(k, len(space))
-    # a block's gathered candidate rows stay within _BLOCK_BYTES too
-    block = min(_block_queries(space), max(1, _BLOCK_BYTES // (8 * width * space.dim or 1)))
+    block = _block_queries(space, width)
     mu = (2 * space.dim + 4) * 2.0**-24
     margin = np.float32(4.0 * mu / (1.0 - mu) + space.dim * 2.0**-122)
     indices = [np.empty((0, width), dtype=np.intp)]
@@ -370,16 +371,19 @@ def _float32_rows(space: EmbeddingSpace) -> np.ndarray:
     return rows
 
 
-def _block_queries(space: EmbeddingSpace) -> int:
-    """Queries per top_k_rows block.
+def _block_queries(space: EmbeddingSpace, width: int) -> int:
+    """Queries per top_k_rows block of ``width`` best rows each: the one rule that sizes a block.
 
-    A block's float32 GEMM scores of one row tile, and their partition,
-    fill _BLOCK_BYTES, or an eighth of a larger space's float32 rows: the
-    GEMM then reads the rows once per many queries rather than per query,
-    and a block's memory stops growing with the space past one tile.
+    Per query, a block holds its unit query and one row tile's float32 GEMM
+    scores beside the running ``width`` best, and their partition: 4 (d +
+    2 (min(V, _ROW_TILE) + width)) bytes. They fill _BLOCK_BYTES, or an
+    eighth of a larger space's float32 rows: the GEMM then reads the rows
+    once per many queries rather than per query, and a block's memory stops
+    growing with the space past one tile.
     """
     block_bytes = max(_BLOCK_BYTES, 4 * space.dim * len(space) // 8)
-    return max(1, block_bytes // (4 * (space.dim + 2 * min(len(space), _ROW_TILE))))
+    per_query = 4 * (space.dim + 2 * (min(len(space), _ROW_TILE) + width))
+    return max(1, block_bytes // per_query)
 
 
 def top_k_by_cosine(space: EmbeddingSpace, query: np.ndarray, k: int) -> list[tuple[str, float]]:

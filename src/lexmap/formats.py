@@ -29,8 +29,6 @@ _CHUNK_LINES = 256
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 # a word a .vec line holds back as written: no " ", line break or lone surrogate (not UTF-8)
 _VEC_WORD = re.compile("[^ \n\r\ud800-\udfff]+")
-# bytes read per digest update
-_DIGEST_CHUNK = 1 << 20
 # a fixed member timestamp keeps a companion's bytes deterministic, unlike np.savez
 _ZIP_TIME = (1980, 1, 1, 0, 0, 0)
 # entries per _format_float_rows block: bounds its (block, 32) byte layout
@@ -438,7 +436,8 @@ def _serve_companion(path: Path, limit: int | None) -> VecParts | None:
         if limit is not None and not (count and count[0].isdigit() and limit >= int(count[0])):
             return None
         # a .vec is hashed only when a companion may serve it: a real one runs to hundreds of MB
-        digest = _sha256(fh)
+        fh.seek(0)
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
     if (arrays := _read_companion(companion, [digest])) is None:
         return None
     words, vectors = arrays["words"], arrays["vectors"]
@@ -497,16 +496,6 @@ def _payload_digest(arrays: dict[str, np.ndarray]) -> str:
     for name, array in sorted(arrays.items()):
         digest.update(f"{name} {array.dtype.str} {array.shape}\n".encode())
         digest.update(np.ascontiguousarray(array))
-    return digest.hexdigest()
-
-
-def _sha256(fh) -> str:
-    """Hex sha256 of a binary file from its start, read in chunks (hashlib.file_digest
-    needs Python 3.11)."""
-    fh.seek(0)
-    digest = hashlib.sha256()
-    while chunk := fh.read(_DIGEST_CHUNK):
-        digest.update(chunk)
     return digest.hexdigest()
 
 

@@ -102,7 +102,7 @@ def load_lexicon(path: str | Path) -> BilingualLexicon:
     pairs: dict[str, list[str]] = {}
     seen: set[tuple[str, str]] = set()
     lines = dedup = skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:  # a byte order mark is no token
         for line in fh:
             fields = [f for f in line.rstrip("\n").replace("\t", " ").split(" ") if f]
             if not fields:

@@ -36,7 +36,7 @@ SRC = str(Path(lexmap.__file__).resolve().parents[1])
 COMPARED = ("report.tsv", "report.jsonl", "pairwise.tsv", "scatter.tsv")
 # top_k_rows over a raw and a normalized space of 5000 rows, two row tiles at the
 # default tile, whose groups of 8 rows are a row and its copies nudged by float32
-# and float64 ulps; 400 queries near the groups, in blocks of 87 at k=10. Prints
+# and float64 ulps; 400 queries near the groups, in blocks of 61 at k=10. Prints
 # a digest of each ranking and whether it equals the per-query one.
 RANKING = """
 import hashlib

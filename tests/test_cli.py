@@ -706,6 +706,17 @@ class TestTrainAndTranslate:
         assert [row.split("\t")[:4] for row in rows] == [
             [w, "global", "1", w] for w in (token, "d", "c", lead, trail)]
 
+    def test_input_drops_a_leading_byte_order_mark(self, tmp_path):
+        """The first word used to keep U+FEFF and fail as out of vocabulary."""
+        vec = str(write_vec(tmp_path / "e.vec", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])]))
+        save_map(LinearMap(np.eye(2)), tmp_path / "map.txt")
+        (tmp_path / "words.txt").write_text("\ufeffb\na\n", encoding="utf-8")
+        argv = ["translate", "--src-emb", vec, "--tgt-emb", vec, "--map", str(tmp_path / "map.txt"),
+                "--input", str(tmp_path / "words.txt"), "--k", "1", "--out", str(tmp_path / "o")]
+        assert run(argv) == 0
+        rows = (tmp_path / "o" / "translations.tsv").read_text(encoding="utf-8").split("\n")[1:-1]
+        assert [row.split("\t")[:4] for row in rows] == [[w, "global", "1", w] for w in "ba"]
+
     def test_translate_against_an_empty_target_writes_only_the_header(self, tmp_path):
         src = write_vec(tmp_path / "src.vec", [("a", [1.0, 0.0]), ("b", [0.0, 1.0])])
         (tmp_path / "tgt.vec").write_text("0 2\n", encoding="utf-8")

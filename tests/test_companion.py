@@ -324,7 +324,7 @@ def test_companion_with_a_word_per_row_short_serves_the_text(written, text_parse
     path, space = written
     words = np.frombuffer("\n".join(space.words[:-1]).encode(), dtype=np.uint8)
     with path.open("rb") as fh:
-        digest = formats._sha256(fh)
+        digest = hashlib.file_digest(fh, "sha256").hexdigest()
     formats._write_companion(VecFile().companion(path), [digest],
                              {"words": words, "vectors": space.vectors})
     back = load_embeddings(path, normalize=False)

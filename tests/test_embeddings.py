@@ -364,7 +364,7 @@ class TestTopK:
 
         expected = [ranked(query) for query in queries]
         assert expected[5][0] == [5, 6]
-        monkeypatch.setattr(embeddings, "_block_queries", lambda space: len(queries))
+        monkeypatch.setattr(embeddings, "_block_queries", lambda space, width: len(queries))
         indices, scores = top_k_rows(space, queries, 2)
         assert [(row.tolist(), s.tobytes()) for row, s in zip(indices, scores)] == expected
         wide = [i for i, count in enumerate(candidate_counts) if count > 2]

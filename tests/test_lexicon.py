@@ -71,6 +71,15 @@ class TestLoadLexicon:
         assert lex.pairs == {"a\xa0b": ["x"], "c\u2028d": ["y"]}
         assert lex.skipped_count == 0
 
+    def test_leading_byte_order_mark_is_not_part_of_the_first_token(self, tmp_path):
+        """Editors on Windows start UTF-8 files with U+FEFF; it used to stay on the first
+        source word, whose pair was then lost uncounted. Elsewhere it is a character."""
+        path = tmp_path / "lex.txt"
+        path.write_text("\ufeffa alpha\nb beta\n\ufeffc gamma\n", encoding="utf-8")
+        lex = load_lexicon(path)
+        assert lex.pairs == {"a": ["alpha"], "b": ["beta"], "\ufeffc": ["gamma"]}
+        assert (lex.line_count, lex.skipped_count) == (3, 0)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_lexicon(tmp_path / "none.txt")

@@ -273,7 +273,7 @@ def test_top_k_rows_equals_per_query_path(case):
         indices, scores = top_k_rows(space, iter(queries), k)
         return [row.tolist() for row in indices], [row.tobytes() for row in scores]
 
-    with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+    with mock.patch.object(embeddings, "_block_queries", lambda space, width: per_block):
         got = result_or_error(batched)
     assert got == result_or_error(per_query_top_k, space, queries, k)  # a zero query raises
 
@@ -303,7 +303,7 @@ def test_top_k_rows_on_near_ties_at_d300(normalized, per_block):
     queries = [vectors[base] * 3.0 for base in range(0, 400, 8)]
     queries += list(vectors[::8] + 1e-3 * rng.standard_normal((50, 300)))
     for k in (1, 4, 10):
-        with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+        with mock.patch.object(embeddings, "_block_queries", lambda space, width: per_block):
             indices, scores = top_k_rows(space, queries, k)
         got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
         assert got == per_query_top_k(space, queries, k)
@@ -371,7 +371,7 @@ def test_huge_query_scores_its_cosine():
 def assert_ranks_per_query(space, queries, k, tile, per_block=1000):
     """top_k_rows with rows tiled ``tile`` at a time equals the per-query path."""
     with mock.patch.object(embeddings, "_ROW_TILE", tile), \
-            mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+            mock.patch.object(embeddings, "_block_queries", lambda space, width: per_block):
         indices, scores = top_k_rows(space, queries, k)
     got = ([row.tolist() for row in indices], [row.tobytes() for row in scores])
     assert got == per_query_top_k(space, queries, k)
@@ -392,7 +392,7 @@ def test_top_k_rows_in_small_row_tiles_equals_per_query_path(case, tile):
         return [row.tolist() for row in indices], [row.tobytes() for row in scores]
 
     with mock.patch.object(embeddings, "_ROW_TILE", tile), \
-            mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+            mock.patch.object(embeddings, "_block_queries", lambda space, width: per_block):
         got = result_or_error(batched)
     assert got == result_or_error(per_query_top_k, space, queries, k)  # a zero query raises
 
@@ -526,6 +526,39 @@ def test_equal_counts_share_one_gather_per_part_within_the_budget(forced, monkey
             alone += c > 12
         assert sorted(shapes) == sorted(parts)
     assert split and alone
+
+
+def test_one_rule_sizes_every_block(monkeypatch):
+    """Under a budget of 2880 bytes, 40 rows at d=30 give blocks of 6, 5 and 3
+    queries at k = 1, 10 and 40: every block but the last holds
+    _block_queries(space, min(k, V)), so blocks shrink as the k best they
+    keep grow, no other cap holds them smaller, and each ranking is the
+    per-query one."""
+    rng = np.random.default_rng(44)
+    n, d = 40, 30
+    vectors = rng.standard_normal((n, d))
+    vectors[1] = vectors[0]
+    space = EmbeddingSpace([f"t{i}" for i in range(n)], vectors)
+    queries = [*rng.standard_normal((17, d)), vectors[0], vectors[0] * 2.0]
+    expected = {k: per_query_top_k(space, queries, k) for k in (1, 10, n)}
+    monkeypatch.setattr(embeddings, "_BLOCK_BYTES", 8 * 12 * d)
+    blocks = []  # each block's query count
+    candidates = embeddings._candidates
+
+    def candidates_spy(space, unit, k, margin):
+        blocks.append(len(unit))
+        return candidates(space, unit, k, margin)
+
+    monkeypatch.setattr(embeddings, "_candidates", candidates_spy)
+    sizes = []
+    for k in (1, 10, n):
+        blocks.clear()
+        indices, scores = top_k_rows(space, queries, k)
+        assert ([row.tolist() for row in indices], [row.tobytes() for row in scores]) == expected[k]
+        sizes.append(embeddings._block_queries(space, min(k, n)))
+        assert blocks[:-1] == [sizes[-1]] * (len(blocks) - 1) and blocks[-1] <= sizes[-1]
+        assert sum(blocks) == len(queries)
+    assert sizes == [6, 5, 3]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row

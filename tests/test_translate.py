@@ -219,7 +219,7 @@ def test_translate_words_equals_the_per_word_path(case):
     for word in words:
         m, label = select_entry(atlas, src.vector(word), floor)
         expected.append((top_k_by_cosine(tgt, m.apply(src.vector(word)), k), label))
-    with mock.patch.object(embeddings, "_block_queries", lambda space: per_block):
+    with mock.patch.object(embeddings, "_block_queries", lambda space, width: per_block):
         assert translate_words(atlas, words, src, tgt, k, floor) == expected
 
 
