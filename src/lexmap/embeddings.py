@@ -30,8 +30,10 @@ class EmbeddingSpace:
     the word list is a tuple, so instances are safe to share across
     concurrent read-only queries. Every cosine is ``vecdot(row, unit query)``
     over the row's read-only norm: inf for a zero row, exactly 1.0 in a
-    normalized space, exact for a raw row too small to square or whose
-    squares overflow. ``vecdot`` sums each row alone: equal rows score
+    normalized space, else ``sqrt(vecdot(row, row))``, taken once per row;
+    a raw row too small to square or whose squares overflow takes, from
+    ``_into_range``, the norm of its copy as scaled over the copy's factor,
+    so it is exact too. ``vecdot`` sums each row alone: equal rows score
     bit-equal wherever they sit. The rows ``top_k_rows``' margin does not
     cover, nonzero with a tiny norm or one beyond float64's range (raw
     spaces only), are found once, when the space is built.
@@ -64,10 +66,8 @@ class EmbeddingSpace:
             norms = np.sqrt(np.vecdot(vectors, vectors))
             if normalized and not np.allclose(norms, 1.0, atol=1e-6):
                 raise ValueError("normalized=True but some rows are not unit norm")
-            odd = ~(norms >= _TINY_NORM) | np.isinf(norms)  # scaled by a power of two, then normed
-            scaled = vectors[odd]
-            scale = _into_range(scaled)
-            norms[odd] = np.sqrt(np.vecdot(scaled, scaled)) / scale
+            odd = ~(norms >= _TINY_NORM) | np.isinf(norms)  # a copy's scaled norm over its factor
+            norms[odd] = np.divide(*_into_range(vectors[odd]))
         norms[norms == 0.0] = np.inf  # zero rows score 0 instead of dividing by 0
         norms = np.ones_like(norms) if normalized else norms  # x / 1.0 is x, bit for bit
         norms.flags.writeable = False
@@ -151,44 +151,42 @@ def cosine_similarity(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    u, v = (np.array(x, ndmin=2) for x in (u, v))  # copies, as rows for _into_range
-    _into_range(u)
-    _into_range(v)
-    u, v = u[0], v[0]
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    pair = np.array([u, v]).reshape(2, -1)  # a copy, as rows for _into_range
+    (nu, nv), _ = _into_range(pair)
     if nu == 0.0 or nv == 0.0:
         raise ValueError("cosine similarity undefined for zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return float(np.clip(np.dot(pair[0], pair[1]) / (nu * nv), -1.0, 1.0))
 
 
-def _into_range(matrix: np.ndarray) -> np.ndarray:
+def _into_range(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Scale, exactly and in place, each row of a float64 matrix whose squares lose bits, and
-    return every row's factor: 2**600 for a row normed below _TINY_NORM (its squares may
-    underflow), 2**-600 for a finite row normed inf (its squares overflow; entries far below
-    its norm may underflow, which moves no cosine by more than a rounding), 1.0 for any other.
-    Each norm is ``sqrt(vecdot(row, row))``, the bits of ``np.linalg.norm(row)``."""
+    return every row's norm as scaled and its factor: 2**600 for a row normed below _TINY_NORM
+    (its squares may underflow), 2**-600 for a finite row normed inf (its squares overflow;
+    entries far below its norm may underflow, which moves no cosine by more than a rounding),
+    1.0 for any other. Each norm is ``sqrt(vecdot(row, row))``: one pass over every row,
+    then one over the rows it scaled."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = np.sqrt(np.vecdot(matrix, matrix))
-    scale = np.ones_like(norms)
-    scale[norms < _TINY_NORM] = 2.0**600
-    huge = np.flatnonzero(np.isinf(norms))
-    scale[huge[np.isfinite(matrix[huge]).all(axis=1)]] = 2.0**-600
-    odd = scale != 1.0
-    matrix[odd] *= scale[odd, None]
-    return scale
+        scale = np.ones_like(norms)
+        scale[norms < _TINY_NORM] = 2.0**600
+        huge = np.flatnonzero(np.isinf(norms))
+        scale[huge[np.isfinite(matrix[huge]).all(axis=1)]] = 2.0**-600
+        odd = np.flatnonzero(scale != 1.0)
+        matrix[odd] *= scale[odd, None]
+        norms[odd] = np.sqrt(np.vecdot(matrix[odd], matrix[odd]))
+    return norms, scale
 
 
 def _unit_rows(matrix: np.ndarray) -> np.ndarray:
     """Divide each row of a float64 matrix by its norm, in place, and return the norms.
 
     Each row is scaled into range by ``_into_range`` first, so a row too
-    small to square or whose squares overflow gets its unit vector too. A
+    small to square or whose squares overflow gets its unit vector too; the
+    norms are the ones ``_into_range`` returns, of the rows as scaled. A
     zero row's norm is 0 and its row NaN.
     """
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _into_range(matrix)
-        norms = np.sqrt(np.vecdot(matrix, matrix))
+    norms, _ = _into_range(matrix)
+    with np.errstate(invalid="ignore", divide="ignore"):
         matrix /= norms[:, None]
     return norms
 
@@ -339,8 +337,9 @@ def _candidates(
         gemm = unit32 @ space_rows[start:start + _ROW_TILE].T
         odd = forced[(forced >= start) & (forced < start + gemm.shape[1])] - start
         gemm[:, odd] = -np.inf
-        seen = np.concatenate([best, gemm], axis=1) if start else gemm
-        best = np.partition(seen, max(seen.shape[1] - k, 0), axis=1)[:, -k:]  # a copy
+        best = np.concatenate([best, gemm], axis=1)  # the k best so far, then the tile
+        best.partition(max(best.shape[1] - k, 0), axis=1)
+        best = best[:, -k:].copy()  # frees the tile-wide array before the next tile
         floor = np.clip(best[:, 0], -1.0, 1.0) - margin  # fewer than k rows: under their least
         floor[(floor <= -1.0) | ~finite] = -np.inf  # every clipped score is at least -1
         gemm[:, odd] = np.inf  # forced rows pass every floor; best holds them as -inf

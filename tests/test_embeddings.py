@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from lexmap import embeddings
@@ -233,6 +235,114 @@ class TestCosineSimilarity:
             c = cosine_similarity(u, v)
             assert abs(c - cosine_similarity(v, u)) < 1e-9
             assert abs(c - cosine_similarity(a * u, b * v)) < 1e-9
+
+
+def reference_into_range(matrix):
+    """``_into_range`` as first written: scale the rows whose squares lose bits and
+    return only their factors, leaving each caller to norm the rows again."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+    scale = np.ones_like(norms)
+    scale[norms < 2.0**-450] = 2.0**600
+    huge = np.flatnonzero(np.isinf(norms))
+    scale[huge[np.isfinite(matrix[huge]).all(axis=1)]] = 2.0**-600
+    odd = scale != 1.0
+    matrix[odd] *= scale[odd, None]
+    return scale
+
+
+def reference_unit_rows(matrix):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        reference_into_range(matrix)
+        norms = np.sqrt(np.vecdot(matrix, matrix))
+        matrix /= norms[:, None]
+    return norms
+
+
+def reference_row_norms(vectors):
+    """A raw space's norms as its constructor first took them: every row, then the
+    odd ones again, scaled by reference_into_range."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.vecdot(vectors, vectors))
+        odd = ~(norms >= 2.0**-450) | np.isinf(norms)
+        scaled = vectors[odd]
+        scale = reference_into_range(scaled)
+        norms[odd] = np.sqrt(np.vecdot(scaled, scaled)) / scale
+    norms[norms == 0.0] = np.inf
+    return norms
+
+
+def reference_cosine_similarity(u, v):
+    u, v = (np.array(x, ndmin=2) for x in (u, v))
+    reference_into_range(u)
+    reference_into_range(v)
+    u, v = u[0], v[0]
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        raise ValueError("cosine similarity undefined for zero vector")
+    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+
+
+def non_finite_row(rng, d):
+    row = rng.standard_normal(d)
+    row[rng.integers(d, size=rng.integers(1, d + 1))] = rng.choice([np.inf, -np.inf, np.nan])
+    return row
+
+
+ROW_KINDS = {
+    "ordinary": lambda rng, d: rng.standard_normal(d) * rng.uniform(0.1, 10),
+    "subnormal": lambda rng, d: rng.standard_normal(d) * 1e-310,
+    "tiny": lambda rng, d: rng.standard_normal(d) * 10.0 ** rng.uniform(-300, -136),
+    "overflowing": lambda rng, d: rng.standard_normal(d) * 1e200,
+    "zero": lambda rng, d: np.zeros(d),
+    "non-finite": non_finite_row,
+}
+
+
+@st.composite
+def mixed_rows(draw):
+    """A float64 matrix of up to 8 rows, each of one ROW_KINDS kind: ordinary, subnormal,
+    normed below 2**-450, with squares that overflow, zero, or with an inf or NaN entry."""
+    d = draw(st.one_of(st.integers(1, 8), st.sampled_from([33, 300])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds = draw(st.lists(st.sampled_from(sorted(ROW_KINDS)), min_size=1, max_size=8))
+    return np.array([ROW_KINDS[kind](rng, d) for kind in kinds])
+
+
+def bits_or_error(f, *args):
+    try:
+        return np.float64(f(*args)).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestExactNorms:
+    """Every norm of a row scaled into range is the one ``_into_range`` returns."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_rows())
+    def test_into_range_returns_the_norms_of_the_rows_it_scaled(self, matrix):
+        scaled, expected = matrix.copy(), matrix.copy()
+        norms, scale = embeddings._into_range(scaled)
+        assert scale.tobytes() == reference_into_range(expected).tobytes()
+        assert scaled.tobytes() == expected.tobytes()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert norms.tobytes() == np.sqrt(np.vecdot(scaled, scaled)).tobytes()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # inf and NaN entries
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_rows())
+    def test_norms_and_cosines_equal_the_formulas_that_normed_twice(self, matrix):
+        unit, expected = matrix.copy(), matrix.copy()
+        assert embeddings._unit_rows(unit).tobytes() == reference_unit_rows(expected).tobytes()
+        assert unit.tobytes() == expected.tobytes()
+        space = EmbeddingSpace([f"t{i}" for i in range(len(matrix))], matrix)
+        assert space.row_norms.tobytes() == reference_row_norms(matrix.copy()).tobytes()
+        for u in matrix:
+            for v in matrix:
+                got = bits_or_error(cosine_similarity, u, v)
+                assert got == bits_or_error(reference_cosine_similarity, u, v)
 
 
 class TestCosinesToAll:

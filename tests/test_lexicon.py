@@ -80,6 +80,22 @@ class TestLoadLexicon:
         assert lex.pairs == {"a": ["alpha"], "b": ["beta"], "\ufeffc": ["gamma"]}
         assert (lex.line_count, lex.skipped_count) == (3, 0)
 
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_line_endings_load_as_lf(self, tmp_path, newline):
+        """A lexicon saved with Windows or old Mac line endings gives the pairs and
+        counts of the same lines ended by LF: no token keeps a CR."""
+        lines = ["dog Hund", "dog Hunde", "cat\tKatze", "", "bird Vogel  "]
+        lf, other = tmp_path / "lf.txt", tmp_path / "other.txt"
+        lf.write_bytes("\n".join(lines).encode("utf-8") + b"\n")
+        other.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        expected, got = load_lexicon(lf), load_lexicon(other)
+        assert got.pairs == expected.pairs == {
+            "dog": ["Hund", "Hunde"], "cat": ["Katze"], "bird": ["Vogel"]
+        }
+        counts = (got.line_count, got.dedup_count, got.skipped_count)
+        assert counts == (expected.line_count, expected.dedup_count, expected.skipped_count)
+        assert counts == (4, 0, 0)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_lexicon(tmp_path / "none.txt")

@@ -8,6 +8,7 @@ The batched kernel ``top_k_rows`` must equal the per-query path bit for bit
 at every block size, near-ties a few ulps apart and odd raw rows included.
 """
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -559,6 +560,37 @@ def test_one_rule_sizes_every_block(monkeypatch):
         assert blocks[:-1] == [sizes[-1]] * (len(blocks) - 1) and blocks[-1] <= sizes[-1]
         assert sum(blocks) == len(queries)
     assert sizes == [6, 5, 3]
+
+
+def test_candidates_hold_what_the_block_rule_counts(monkeypatch):
+    """One block at k=10 over the five row tiles of a raw 20,000 x 64 space: the
+    traced peak of _candidates stays within 1.6 times the bytes _block_queries
+    counts (a tile's GEMM scores, and the k best beside them partitioned in
+    place). Had a partitioned copy outlived its tile, it would be about 2 times."""
+    rng = np.random.default_rng(45)
+    n, d, k = 20_000, 64, 10
+    space = EmbeddingSpace([f"t{i}" for i in range(n)], rng.standard_normal((n, d)))
+    embeddings._float32_rows(space)  # the space's own copy, kept for its lifetime
+    block = embeddings._block_queries(space, k)
+    queries = list(rng.standard_normal((block, d)))
+    expected = per_query_top_k(space, queries[:3], k)
+    candidates, peaks = embeddings._candidates, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            pairs = candidates(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        return pairs
+
+    monkeypatch.setattr(embeddings, "_candidates", traced)
+    indices, scores = top_k_rows(space, queries, k)
+    assert len(peaks) == 1
+    assert peaks[0] <= 1.6 * block * 4 * (d + 2 * (embeddings._ROW_TILE + k))
+    got = ([row.tolist() for row in indices[:3]], [row.tobytes() for row in scores[:3]])
+    assert got == expected
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # an overflowing row
